@@ -1,319 +1,124 @@
 """Batched statevector kernels for the trajectory backend.
 
 States are (shots, 2**n) complex arrays with wire 0 as the most
-significant bit.  Kernels are numba-compiled when available (an order of
-magnitude faster on large registers); the numpy fallbacks implement
-identical semantics and double as a cross-check in tests.
+significant bit.  The wire whose bit has stride ``sw`` is addressed
+through the view ``state.reshape(s, a, 2, b)`` with ``b = sw`` and
+``a = 2**n // (2*sw)``, so axis 2 is that wire's bit; two-wire kernels use
+the six-axis view ``(s, a, 2, m, 2, b)`` with one axis per bit.  Kernels
+work in place on these strided views rather than gathering amplitudes with
+masks or index arrays.
 """
 from __future__ import annotations
 
 import numpy as np
 
-try:
-    import numba as _nb
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _nb = None
-    HAVE_NUMBA = False
+def _wire_view(state: np.ndarray, sw: int) -> np.ndarray:
+    s, d = state.shape
+    return state.reshape(s, d // (2 * sw), 2, sw)
 
 
-# -- numpy reference implementations -------------------------------------------
-
-def np_apply_1q(state: np.ndarray, a: int, b: int, u: np.ndarray) -> None:
-    s = state.shape[0]
-    v = state.reshape(s, a, 2, b)
-    x0 = v[:, :, 0, :].copy()
-    x1 = v[:, :, 1, :]
-    v[:, :, 0, :] *= u[0, 0]
-    v[:, :, 0, :] += u[0, 1] * x1
-    v[:, :, 1, :] *= u[1, 1]
-    v[:, :, 1, :] += u[1, 0] * x0
+def _pair_view(state: np.ndarray, sa: int, sb: int) -> np.ndarray:
+    """Six-axis view with the higher of the two bits on axis 2, the lower
+    on axis 4."""
+    s, d = state.shape
+    hi, lo = max(sa, sb), min(sa, sb)
+    return state.reshape(s, d // (2 * hi), 2, hi // (2 * lo), 2, lo)
 
 
-def np_apply_1q_rows(state, rows, a, b, u) -> None:
+def _mix(v: np.ndarray, u: np.ndarray) -> None:
+    """Apply ``u`` in place to the pairs ``(v[:, :, 0, :], v[:, :, 1, :])``."""
+    x0, x1 = v[:, :, 0, :], v[:, :, 1, :]
+    cross1 = np.multiply(u[1, 0], x0)
+    cross0 = np.multiply(u[0, 1], x1)
+    x0 *= u[0, 0]
+    x0 += cross0
+    x1 *= u[1, 1]
+    x1 += cross1
+
+
+def apply_1q(state: np.ndarray, a: int, b: int, u: np.ndarray) -> None:
+    """Apply the 2x2 matrix ``u`` to wire w, given ``a = 2**w`` and
+    ``b = 2**(n-1-w)``."""
+    _mix(state.reshape(state.shape[0], a, 2, b), u.astype(state.dtype))
+
+
+def apply_1q_rows(state: np.ndarray, rows: np.ndarray, a: int, b: int,
+                  u: np.ndarray) -> None:
+    """``apply_1q`` on the listed shots only.
+
+    It shares ``_mix`` rather than calling ``apply_1q``, so a trace of the
+    kernels counts each call once.
+    """
+    if len(rows) == 0:
+        return
     sub = state[rows]
-    np_apply_1q(sub, a, b, u)
+    _mix(sub.reshape(len(rows), a, 2, b), u.astype(state.dtype))
     state[rows] = sub
 
 
-def np_cnot(state, sc: int, st: int) -> None:
-    d = state.shape[1]
-    idx = np.arange(d)
-    sel = (idx & sc).astype(bool) & ~(idx & st).astype(bool)
-    i0 = idx[sel]
-    i1 = i0 | st
-    tmp = state[:, i0].copy()
-    state[:, i0] = state[:, i1]
-    state[:, i1] = tmp
+def cnot(state: np.ndarray, sc: int, st: int) -> None:
+    """Swap the target's 0 and 1 amplitudes where the control bit is 1."""
+    v = _pair_view(state, sc, st)
+    if sc > st:
+        x, y = v[:, :, 1, :, 0, :], v[:, :, 1, :, 1, :]
+    else:
+        x, y = v[:, :, 0, :, 1, :], v[:, :, 1, :, 1, :]
+    tmp = x.copy()
+    x[...] = y
+    y[...] = tmp
 
 
-def np_phase_bit(state, sw: int, phase: complex) -> None:
-    d = state.shape[1]
-    idx = np.arange(d)
-    sel = (idx & sw).astype(bool)
-    state[:, sel] *= phase
+def phase_bit_pershot(state: np.ndarray, sw: int, phases: np.ndarray) -> None:
+    """Multiply the bit-1 half of each shot by that shot's phase."""
+    phases = np.asarray(phases, dtype=state.dtype)
+    _wire_view(state, sw)[:, :, 1, :] *= phases[:, None, None]
 
 
-def np_phase_bit_pershot(state, sw: int, phases: np.ndarray) -> None:
-    d = state.shape[1]
-    idx = np.arange(d)
-    sel = (idx & sw).astype(bool)
-    state[:, sel] *= phases[:, None]
+def phase_zz(state: np.ndarray, sa: int, sb: int, phase: complex) -> None:
+    """Multiply amplitudes whose two bits differ by ``phase``."""
+    v = _pair_view(state, sa, sb)
+    v[:, :, 0, :, 1, :] *= phase
+    v[:, :, 1, :, 0, :] *= phase
 
 
-def np_phase_zz(state, sa: int, sb: int, phase: complex) -> None:
-    d = state.shape[1]
-    idx = np.arange(d)
-    sel = ((idx & sa) > 0) ^ ((idx & sb) > 0)
-    state[:, sel] *= phase
-
-
-def np_pop1(state, sw: int) -> np.ndarray:
-    d = state.shape[1]
-    idx = np.arange(d)
-    sel = (idx & sw).astype(bool)
-    sub = state[:, sel]
-    return np.einsum("si,si->s", sub, sub.conj()).real
-
-
-def np_ampdamp(state, sw: int, p: float, pop1: np.ndarray, jump: np.ndarray) -> None:
+def pop1(state: np.ndarray, sw: int) -> np.ndarray:
+    """Per-shot probability that the wire reads 1."""
     s, d = state.shape
-    idx = np.arange(d)
-    hot = (idx & sw).astype(bool)
-    keep = ~jump
-    norm = np.sqrt(np.maximum(1.0 - p * pop1[keep], 1e-300))
-    state[np.ix_(keep, hot)] *= np.sqrt(1.0 - p) / norm[:, None]
-    state[np.ix_(keep, ~hot)] /= norm[:, None]
-    if jump.any():
-        jn = np.sqrt(np.maximum(pop1[jump], 1e-300))
-        state[np.ix_(jump, ~hot)] = state[np.ix_(jump, hot)] / jn[:, None]
-        state[np.ix_(jump, hot)] = 0.0
+    # Real view: each bit-1 half is a contiguous run of 2*sw floats.
+    hot = state.view(state.real.dtype).reshape(s, d // (2 * sw), 2, 2 * sw)[:, :, 1, :]
+    return np.einsum("sab,sab->s", hot, hot)
 
 
-def np_measure(state, u: np.ndarray) -> np.ndarray:
-    probs = (state.real ** 2 + state.imag ** 2)
+def ampdamp(state: np.ndarray, sw: int, p: float, pop: np.ndarray,
+            jump: np.ndarray) -> None:
+    """One amplitude-damping branch per shot, renormalized.
+
+    No-jump shots scale the bit-0 half by ``1/norm`` and the bit-1 half by
+    ``sqrt(1-p)/norm``; jump shots move the bit-1 half, scaled by
+    ``1/sqrt(pop)``, onto the bit-0 half and zero the bit-1 half.
+    """
+    v = _wire_view(state, sw)
+    rows = np.nonzero(jump)[0]
+    if len(rows):
+        scale = (1.0 / np.sqrt(np.maximum(pop[rows], 1e-300))).astype(state.dtype)
+        moved = v[rows, :, 1, :] * scale[:, None, None]
+    norm = np.sqrt(np.maximum(1.0 - p * pop, 1e-300))
+    v[:, :, 0, :] *= (1.0 / norm).astype(state.dtype)[:, None, None]
+    v[:, :, 1, :] *= (np.sqrt(1.0 - p) / norm).astype(state.dtype)[:, None, None]
+    if len(rows):
+        v[rows, :, 0, :] = moved
+        v[rows, :, 1, :] = 0.0
+
+
+def measure(state: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per-shot basis-state index sampled with the uniforms ``u``."""
+    probs = state.real ** 2 + state.imag ** 2
     cum = np.cumsum(probs, axis=1)
-    total = cum[:, -1]
-    targets = u * total
+    targets = u * cum[:, -1]
     return np.minimum((cum < targets[:, None]).sum(axis=1), state.shape[1] - 1)
 
 
-def np_norm2(state) -> np.ndarray:
+def norm2(state: np.ndarray) -> np.ndarray:
+    """Per-shot squared norm."""
     return np.einsum("si,si->s", state, state.conj()).real
-
-
-# -- numba kernels --------------------------------------------------------------
-
-if HAVE_NUMBA:
-    _jit = _nb.njit(cache=True, fastmath=True)
-
-    @_jit
-    def nb_apply_1q(state, a, b, u00, u01, u10, u11):
-        s = state.shape[0]
-        for si in range(s):
-            row = state[si]
-            for hi in range(a):
-                base = hi * 2 * b
-                for j in range(b):
-                    x0 = row[base + j]
-                    x1 = row[base + b + j]
-                    row[base + j] = u00 * x0 + u01 * x1
-                    row[base + b + j] = u10 * x0 + u11 * x1
-
-    @_jit
-    def nb_apply_1q_rows(state, rows, a, b, u00, u01, u10, u11):
-        for ri in range(rows.shape[0]):
-            row = state[rows[ri]]
-            for hi in range(a):
-                base = hi * 2 * b
-                for j in range(b):
-                    x0 = row[base + j]
-                    x1 = row[base + b + j]
-                    row[base + j] = u00 * x0 + u01 * x1
-                    row[base + b + j] = u10 * x0 + u11 * x1
-
-    @_jit
-    def nb_cnot(state, sc, st):
-        s, d = state.shape
-        for si in range(s):
-            row = state[si]
-            for i in range(d):
-                if (i & sc) != 0 and (i & st) == 0:
-                    j = i | st
-                    tmp = row[i]
-                    row[i] = row[j]
-                    row[j] = tmp
-
-    @_jit
-    def nb_phase_bit(state, sw, phase):
-        s, d = state.shape
-        for si in range(s):
-            row = state[si]
-            for i in range(d):
-                if (i & sw) != 0:
-                    row[i] = row[i] * phase
-
-    @_jit
-    def nb_phase_bit_pershot(state, sw, phases):
-        s, d = state.shape
-        for si in range(s):
-            row = state[si]
-            ph = phases[si]
-            for i in range(d):
-                if (i & sw) != 0:
-                    row[i] = row[i] * ph
-
-    @_jit
-    def nb_phase_zz(state, sa, sb, phase):
-        s, d = state.shape
-        for si in range(s):
-            row = state[si]
-            for i in range(d):
-                if ((i & sa) != 0) != ((i & sb) != 0):
-                    row[i] = row[i] * phase
-
-    @_jit
-    def nb_pop1(state, sw, out):
-        s, d = state.shape
-        for si in range(s):
-            row = state[si]
-            acc = 0.0
-            for i in range(d):
-                if (i & sw) != 0:
-                    v = row[i]
-                    acc += v.real * v.real + v.imag * v.imag
-            out[si] = acc
-
-    @_jit
-    def nb_ampdamp(state, sw, p, pop1, jump):
-        s, d = state.shape
-        keep1 = np.sqrt(1.0 - p)
-        for si in range(s):
-            row = state[si]
-            if jump[si]:
-                jn = 1.0 / np.sqrt(max(pop1[si], 1e-300))
-                for i in range(d):
-                    if (i & sw) != 0:
-                        row[i & ~sw] = row[i] * jn
-                        row[i] = 0.0
-            else:
-                inv = 1.0 / np.sqrt(max(1.0 - p * pop1[si], 1e-300))
-                hotf = keep1 * inv
-                for i in range(d):
-                    if (i & sw) != 0:
-                        row[i] = row[i] * hotf
-                    else:
-                        row[i] = row[i] * inv
-
-    @_jit
-    def nb_measure(state, u, out):
-        s, d = state.shape
-        for si in range(s):
-            row = state[si]
-            total = 0.0
-            for i in range(d):
-                v = row[i]
-                total += v.real * v.real + v.imag * v.imag
-            target = u[si] * total
-            acc = 0.0
-            hit = d - 1
-            for i in range(d):
-                v = row[i]
-                acc += v.real * v.real + v.imag * v.imag
-                if acc >= target:
-                    hit = i
-                    break
-            out[si] = hit
-
-    @_jit
-    def nb_norm2(state, out):
-        s, d = state.shape
-        for si in range(s):
-            row = state[si]
-            acc = 0.0
-            for i in range(d):
-                v = row[i]
-                acc += v.real * v.real + v.imag * v.imag
-            out[si] = acc
-
-
-# -- dispatch wrappers -----------------------------------------------------------
-
-def apply_1q(state, a, b, u, use_numba=HAVE_NUMBA) -> None:
-    c = state.dtype.type
-    if use_numba:
-        nb_apply_1q(state, a, b, c(u[0, 0]), c(u[0, 1]), c(u[1, 0]), c(u[1, 1]))
-    else:
-        np_apply_1q(state, a, b, u.astype(state.dtype))
-
-
-def apply_1q_rows(state, rows, a, b, u, use_numba=HAVE_NUMBA) -> None:
-    if len(rows) == 0:
-        return
-    c = state.dtype.type
-    if use_numba:
-        nb_apply_1q_rows(state, np.asarray(rows, dtype=np.int64), a, b,
-                         c(u[0, 0]), c(u[0, 1]), c(u[1, 0]), c(u[1, 1]))
-    else:
-        np_apply_1q_rows(state, rows, a, b, u.astype(state.dtype))
-
-
-def cnot(state, sc, st, use_numba=HAVE_NUMBA) -> None:
-    if use_numba:
-        nb_cnot(state, sc, st)
-    else:
-        np_cnot(state, sc, st)
-
-
-def phase_bit(state, sw, phase, use_numba=HAVE_NUMBA) -> None:
-    if use_numba:
-        nb_phase_bit(state, sw, state.dtype.type(phase))
-    else:
-        np_phase_bit(state, sw, phase)
-
-
-def phase_bit_pershot(state, sw, phases, use_numba=HAVE_NUMBA) -> None:
-    phases = np.asarray(phases, dtype=state.dtype)
-    if use_numba:
-        nb_phase_bit_pershot(state, sw, phases)
-    else:
-        np_phase_bit_pershot(state, sw, phases)
-
-
-def phase_zz(state, sa, sb, phase, use_numba=HAVE_NUMBA) -> None:
-    if use_numba:
-        nb_phase_zz(state, sa, sb, state.dtype.type(phase))
-    else:
-        np_phase_zz(state, sa, sb, phase)
-
-
-def pop1(state, sw, use_numba=HAVE_NUMBA) -> np.ndarray:
-    if use_numba:
-        out = np.empty(state.shape[0])
-        nb_pop1(state, sw, out)
-        return out
-    return np_pop1(state, sw)
-
-
-def ampdamp(state, sw, p, pop, jump, use_numba=HAVE_NUMBA) -> None:
-    if use_numba:
-        nb_ampdamp(state, sw, p, pop, jump)
-    else:
-        np_ampdamp(state, sw, p, pop, jump)
-
-
-def measure(state, u, use_numba=HAVE_NUMBA) -> np.ndarray:
-    if use_numba:
-        out = np.empty(state.shape[0], dtype=np.int64)
-        nb_measure(state, u, out)
-        return out
-    return np_measure(state, u)
-
-
-def norm2(state, use_numba=HAVE_NUMBA) -> np.ndarray:
-    if use_numba:
-        out = np.empty(state.shape[0])
-        nb_norm2(state, out)
-        return out
-    return np_norm2(state)

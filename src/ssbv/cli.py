@@ -24,20 +24,35 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ssbv",
         description="Single-shot Bernstein-Vazirani speedup pipeline")
-    parser.add_argument("--config", help="experiment config file")
-    parser.add_argument("--seed", type=int, help="override the master seed")
-    parser.add_argument("--out", default="ssbv-run", help="output directory")
+    _add_global_flags(parser, after_command=False)
+    after = argparse.ArgumentParser(add_help=False)
+    _add_global_flags(after, after_command=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, doc in (("generate", "write routed circuit files"),
                       ("simulate", "run the trajectory backend"),
                       ("analyze", "TTS curves, exponent fits, report"),
                       ("plot-data", "re-emit columnar plot files")):
-        p = sub.add_parser(name, help=doc)
+        p = sub.add_parser(name, help=doc, parents=[after])
         _add_overrides(p)
-    p = sub.add_parser("ingest", help="validate external count files")
+    p = sub.add_parser("ingest", help="validate external count files",
+                       parents=[after])
     p.add_argument("paths", nargs="+", help="count files or directories")
     return parser
+
+
+def _add_global_flags(p: argparse.ArgumentParser, after_command: bool) -> None:
+    """--config, --seed and --out, before or after the subcommand.
+
+    After it they default to SUPPRESS, so an absent flag keeps the value
+    parsed before the subcommand.
+    """
+    unset = argparse.SUPPRESS if after_command else None
+    p.add_argument("--config", default=unset, help="experiment config file")
+    p.add_argument("--seed", type=int, default=unset,
+                   help="override the master seed")
+    p.add_argument("--out", default=argparse.SUPPRESS if after_command
+                   else "ssbv-run", help="output directory")
 
 
 def _add_overrides(p: argparse.ArgumentParser) -> None:

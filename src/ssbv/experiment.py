@@ -32,7 +32,7 @@ from .noise import load_profile
 from .oracles import (OracleSpec, ShotTable, all_oracles, load_counts,
                       reduce_counts, representative_oracles, save_counts)
 from .routing import embed_oracle, layout_from_name, route_bv
-from .simulator import TrajectoryPlan, simulate_shots
+from .simulator import SimulatorCapError, TrajectoryPlan, simulate_shots
 
 BOOTSTRAP_TAG = 0xB007
 
@@ -224,8 +224,29 @@ def _duration_table(config: ExperimentConfig, graph, device, sequence, pulse
 
 
 def cmd_simulate(config: ExperimentConfig, out_dir) -> str:
-    """Run the trajectory backend over the configured oracle grid."""
+    """Run the trajectory backend over the configured oracle grid.
+
+    Every circuit of the grid is routed and checked against the trajectory
+    cap before anything is simulated or written, so an infeasible grid
+    fails fast and leaves no tables behind.
+    """
     graph, device, noise, sequence, pulse = _resolve(config)
+    plan = TrajectoryPlan(config.shots, config.master_seed,
+                          precision=config.precision)
+    reduced = config.collection == "reduced"
+    sizes = [config.n_max] if reduced else range(config.n_min, config.n_max + 1)
+    jobs = []
+    for n in sizes:
+        for spec in _oracles_for(config, n):
+            routed, circuit = _routed_for(config, spec, graph, device,
+                                          sequence, pulse)
+            if circuit.num_qubits > plan.max_qubits:
+                raise SimulatorCapError(
+                    f"{_table_name(spec)}: {circuit.num_qubits} wires exceeds "
+                    f"trajectory cap {plan.max_qubits}")
+            jobs.append((spec, routed, circuit))
+    durations = _duration_table(config, graph, device, sequence, pulse)
+
     counts_dir = os.path.join(out_dir, "counts")
     os.makedirs(counts_dir, exist_ok=True)
     manifest = os.path.join(out_dir, "manifest.txt")
@@ -233,13 +254,8 @@ def cmd_simulate(config: ExperimentConfig, out_dir) -> str:
     cfg_path = os.path.join(out_dir, "config.used")
     save_config(config, cfg_path)
     append_file_entry(manifest, "config", cfg_path)
-
-    for n, t_r in sorted(_duration_table(config, graph, device, sequence,
-                                         pulse).items()):
+    for n, t_r in sorted(durations.items()):
         append_entry(manifest, "duration", n=n, seconds=repr(t_r))
-
-    plan = TrajectoryPlan(config.shots, config.master_seed,
-                          precision=config.precision)
 
     def write_table(table: ShotTable, derived: bool) -> None:
         path = os.path.join(counts_dir, _table_name(table.oracle) + ".counts")
@@ -248,31 +264,17 @@ def cmd_simulate(config: ExperimentConfig, out_dir) -> str:
                           b=table.oracle.b.to01(), shots=table.total_shots,
                           derived=int(derived))
 
-    if config.collection == "reduced":
-        n_top = config.n_max
-        for spec in _oracles_for(config, n_top):
-            routed, circuit = _routed_for(config, spec, graph, device,
-                                          sequence, pulse)
-            phys = [None] * circuit.num_qubits
-            for node, w in routed.wire_of_physical.items():
-                phys[w] = node
-            table = simulate_shots(circuit, device, noise, plan, spec,
-                                   routed.readout, phys)
-            write_table(table, derived=False)
-            for m in range(config.n_min, n_top):
+    for spec, routed, circuit in jobs:
+        phys = [None] * circuit.num_qubits
+        for node, w in routed.wire_of_physical.items():
+            phys[w] = node
+        table = simulate_shots(circuit, device, noise, plan, spec,
+                               routed.readout, phys)
+        write_table(table, derived=False)
+        if reduced:
+            for m in range(config.n_min, config.n_max):
                 if spec.k <= m:
                     write_table(reduce_counts(table, m), derived=True)
-    else:
-        for n in range(config.n_min, config.n_max + 1):
-            for spec in _oracles_for(config, n):
-                routed, circuit = _routed_for(config, spec, graph, device,
-                                              sequence, pulse)
-                phys = [None] * circuit.num_qubits
-                for node, w in routed.wire_of_physical.items():
-                    phys[w] = node
-                table = simulate_shots(circuit, device, noise, plan, spec,
-                                       routed.readout, phys)
-                write_table(table, derived=False)
     return manifest
 
 

@@ -3,8 +3,9 @@
 ``compile_program`` lowers a timed circuit plus device/noise models into an
 ordered list of primitive operations (unitaries, Kraus channels, coherent
 phases).  The trajectory backend samples one Kraus branch per channel
-application on batched statevectors (exact in distribution); the exact
-backend applies the same stream to a dense density operator, averaging the
+application on batched statevectors (exact in distribution), through the
+in-place strided-view numpy kernels of ``_kernels``; the exact backend
+applies the same stream to a dense density operator, averaging the
 quasi-static detuning by Gauss-Hermite quadrature.
 
 Conventions: wire 0 is the most significant bit of serialized bitstrings;
@@ -389,10 +390,10 @@ def noiseless_output(circuit: TimedCircuit, readout: ReadoutMap) -> dict[str, fl
     for op in program.ops:
         if op.kind == "u1":
             w = op.wires[0]
-            ker.apply_1q(state, 1 << w, 1 << (nw - 1 - w), op.matrix, use_numba=False)
+            ker.apply_1q(state, 1 << w, 1 << (nw - 1 - w), op.matrix)
         elif op.kind == "cnot":
             c, t = op.wires
-            ker.cnot(state, 1 << (nw - 1 - c), 1 << (nw - 1 - t), use_numba=False)
+            ker.cnot(state, 1 << (nw - 1 - c), 1 << (nw - 1 - t))
     probs = np.abs(state[0]) ** 2
     return _collect_distribution(probs, readout, nw)
 

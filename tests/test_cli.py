@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from ssbv.cli import main
+from ssbv.cli import _build_parser, main
 from ssbv.experiment import (ConfigError, ExperimentConfig, cmd_analyze,
                              cmd_generate, cmd_ingest, cmd_simulate,
                              config_from_text, config_to_text)
@@ -120,6 +120,24 @@ def test_cli_exit_codes(tmp_path):
     # backend cap: 22 data qubits exceeds the trajectory cap
     assert main(["--out", out + "3", "simulate", "--n-min", "21", "--n-max",
                  "21", "--layout", "chain", "--shots", "10"]) == 4
+
+
+def test_cap_preflight_writes_nothing(tmp_path):
+    out = tmp_path / "cap"
+    assert main(["simulate", "--n-min", "20", "--n-max", "21", "--layout",
+                 "chain", "--shots", "10", "--out", str(out)]) == 4
+    assert not out.exists()
+
+
+def test_global_flags_parse_after_subcommand():
+    parser = _build_parser()
+    args = parser.parse_args(
+        "--out run1 simulate --n-min 3 --n-max 10 --profile montreal "
+        "--dd ur14 --collection reduced --shots 2000 --seed 7".split())
+    assert (args.seed, args.out, args.config) == (7, "run1", None)
+    args = parser.parse_args(["--seed", "3", "--out", "a", "analyze",
+                              "--config", "c.config", "--out", "b"])
+    assert (args.seed, args.out, args.config) == (3, "b", "c.config")
 
 
 def _chain_file(tmp_path) -> str:

@@ -1,0 +1,145 @@
+"""Statevector kernels against dense np.kron references on random inputs."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ssbv import _kernels as ker
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def batches(draw, min_wires=1):
+    nw = draw(st.integers(min_wires, 7))
+    shots = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = rng.standard_normal((shots, 1 << nw)) \
+        + 1j * rng.standard_normal((shots, 1 << nw))
+    state /= np.linalg.norm(state, axis=1, keepdims=True)
+    return nw, state, rng
+
+
+def embed(mat, w, nw):
+    """Dense operator of a one-wire matrix on wire w (wire 0 = MSB)."""
+    return np.kron(np.kron(np.eye(1 << w), mat), np.eye(1 << (nw - 1 - w)))
+
+
+def bit_diag(w, nw):
+    """Diagonal 0/1 vector of basis states whose wire-w bit is 1."""
+    return np.diag(embed(np.diag([0.0, 1.0]), w, nw)).real
+
+
+def random_unitary(rng):
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q
+
+
+def strides(w, nw):
+    return 1 << w, 1 << (nw - 1 - w)
+
+
+@SETTINGS
+@given(batches(), st.data())
+def test_apply_1q(batch, data):
+    nw, state, rng = batch
+    w = data.draw(st.integers(0, nw - 1))
+    u = random_unitary(rng)
+    want = state @ embed(u, w, nw).T
+    ker.apply_1q(state, *strides(w, nw), u)
+    np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
+
+
+@SETTINGS
+@given(batches(), st.data())
+def test_apply_1q_rows(batch, data):
+    nw, state, rng = batch
+    w = data.draw(st.integers(0, nw - 1))
+    rows = np.nonzero(rng.random(len(state)) < 0.5)[0]
+    u = random_unitary(rng)
+    want = state.copy()
+    want[rows] = state[rows] @ embed(u, w, nw).T
+    ker.apply_1q_rows(state, rows, *strides(w, nw), u)
+    np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
+
+
+@SETTINGS
+@given(batches(min_wires=2), st.booleans(), st.data())
+def test_cnot(batch, control_above, data):
+    nw, state, _ = batch
+    hi = data.draw(st.integers(1, nw - 1))
+    lo = data.draw(st.integers(0, hi - 1))
+    c, t = (lo, hi) if control_above else (hi, lo)
+    proj1 = np.diag([0.0, 1.0])
+    dense = (embed(np.eye(2) - proj1, c, nw)
+             + embed(proj1, c, nw) @ embed(np.array([[0, 1], [1, 0]]), t, nw))
+    want = state @ dense.T
+    ker.cnot(state, 1 << (nw - 1 - c), 1 << (nw - 1 - t))
+    np.testing.assert_array_equal(state, want)
+
+
+@SETTINGS
+@given(batches(), st.data())
+def test_phase_bit_pershot(batch, data):
+    nw, state, rng = batch
+    w = data.draw(st.integers(0, nw - 1))
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, len(state)))
+    hot = bit_diag(w, nw)
+    want = state * np.where(hot > 0, phases[:, None], 1.0)
+    ker.phase_bit_pershot(state, 1 << (nw - 1 - w), phases)
+    np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
+
+
+@SETTINGS
+@given(batches(min_wires=2), st.data())
+def test_phase_zz(batch, data):
+    nw, state, rng = batch
+    wa, wb = data.draw(st.lists(st.integers(0, nw - 1), min_size=2, max_size=2,
+                                unique=True))
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi))
+    odd = (bit_diag(wa, nw) + bit_diag(wb, nw)) == 1
+    want = state * np.where(odd, phase, 1.0)
+    ker.phase_zz(state, 1 << (nw - 1 - wa), 1 << (nw - 1 - wb), phase)
+    np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
+
+
+@SETTINGS
+@given(batches(), st.data())
+def test_pop1(batch, data):
+    nw, state, _ = batch
+    w = data.draw(st.integers(0, nw - 1))
+    want = np.abs(state) ** 2 @ bit_diag(w, nw)
+    got = ker.pop1(state, 1 << (nw - 1 - w))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("with_jumps", [False, True])
+@SETTINGS
+@given(batch=batches(), data=st.data())
+def test_ampdamp(with_jumps, batch, data):
+    nw, state, rng = batch
+    w = data.draw(st.integers(0, nw - 1))
+    p = data.draw(st.floats(0.01, 0.99))
+    jump = rng.random(len(state)) < 0.5 if with_jumps else np.zeros(len(state), bool)
+    if with_jumps:
+        jump[rng.integers(len(state))] = True
+    k0 = embed(np.array([[1.0, 0.0], [0.0, np.sqrt(1 - p)]]), w, nw)
+    k1 = embed(np.array([[0.0, np.sqrt(p)], [0.0, 0.0]]), w, nw)
+    want = np.where(jump[:, None], state @ k1.T, state @ k0.T)
+    want /= np.linalg.norm(want, axis=1, keepdims=True)
+    sw = 1 << (nw - 1 - w)
+    ker.ampdamp(state, sw, p, ker.pop1(state, sw), jump)
+    np.testing.assert_allclose(state, want, rtol=0, atol=1e-10)
+
+
+@SETTINGS
+@given(batches())
+def test_measure_and_norm2(batch):
+    nw, state, rng = batch
+    u = rng.random(len(state))
+    probs = np.abs(state) ** 2
+    cum = np.cumsum(probs, axis=1)
+    want = [min(np.searchsorted(c, ui * c[-1], side="left"), c.size - 1)
+            for c, ui in zip(cum, u)]
+    np.testing.assert_array_equal(ker.measure(state, u), want)
+    np.testing.assert_allclose(ker.norm2(state), probs.sum(axis=1), rtol=0, atol=1e-12)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from ssbv.circuit import Bitstring, GateEvent, GateKind, TimedCircuit
-from ssbv.decoupling import ur_phases
+from ssbv.decoupling import schedule_dd, sequence_from_name, ur_phases
 from ssbv.noise import DeviceModel, NoiseConfig, load_profile
 from ssbv.oracles import (OracleSpec, ReadoutMap, all_oracles,
                           bv_logical_circuit)
-from ssbv.routing import chain_graph
+from ssbv.routing import chain_graph, embed_oracle, heavy_hex_27, route_bv
 from ssbv.simulator import (SimulatorCapError, TrajectoryPlan,
                             check_reduction_equivalence, compile_program,
                             noiseless_output, simulate_exact, simulate_shots,
@@ -177,6 +177,26 @@ def test_assertion_mode_checks_norms():
     circ, rmap = bv_circuit(spec, device)
     simulate_shots(circ, device, NoiseConfig(), TrajectoryPlan(200, 1, assertions=True),
                    spec, rmap)
+
+
+def test_assertion_mode_full_noise_routed_dd():
+    # Norm drift stays below the check on every op of a routed, UR-dressed
+    # circuit under every montreal channel, and checking changes no count.
+    graph = heavy_hex_27()
+    device = MONTREAL.device(graph)
+    spec = OracleSpec.representative(5, 5)
+    routed = route_bv(spec, graph, embed_oracle(spec, graph), device)
+    circ = schedule_dd(routed.circuit, sequence_from_name("ur14"),
+                       device.dur_dd_pulse)
+    assert circ.num_qubits >= 5
+    phys = [None] * circ.num_qubits
+    for node, w in routed.wire_of_physical.items():
+        phys[w] = node
+    tables = [simulate_shots(circ, device, MONTREAL.noise(),
+                             TrajectoryPlan(200, 5, assertions=checked),
+                             spec, routed.readout, phys)
+              for checked in (True, False)]
+    assert tables[0].counts == tables[1].counts
 
 
 def test_single_precision_close_to_double():
