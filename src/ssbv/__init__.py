@@ -22,9 +22,8 @@ from .experiment import (ConfigError, ExperimentConfig, cmd_analyze,
                          cmd_generate, cmd_ingest, cmd_simulate, load_config,
                          save_config)
 from .noise import (NOISELESS, DeviceModel, KrausChannel, NoiseConfig,
-                    amplitude_damping, dephasing, depolarizing, idle_channel,
-                    identity_channel, load_profile, readout_sample,
-                    sample_static_fields)
+                    amplitude_damping, dephasing, depolarizing,
+                    identity_channel, load_profile)
 from .oracles import (OracleSpec, ReadoutMap, ShotTable, all_oracles,
                       bv_logical_circuit, classical_success_prob, load_counts,
                       reduce_counts, representative_oracles, save_counts)

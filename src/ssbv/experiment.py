@@ -157,6 +157,10 @@ def _resolve(config: ExperimentConfig):
         raise ConfigError(f"cannot load profile {config.profile!r}: {exc}") from None
     device = profile.device(graph)
     noise = profile.noise()
+    if config.collection == "reduced" and noise.zz and noise.zz_rate > 0:
+        raise ConfigError("reduced collection is exact only under factorized "
+                          f"noise; profile {config.profile!r} has ZZ crosstalk "
+                          f"(zz_rate {noise.zz_rate})")
     sequence = sequence_from_name(config.dd)
     pulse = config.dd_pulse_duration_dt or device.dur_dd_pulse
     return graph, device, noise, sequence, pulse

@@ -4,7 +4,9 @@ Decoherence enters through per-qubit T1/T2 idle channels, gate errors
 through depolarizing channels after every gate, low-frequency dephasing
 through a quasi-static per-trajectory detuning field, crosstalk through an
 always-on ZZ coupling between idle neighbors, and measurement errors
-through a per-qubit readout confusion matrix.
+through a per-qubit readout confusion matrix.  The Kraus channels below
+are the only definition of each channel: the exact backend applies them,
+and the trajectory backend samples their branches.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from importlib import resources
 
 import numpy as np
 
-from .circuit import DT_SECONDS, Bitstring, DurationModel
+from .circuit import DT_SECONDS, DurationModel
 from .routing import CouplingGraph
 
 COMPLETENESS_TOL = 1e-12
@@ -86,18 +88,6 @@ def idle_params(t1: float, t2: float, t: float) -> tuple[float, float]:
     inv_tphi = max(inv_tphi, 0.0)
     p_z = (1.0 - math.exp(-t * inv_tphi)) / 2.0
     return p_ad, p_z
-
-
-def idle_channel(t1: float, t2: float, t: float) -> KrausChannel:
-    """Amplitude damping composed with pure dephasing for an idle interval."""
-    p_ad, p_z = idle_params(t1, t2, t)
-    if p_ad == 0.0 and p_z == 0.0:
-        return identity_channel(1)
-    ad = amplitude_damping(p_ad)
-    dz = dephasing(p_z)
-    ops = tuple(k @ d for k in ad.operators for d in dz.operators)
-    ops = tuple(k for k in ops if np.linalg.norm(k) > 0)
-    return KrausChannel(ops, 1)
 
 
 def depolarizing(p: float, arity: int = 1) -> KrausChannel:
@@ -213,25 +203,6 @@ class NoiseConfig:
 
 NOISELESS = NoiseConfig(decoherence=False, depolarizing=False, readout=False,
                         detuning=False, zz=False)
-
-
-def sample_static_fields(config: NoiseConfig, num_qubits: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Per-qubit quasi-static detunings, Normal(0, sigma), one trajectory."""
-    if config.detuning_sigma == 0.0 or not config.detuning:
-        return np.zeros(num_qubits)
-    return rng.normal(0.0, config.detuning_sigma, size=num_qubits)
-
-
-def readout_sample(true_bits: Bitstring, device: DeviceModel,
-                   rng: np.random.Generator, qubit_of_bit=None) -> Bitstring:
-    """Independent per-qubit readout flips with the confusion probabilities."""
-    out = []
-    for i, b in enumerate(true_bits.bits):
-        q = qubit_of_bit[i] if qubit_of_bit is not None else i
-        p_flip = device.ro_p01[q] if b == 0 else device.ro_p10[q]
-        out.append(b ^ (rng.random() < p_flip))
-    return Bitstring(tuple(int(b) for b in out))
 
 
 # -- device/noise profiles -----------------------------------------------------

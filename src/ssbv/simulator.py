@@ -5,8 +5,11 @@ ordered list of primitive operations (unitaries, Kraus channels, coherent
 phases).  The trajectory backend samples one Kraus branch per channel
 application on batched statevectors (exact in distribution), through the
 in-place strided-view numpy kernels of ``_kernels``; the exact backend
-applies the same stream to a dense density operator, averaging the
-quasi-static detuning by Gauss-Hermite quadrature.
+applies the same stream to a density operator held as a 2n-axis tensor
+(one axis per row bit, then one per column bit).  Each op is lowered once
+to a superoperator ``sum_K K (x) conj(K)`` whose Kraus operators come from
+``noise`` (one Kraus operator for gates and ZZ), and the quasi-static
+detuning is averaged by Gauss-Hermite quadrature.
 
 Conventions: wire 0 is the most significant bit of serialized bitstrings;
 gate errors follow their gate, idle decoherence is applied at the end of
@@ -21,24 +24,26 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import _kernels as ker
 from .circuit import GateEvent, GateKind, TimedCircuit, validate_circuit
 from .decoupling import detect_gaps, pulse_unitary
-from .noise import DeviceModel, NoiseConfig, idle_params
+from .noise import (NOISELESS, PAULIS_1Q, DeviceModel, NoiseConfig,
+                    amplitude_damping, dephasing, depolarizing, idle_params)
 from .oracles import OracleSpec, ReadoutMap, ShotTable
 
 EXACT_MAX_WIRES = 7
 TRAJECTORY_MAX_WIRES = 21
 GH_NODES_DEFAULT = 21
+# Most density-operator runs one simulate_exact call may make: the
+# Gauss-Hermite average costs gh_nodes ** (#detuned wires) runs.
+EXACT_MAX_RUNS = 21 ** 3
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_PAULIS = (np.eye(2, dtype=complex), _X, _Y, _Z)
+_CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
 
 
 class SimulatorCapError(Exception):
@@ -74,6 +79,13 @@ class Program:
     def stochastic(self) -> bool:
         return self.n_uniform_ops > 0 or len(self.detuned_wires) > 0
 
+    @cached_property
+    def superops(self) -> tuple[np.ndarray | None, ...]:
+        """Each op's exact-backend superoperator, lowered once per program;
+        None for detune ops, whose phase depends on the detuning node."""
+        return tuple(None if op.kind == "detune" else _superop(_kraus_operators(op))
+                     for op in self.ops)
+
 
 @dataclass(frozen=True)
 class TrajectoryPlan:
@@ -101,7 +113,7 @@ def _gate_matrix(ev: GateEvent, eps: float) -> np.ndarray | None:
     if ev.kind is GateKind.H:
         return _HADAMARD
     if ev.kind is GateKind.X:
-        return _X
+        return PAULIS_1Q[1]
     if ev.kind is GateKind.PHASED_PI:
         return pulse_unitary(ev.phase, eps)
     return None
@@ -220,13 +232,16 @@ def _dep2_branches(u: np.ndarray, p: float) -> np.ndarray:
     return branch
 
 
-def _run_chunk(program: Program, state: np.ndarray, normals: np.ndarray,
-               uniforms: np.ndarray, sigma: float, assertions: bool) -> np.ndarray:
-    """Evolve one batch through the op stream; returns measurement outcomes."""
+def _evolve(program: Program, state: np.ndarray, uniforms: np.ndarray | None = None,
+            deltas: np.ndarray | None = None, assertions: bool = False) -> None:
+    """Evolve a batch of statevectors in place through the op stream.
+
+    Channel op i samples its branch from ``uniforms[:, i]``; detune ops
+    read the per-shot detuning of their wire from ``deltas``.  Programs
+    that are not stochastic need neither.
+    """
     nw = program.num_wires
-    s = state.shape[0]
     wslot = {w: i for i, w in enumerate(program.detuned_wires)}
-    deltas = normals * sigma if normals.size else normals
     cursor = 0
 
     for op in program.ops:
@@ -245,7 +260,7 @@ def _run_chunk(program: Program, state: np.ndarray, normals: np.ndarray,
             for j in (1, 2, 3):
                 rows = np.nonzero(branch == j)[0]
                 if len(rows):
-                    ker.apply_1q_rows(state, rows, a, b, _PAULIS[j])
+                    ker.apply_1q_rows(state, rows, a, b, PAULIS_1Q[j])
         elif op.kind == "dep2":
             u = uniforms[:, cursor]
             cursor += 1
@@ -257,13 +272,13 @@ def _run_chunk(program: Program, state: np.ndarray, normals: np.ndarray,
                 for w, pj in zip(op.wires, (j // 4, j % 4)):
                     if pj:
                         ker.apply_1q_rows(state, rows, 1 << w, 1 << (nw - 1 - w),
-                                          _PAULIS[pj])
+                                          PAULIS_1Q[pj])
         elif op.kind == "deph":
             u = uniforms[:, cursor]
             cursor += 1
             rows = np.nonzero(u < op.p)[0]
             w = op.wires[0]
-            ker.apply_1q_rows(state, rows, 1 << w, 1 << (nw - 1 - w), _Z)
+            ker.apply_1q_rows(state, rows, 1 << w, 1 << (nw - 1 - w), PAULIS_1Q[3])
         elif op.kind == "damp":
             u = uniforms[:, cursor]
             cursor += 1
@@ -284,9 +299,6 @@ def _run_chunk(program: Program, state: np.ndarray, normals: np.ndarray,
             if not np.allclose(norms, 1.0, atol=1e-6):
                 raise AssertionError(f"norm drift after {op.kind}: "
                                      f"max |1-n| = {np.abs(1 - norms).max():.2e}")
-
-    u_meas = uniforms[:, cursor]
-    return ker.measure(state, u_meas)
 
 
 def _auto_batch(shots: int, nw: int, itemsize: int) -> int:
@@ -342,16 +354,7 @@ def simulate_shots(circuit: TimedCircuit, device: DeviceModel | None,
         # measurement and readout from the per-shot streams.
         state = np.zeros((1, 1 << nw), dtype=dtype)
         state[0, 0] = 1.0
-        for op in program.ops:
-            if op.kind == "u1":
-                w = op.wires[0]
-                ker.apply_1q(state, 1 << w, 1 << (nw - 1 - w), op.matrix)
-            elif op.kind == "cnot":
-                c, t = op.wires
-                ker.cnot(state, 1 << (nw - 1 - c), 1 << (nw - 1 - t))
-            elif op.kind == "zz":
-                wa, wb = op.wires
-                ker.phase_zz(state, 1 << (nw - 1 - wa), 1 << (nw - 1 - wb), op.phase)
+        _evolve(program, state)
         probs = (state[0].real.astype(float) ** 2 + state[0].imag.astype(float) ** 2)
         cum = np.cumsum(probs)
         _, uniforms = _shot_streams(plan.master_seed, oracle.key(), 0, plan.shots,
@@ -370,8 +373,9 @@ def simulate_shots(circuit: TimedCircuit, device: DeviceModel | None,
                                           n_normals, n_uniforms)
         state = np.zeros((hi - lo, 1 << nw), dtype=dtype)
         state[:, 0] = 1.0
-        outcomes = _run_chunk(program, state, normals, uniforms,
-                              noise.detuning_sigma, plan.assertions)
+        _evolve(program, state, uniforms, normals * noise.detuning_sigma,
+                plan.assertions)
+        outcomes = ker.measure(state, uniforms[:, program.n_uniform_ops])
         keys = _apply_readout(outcomes, uniforms, program.n_uniform_ops + 1,
                               readout, device, noise, phys, nw)
         for key in keys:
@@ -384,16 +388,8 @@ def noiseless_output(circuit: TimedCircuit, readout: ReadoutMap) -> dict[str, fl
     nw = circuit.num_qubits
     state = np.zeros((1, 1 << nw), dtype=complex)
     state[0, 0] = 1.0
-    program = compile_program(circuit, None, NoiseConfig(
-        decoherence=False, depolarizing=False, readout=False,
-        detuning=False, zz=False))
-    for op in program.ops:
-        if op.kind == "u1":
-            w = op.wires[0]
-            ker.apply_1q(state, 1 << w, 1 << (nw - 1 - w), op.matrix)
-        elif op.kind == "cnot":
-            c, t = op.wires
-            ker.cnot(state, 1 << (nw - 1 - c), 1 << (nw - 1 - t))
+    program = compile_program(circuit, None, NOISELESS)
+    _evolve(program, state)
     probs = np.abs(state[0]) ** 2
     return _collect_distribution(probs, readout, nw)
 
@@ -413,90 +409,51 @@ def _collect_distribution(probs: np.ndarray, readout: ReadoutMap, nw: int
 
 # -- exact density-operator backend ----------------------------------------------
 
-def _full_1q(mat: np.ndarray, w: int, nw: int) -> np.ndarray:
-    return np.kron(np.kron(np.eye(1 << w), mat), np.eye(1 << (nw - 1 - w)))
+def _kraus_operators(op: Op, delta: float = 0.0) -> tuple[np.ndarray, ...]:
+    """Kraus operators of one op on its wires, the first wire most significant."""
+    if op.kind == "u1":
+        return (op.matrix,)
+    if op.kind == "cnot":
+        return (_CNOT,)
+    if op.kind == "zz":
+        return (np.diag([1.0, op.phase, op.phase, 1.0]),)
+    if op.kind == "detune":
+        return (np.diag([1.0, np.exp(1j * delta * op.t)]),)
+    if op.kind == "damp":
+        return amplitude_damping(op.p).operators
+    if op.kind == "deph":
+        return dephasing(op.p).operators
+    if op.kind in ("dep1", "dep2"):
+        return depolarizing(op.p, len(op.wires)).operators
+    raise ValueError(f"unknown op kind {op.kind!r}")
 
 
-def _full_cnot(c: int, t: int, nw: int) -> np.ndarray:
-    d = 1 << nw
-    sc, st = 1 << (nw - 1 - c), 1 << (nw - 1 - t)
-    perm = np.arange(d)
-    hot = (perm & sc) > 0
-    perm[hot] ^= st
-    m = np.zeros((d, d))
-    m[perm, np.arange(d)] = 1.0
-    return m
+def _superop(kraus: tuple[np.ndarray, ...]) -> np.ndarray:
+    """``sum_K K (x) conj(K)`` as a (2,)*4k tensor: output row bits, output
+    column bits, input row bits, input column bits."""
+    k = kraus[0].shape[0].bit_length() - 1
+    return sum(np.kron(m, m.conj()) for m in kraus).reshape((2,) * (4 * k))
 
 
-def _full_diag_bit(w: int, nw: int, phase: complex) -> np.ndarray:
-    d = 1 << nw
-    idx = np.arange(d)
-    diag = np.where((idx & (1 << (nw - 1 - w))) > 0, phase, 1.0)
-    return np.diag(diag)
-
-
-def _full_diag_zz(wa: int, wb: int, nw: int, phase: complex) -> np.ndarray:
-    d = 1 << nw
-    idx = np.arange(d)
-    odd = ((idx & (1 << (nw - 1 - wa))) > 0) ^ ((idx & (1 << (nw - 1 - wb))) > 0)
-    return np.diag(np.where(odd, phase, 1.0))
-
-
-def _kraus_apply(rho: np.ndarray, ops) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for k in ops:
-        out += k @ rho @ k.conj().T
-    return out
+def _apply_superop(rho: np.ndarray, sop: np.ndarray, wires: tuple[int, ...]
+                   ) -> np.ndarray:
+    """Apply a superoperator to the row and column axes of ``wires``."""
+    nw = rho.ndim // 2
+    axes = list(wires) + [nw + w for w in wires]
+    out = np.tensordot(sop, rho, axes=(range(len(axes), 2 * len(axes)), axes))
+    return np.moveaxis(out, range(len(axes)), axes)
 
 
 def _exact_run(program: Program, deltas: dict[int, float]) -> np.ndarray:
     """Evolve the density operator for one fixed detuning realization."""
     nw = program.num_wires
-    d = 1 << nw
-    rho = np.zeros((d, d), dtype=complex)
-    rho[0, 0] = 1.0
-    for op in program.ops:
-        if op.kind == "u1":
-            m = _full_1q(op.matrix, op.wires[0], nw)
-            rho = m @ rho @ m.conj().T
-        elif op.kind == "cnot":
-            m = _full_cnot(op.wires[0], op.wires[1], nw)
-            rho = m @ rho @ m.conj().T
-        elif op.kind == "dep1":
-            p = op.p
-            ks = [math.sqrt(1 - p) * np.eye(d)]
-            ks += [math.sqrt(p / 3) * _full_1q(pm, op.wires[0], nw)
-                   for pm in _PAULIS[1:]]
-            rho = _kraus_apply(rho, ks)
-        elif op.kind == "dep2":
-            p = op.p
-            wa, wb = op.wires
-            ks = [math.sqrt(1 - p) * np.eye(d)]
-            for i, j in itertools.product(range(4), range(4)):
-                if i == 0 and j == 0:
-                    continue
-                m = _full_1q(_PAULIS[i], wa, nw) @ _full_1q(_PAULIS[j], wb, nw)
-                ks.append(math.sqrt(p / 15) * m)
-            rho = _kraus_apply(rho, ks)
-        elif op.kind == "deph":
-            p = op.p
-            ks = [math.sqrt(1 - p) * np.eye(d),
-                  math.sqrt(p) * _full_1q(_Z, op.wires[0], nw)]
-            rho = _kraus_apply(rho, ks)
-        elif op.kind == "damp":
-            p = op.p
-            k0 = np.array([[1, 0], [0, math.sqrt(1 - p)]], dtype=complex)
-            k1 = np.array([[0, math.sqrt(p)], [0, 0]], dtype=complex)
-            rho = _kraus_apply(rho, [_full_1q(k0, op.wires[0], nw),
-                                     _full_1q(k1, op.wires[0], nw)])
-        elif op.kind == "detune":
-            w = op.wires[0]
-            m = _full_diag_bit(w, nw, np.exp(1j * deltas.get(w, 0.0) * op.t))
-            rho = m @ rho @ m.conj().T
-        elif op.kind == "zz":
-            m = _full_diag_zz(op.wires[0], op.wires[1], nw, op.phase)
-            rho = m @ rho @ m.conj().T
-    return rho
+    rho = np.zeros((2,) * (2 * nw), dtype=complex)
+    rho[(0,) * (2 * nw)] = 1.0
+    for op, sop in zip(program.ops, program.superops):
+        if sop is None:
+            sop = _superop(_kraus_operators(op, deltas.get(op.wires[0], 0.0)))
+        rho = _apply_superop(rho, sop, op.wires)
+    return rho.reshape(1 << nw, 1 << nw)
 
 
 def _confuse_distribution(dist: np.ndarray, n: int, p01, p10) -> np.ndarray:
@@ -516,7 +473,7 @@ def simulate_exact(circuit: TimedCircuit, device: DeviceModel | None,
 
     Quasi-static detuning is averaged with a tensor-product Gauss-Hermite
     rule over the detuned wires, so cost scales as gh_nodes**(#detuned
-    wires); keep detuned registers small on this backend.
+    wires); more than EXACT_MAX_RUNS runs raise SimulatorCapError.
     """
     nw = circuit.num_qubits
     if nw > cap:
@@ -531,6 +488,11 @@ def simulate_exact(circuit: TimedCircuit, device: DeviceModel | None,
 
     runs: list[tuple[float, dict[int, float]]] = [(1.0, {})]
     if program.detuned_wires and noise.detuning_sigma > 0:
+        n_runs = gh_nodes ** len(program.detuned_wires)
+        if n_runs > EXACT_MAX_RUNS:
+            raise SimulatorCapError(
+                f"detuning average needs {gh_nodes}**{len(program.detuned_wires)} = "
+                f"{n_runs} runs, exact-backend cap {EXACT_MAX_RUNS}")
         x, wts = np.polynomial.hermite.hermgauss(gh_nodes)
         nodes = math.sqrt(2.0) * noise.detuning_sigma * x
         wts = wts / math.sqrt(math.pi)

@@ -7,6 +7,7 @@ from ssbv.experiment import (ConfigError, ExperimentConfig, cmd_analyze,
                              cmd_generate, cmd_ingest, cmd_simulate,
                              config_from_text, config_to_text)
 from ssbv.manifest import read_manifest, verify_manifest
+from ssbv.noise import Profile, load_profile, profile_to_text
 from ssbv.oracles import OracleSpec, ShotTable, load_counts, save_counts
 
 FAST = dict(n_min=2, n_max=4, layout="chain", profile="montreal",
@@ -127,6 +128,20 @@ def test_cap_preflight_writes_nothing(tmp_path):
     assert main(["simulate", "--n-min", "20", "--n-max", "21", "--layout",
                  "chain", "--shots", "10", "--out", str(out)]) == 4
     assert not out.exists()
+
+
+def test_reduced_collection_refused_under_crosstalk(tmp_path):
+    # Tracing data qubits out is exact only under factorized noise.
+    profile = load_profile("montreal")
+    values = dict(profile.values, zz_rate=1e5)
+    path = tmp_path / "xtalk.profile"
+    path.write_text(profile_to_text(Profile(values)))
+    out = tmp_path / "run"
+    argv = ["--out", str(out), "simulate", "--n-min", "2", "--n-max", "3",
+            "--layout", "chain", "--shots", "10", "--profile", str(path)]
+    assert main(argv + ["--collection", "reduced"]) == 2
+    assert not out.exists()
+    assert main(argv + ["--collection", "direct"]) == 0
 
 
 def test_global_flags_parse_after_subcommand():

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ssbv.circuit import Bitstring
-from ssbv.noise import (NOISELESS, DeviceModel, KrausChannel, NoiseConfig,
+from ssbv.circuit import GateEvent, GateKind, TimedCircuit
+from ssbv.noise import (DeviceModel, KrausChannel, NoiseConfig,
                         amplitude_damping, dephasing, depolarizing,
-                        idle_channel, idle_params, identity_channel,
-                        load_profile, profile_from_text, profile_to_text,
-                        readout_sample, sample_static_fields)
+                        idle_params, identity_channel, load_profile,
+                        profile_from_text, profile_to_text)
+from ssbv.oracles import OracleSpec, ReadoutMap
+from ssbv.simulator import TrajectoryPlan, simulate_shots
 
 
 def completeness_defect(channel: KrausChannel) -> float:
@@ -17,18 +18,30 @@ def completeness_defect(channel: KrausChannel) -> float:
     return float(np.linalg.norm(total - np.eye(dim)))
 
 
+def idle_kraus(t1, t2, t):
+    """Kraus operators of the idle pair compile_program emits: damping,
+    then phase flip."""
+    p_ad, p_z = idle_params(t1, t2, t)
+    return [d @ k for k in amplitude_damping(p_ad).operators
+            for d in dephasing(p_z).operators]
+
+
 def test_idle_channel_zero_time_is_identity():
-    assert idle_channel(100e-6, 80e-6, 0.0).is_identity()
+    assert idle_params(100e-6, 80e-6, 0.0) == (0.0, 0.0)
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    rho = a @ a.conj().T
+    out = sum(k @ rho @ k.conj().T for k in idle_kraus(100e-6, 80e-6, 0.0))
+    np.testing.assert_allclose(out, rho, rtol=0, atol=1e-15)
 
 
 def test_idle_channel_infinite_t1_is_pure_dephasing():
     t2 = 50e-6
-    ch = idle_channel(math.inf, t2, 10e-6)
     p_ad, p_z = idle_params(math.inf, t2, 10e-6)
     assert p_ad == 0.0
     assert p_z == pytest.approx((1 - math.exp(-10e-6 / t2)) / 2)
     # operators are diagonal: no population transfer
-    for k in ch.operators:
+    for k in idle_kraus(math.inf, t2, 10e-6):
         assert abs(k[0, 1]) == 0 and abs(k[1, 0]) == 0
 
 
@@ -40,12 +53,14 @@ def test_idle_channel_device_mean_values():
     assert p_ad == pytest.approx(0.0449, abs=5e-4)
     inv_tphi = 1 / t2 - 1 / (2 * t1)
     assert p_z == pytest.approx((1 - math.exp(-t * inv_tphi)) / 2, rel=1e-12)
-    assert completeness_defect(idle_channel(t1, t2, t)) < 1e-12
+    assert completeness_defect(amplitude_damping(p_ad)) < 1e-12
+    assert completeness_defect(dephasing(p_z)) < 1e-12
+    assert completeness_defect(KrausChannel(tuple(idle_kraus(t1, t2, t)), 1)) < 1e-12
 
 
 def test_idle_channel_rejects_unphysical_t2():
     with pytest.raises(ValueError):
-        idle_channel(10e-6, 25e-6, 1e-6)
+        idle_params(10e-6, 25e-6, 1e-6)
 
 
 def test_depolarizing_structure():
@@ -56,47 +71,78 @@ def test_depolarizing_structure():
 
 
 def test_all_channels_complete():
+    p_ad, p_z = idle_params(100e-6, 120e-6, 3e-6)
     for ch in (identity_channel(1), identity_channel(2),
                amplitude_damping(0.3), dephasing(0.2),
-               idle_channel(100e-6, 120e-6, 3e-6), depolarizing(0.25, 1),
+               amplitude_damping(p_ad), dephasing(p_z), depolarizing(0.25, 1),
                depolarizing(0.25, 2)):
         assert completeness_defect(ch) < 1e-12
 
 
+def readout_device(n, ro_error):
+    return DeviceModel.homogeneous(
+        n, t1_us=math.inf, t2_us=math.inf, ro_error=ro_error, dur_1q=10,
+        dur_2q=10, dur_readout=10, p_dep_1q=0, p_dep_2q=0)
+
+
+READOUT_ONLY = NoiseConfig(decoherence=False, depolarizing=False, readout=True,
+                           detuning=False, zz=False)
+
+
+def prepared(bits, device):
+    """Circuit preparing the basis state ``bits`` with X gates."""
+    events = tuple(GateEvent(GateKind.X, (w,), 0, device.dur_1q)
+                   for w, b in enumerate(bits) if b == "1")
+    return TimedCircuit(len(bits), events, dt=device.dt)
+
+
 def test_readout_sample_identity_and_certain_flip():
-    device = DeviceModel.homogeneous(
-        3, t1_us=100, t2_us=100, ro_error=0.0, dur_1q=1, dur_2q=1,
-        dur_readout=1, p_dep_1q=0, p_dep_2q=0)
-    rng = np.random.default_rng(0)
-    bits = Bitstring.from_str("010")
-    assert readout_sample(bits, device, rng) == bits
-    flip = DeviceModel.homogeneous(
-        3, t1_us=100, t2_us=100, ro_error=1.0, dur_1q=1, dur_2q=1,
-        dur_readout=1, p_dep_1q=0, p_dep_2q=0)
-    assert readout_sample(Bitstring.from_str("000"), flip, rng).to01() == "111"
+    spec = OracleSpec.representative(3, 0)
+    rmap = ReadoutMap.identity(3)
+    plan = TrajectoryPlan(50, 0)
+    quiet = readout_device(3, 0.0)
+    table = simulate_shots(prepared("010", quiet), quiet, READOUT_ONLY, plan,
+                           spec, rmap)
+    assert table.counts == {"010": 50}
+    flip = readout_device(3, 1.0)
+    table = simulate_shots(prepared("000", flip), flip, READOUT_ONLY, plan,
+                           spec, rmap)
+    assert table.counts == {"111": 50}
 
 
 def test_readout_sample_flip_frequency_matches_rate():
     p = 0.0259
-    device = DeviceModel.homogeneous(
-        1, t1_us=100, t2_us=100, ro_error=p, dur_1q=1, dur_2q=1,
-        dur_readout=1, p_dep_1q=0, p_dep_2q=0)
-    rng = np.random.default_rng(123)
+    device = readout_device(1, p)
     n = 100_000
-    flips = sum(readout_sample(Bitstring.from_str("0"), device, rng)[0]
-                for _ in range(n))
+    table = simulate_shots(prepared("0", device), device, READOUT_ONLY,
+                           TrajectoryPlan(n, 123), OracleSpec.representative(1, 0),
+                           ReadoutMap((0,)))
+    flips = table.counts.get("1", 0)
     sigma = math.sqrt(p * (1 - p) * n)
     assert abs(flips - p * n) < 3 * sigma
 
 
 def test_static_fields_zero_sigma_and_mean():
-    rng = np.random.default_rng(7)
-    cfg = NoiseConfig(detuning_sigma=0.0)
-    assert np.all(sample_static_fields(cfg, 5, rng) == 0)
-    cfg = NoiseConfig(detuning_sigma=2e5)
-    draws = np.array([sample_static_fields(cfg, 1, rng)[0] for _ in range(10_000)])
-    assert abs(draws.mean()) < 3 * 2e5 / math.sqrt(10_000)
-    assert draws.std() == pytest.approx(2e5, rel=0.05)
+    # H - idle - H on one wire: a static detuning delta gives
+    # P(0) = (1 + cos(delta t)) / 2, and delta ~ Normal(0, sigma) averages
+    # that to (1 + exp(-(sigma t)^2 / 2)) / 2.
+    device = readout_device(1, 0.0)
+    t = 5e-6
+    idle = round(t / float(device.dt))
+    events = (GateEvent(GateKind.H, (0,), 0, 10),
+              GateEvent(GateKind.H, (0,), 10 + idle, 10))
+    circ = TimedCircuit(1, events, dt=device.dt)
+    spec, rmap = OracleSpec.representative(1, 0), ReadoutMap((0,))
+    shots = 20_000
+    still = simulate_shots(circ, device, NoiseConfig(detuning_sigma=0.0),
+                           TrajectoryPlan(shots, 7), spec, rmap)
+    assert still.counts == {"0": shots}
+    sigma = 2e5
+    table = simulate_shots(circ, device, NoiseConfig(detuning_sigma=sigma),
+                           TrajectoryPlan(shots, 7), spec, rmap)
+    want = (1 + math.exp(-(sigma * t) ** 2 / 2)) / 2
+    got = table.counts.get("0", 0) / shots
+    assert abs(got - want) < 5 * math.sqrt(want * (1 - want) / shots)
 
 
 def test_free_evolution_x_expectation_is_cosine():

@@ -1,4 +1,6 @@
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,6 +158,44 @@ def test_trajectory_matches_exact_full_noise_bv2():
                            spec, rmap)
     emp = {k: v / table.total_shots for k, v in table.counts.items()}
     assert total_variation_distance(exact, emp) < 0.01
+
+
+def ur4_chain(n):
+    """BV-n full weight routed on an (n+1)-node chain and dressed with UR4."""
+    graph = chain_graph(n + 1)
+    device = MONTREAL.device(graph)
+    spec = OracleSpec.representative(n, n)
+    routed = route_bv(spec, graph, embed_oracle(spec, graph), device)
+    circ = schedule_dd(routed.circuit, ur_phases(4), device.dur_dd_pulse)
+    phys = [None] * circ.num_qubits
+    for node, w in routed.wire_of_physical.items():
+        phys[w] = node
+    return spec, routed, circ, device, phys
+
+
+def test_trajectory_matches_exact_crosstalk_six_wires():
+    spec, routed, circ, device, phys = ur4_chain(5)
+    assert circ.num_qubits == 6
+    noise = replace(MONTREAL.noise(), detuning=False, zz_rate=2.5e5)
+    program = compile_program(circ, device, noise, phys)
+    assert {"zz", "dep2", "damp", "deph"} <= {op.kind for op in program.ops}
+    shots = 4000
+    exact = simulate_exact(circ, device, noise, routed.readout, phys)
+    table = simulate_shots(circ, device, noise, TrajectoryPlan(shots, 17), spec,
+                           routed.readout, phys)
+    emp = {k: v / shots for k, v in table.counts.items()}
+    bound = 5 * 0.5 * sum(math.sqrt(p * (1 - p) / shots) for p in exact.values())
+    assert total_variation_distance(exact, emp) < bound
+
+
+def test_exact_detuning_average_is_capped():
+    spec, routed, circ, device, phys = ur4_chain(4)
+    noise = MONTREAL.noise()
+    assert len(compile_program(circ, device, noise, phys).detuned_wires) == 5
+    start = time.perf_counter()
+    with pytest.raises(SimulatorCapError):
+        simulate_exact(circ, device, noise, routed.readout, phys)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_seed_determinism_and_batch_invariance():
