@@ -23,7 +23,6 @@ class AnalysisConfig:
     tts_ci_sigma: float = 5.0
     lambda_ci_sigma: float = 2.0
     n_min: int = 3            # excludes small-size effects from fits
-    weighted: bool = False    # inverse-variance weighting of log2 TTS fits
 
     def __post_init__(self) -> None:
         if not 0 < self.p_d < 1:
@@ -183,14 +182,6 @@ class FitResult:
         return self.ci_low > value or self.ci_high < value
 
 
-def _fit_slope(ns: np.ndarray, log_tts: np.ndarray,
-               sigmas: np.ndarray | None) -> float:
-    if sigmas is not None:
-        w = 1.0 / np.maximum(sigmas, 1e-12)
-        return float(np.polyfit(ns, log_tts, 1, w=w)[0])
-    return float(np.polyfit(ns, log_tts, 1)[0])
-
-
 def worst_case_lambda(points: list[TTSPoint], u: int | None = None,
                       config: AnalysisConfig | None = None) -> FitResult:
     """Most conservative exponent consistent with the data.
@@ -209,19 +200,12 @@ def worst_case_lambda(points: list[TTSPoint], u: int | None = None,
         u = finite[-1].n
     ns = np.array([p.n for p in finite], dtype=float)
     log_tts = np.log2([p.tts_mean for p in finite])
-    sigmas = None
-    if config.weighted:
-        sigmas = np.array([
-            max((p.ci_high - p.ci_low) / (2 * config.tts_ci_sigma), 0.0) /
-            max(p.tts_mean * math.log(2), 1e-300)
-            for p in finite])
     table: dict[int, float] = {}
     for l in [int(n) for n in ns if n <= u - 2]:
         sel = (ns >= l) & (ns <= u)
         if sel.sum() < 2:
             continue
-        table[l] = _fit_slope(ns[sel], log_tts[sel],
-                              sigmas[sel] if sigmas is not None else None)
+        table[l] = float(np.polyfit(ns[sel], log_tts[sel], 1)[0])
     if not table:
         raise ValueError(f"no fit window with >= 2 points ends at u={u}")
     best_l = max(table, key=lambda l: (table[l], -l))

@@ -32,7 +32,8 @@ from .noise import load_profile
 from .oracles import (OracleSpec, ShotTable, all_oracles, load_counts,
                       reduce_counts, representative_oracles, save_counts)
 from .routing import embed_oracle, layout_from_name, route_bv
-from .simulator import SimulatorCapError, TrajectoryPlan, simulate_shots
+from .simulator import (TRAJECTORY_MAX_WIRES, SimulatorCapError, TrajectoryPlan,
+                        simulate_shots)
 
 BOOTSTRAP_TAG = 0xB007
 
@@ -244,10 +245,10 @@ def cmd_simulate(config: ExperimentConfig, out_dir) -> str:
         for spec in _oracles_for(config, n):
             routed, circuit = _routed_for(config, spec, graph, device,
                                           sequence, pulse)
-            if circuit.num_qubits > plan.max_qubits:
+            if circuit.num_qubits > TRAJECTORY_MAX_WIRES:
                 raise SimulatorCapError(
                     f"{_table_name(spec)}: {circuit.num_qubits} wires exceeds "
-                    f"trajectory cap {plan.max_qubits}")
+                    f"trajectory cap {TRAJECTORY_MAX_WIRES}")
             jobs.append((spec, routed, circuit))
     durations = _duration_table(config, graph, device, sequence, pulse)
 

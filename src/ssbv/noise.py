@@ -4,9 +4,11 @@ Decoherence enters through per-qubit T1/T2 idle channels, gate errors
 through depolarizing channels after every gate, low-frequency dephasing
 through a quasi-static per-trajectory detuning field, crosstalk through an
 always-on ZZ coupling between idle neighbors, and measurement errors
-through a per-qubit readout confusion matrix.  The Kraus channels below
-are the only definition of each channel: the exact backend applies them,
-and the trajectory backend samples their branches.
+through a per-qubit readout confusion matrix (the ``ro_p01``/``ro_p10``
+rates of ``DeviceModel``, which the simulator looks up per data bit).
+The Kraus channels below are the exact backend's only definition of each
+channel.  The trajectory backend does not read them: it samples the same
+channels from branch thresholds of its own in ``simulator``.
 """
 from __future__ import annotations
 

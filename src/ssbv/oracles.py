@@ -10,6 +10,8 @@ import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .circuit import DT_SECONDS, Bitstring, GateEvent, GateKind, TimedCircuit
 
 # Enumerating all 2^n oracles is opt-in and memory-guarded.
@@ -56,7 +58,8 @@ class OracleSpec:
 @dataclass(frozen=True)
 class ReadoutMap:
     """Where each logical data bit is read from: a wire index, or None for
-    qubits physically absent from the circuit (reduced setup)."""
+    qubits physically absent from the circuit (reduced setup).  The one
+    data-bit layout: logical bit 0 is most significant, absent qubits read 0."""
 
     wire_of_logical: tuple[int | None, ...]
 
@@ -67,6 +70,22 @@ class ReadoutMap:
     @classmethod
     def identity(cls, n: int) -> ReadoutMap:
         return cls(tuple(range(n)))
+
+    def data_index(self, basis: np.ndarray, num_wires: int) -> np.ndarray:
+        """Data index of each register basis index (wire 0 most significant)."""
+        if self.n > 62:
+            raise ValueError(f"{self.n} data bits do not fit a 64-bit data index")
+        basis = np.asarray(basis, dtype=np.int64)
+        index = np.zeros(basis.shape, dtype=np.int64)
+        for w in self.wire_of_logical:
+            index <<= 1
+            if w is not None:
+                index |= (basis >> (num_wires - 1 - w)) & 1
+        return index
+
+    def key(self, index: int) -> str:
+        """Bitstring of one data index, logical bit 0 first."""
+        return format(int(index), f"0{self.n}b")
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,12 @@ Conventions: wire 0 is the most significant bit of serialized bitstrings;
 gate errors follow their gate, idle decoherence is applied at the end of
 each per-wire idle interval, and coherent detuning/ZZ phases accrue during
 idles only.  The readout window contributes no idle decoherence; its
-errors live in the confusion matrix.  Shot i's random stream is a pure
-function of (master_seed, oracle key, i), so chunked, serial, and parallel
-executions all produce identical tables.
+errors live in the confusion matrix, which one readout stage applies on
+every output path (``ReadoutMap.data_index`` projects basis states onto
+data bits, ``_readout_rates`` looks up each bit's rates by physical
+qubit).  Shot i's random stream is a pure function of (master_seed,
+oracle key, i), so chunked, serial, and parallel executions all produce
+identical tables.
 """
 from __future__ import annotations
 
@@ -99,7 +102,6 @@ class TrajectoryPlan:
     master_seed: int
     batch_size: int | None = None
     precision: str = "double"   # double | single
-    max_qubits: int = TRAJECTORY_MAX_WIRES
     assertions: bool = False
 
     def __post_init__(self) -> None:
@@ -204,14 +206,22 @@ def compile_program(circuit: TimedCircuit, device: DeviceModel | None,
 
 def _shot_streams(master_seed: int, oracle_key: int, lo: int, hi: int,
                   n_normals: int, n_uniforms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-shot randomness for shots [lo, hi): Philox keyed by shot index."""
+    """Per-shot randomness for shots [lo, hi): Philox keyed by shot index.
+
+    One generator is re-keyed per shot, which draws exactly what a fresh
+    ``Philox(key=(master_seed << 64) | (oracle_key << 32) | i)`` would.
+    """
     count = hi - lo
     normals = np.empty((count, n_normals)) if n_normals else np.zeros((count, 0))
     uniforms = np.empty((count, n_uniforms))
-    base = (int(master_seed) & 0xFFFFFFFFFFFFFFFF) << 64
+    bg = np.random.Philox()
+    rng = np.random.Generator(bg)
+    fresh = bg.state            # counter zero, no buffered output
+    seed_word = int(master_seed) & 0xFFFFFFFFFFFFFFFF
     for i in range(count):
-        key = base | ((oracle_key & 0xFFFFFFFF) << 32) | ((lo + i) & 0xFFFFFFFF)
-        rng = np.random.Generator(np.random.Philox(key=key))
+        key = ((oracle_key & 0xFFFFFFFF) << 32) | ((lo + i) & 0xFFFFFFFF)
+        fresh["state"]["key"] = np.array([key, seed_word], dtype=np.uint64)
+        bg.state = fresh
         if n_normals:
             normals[i] = rng.standard_normal(n_normals)
         uniforms[i] = rng.random(n_uniforms)
@@ -307,25 +317,31 @@ def _auto_batch(shots: int, nw: int, itemsize: int) -> int:
     return max(1, min(shots, budget // max(per_shot, 1)))
 
 
-def _apply_readout(outcomes: np.ndarray, uniforms: np.ndarray, col0: int,
-                   readout: ReadoutMap, device: DeviceModel | None,
-                   noise: NoiseConfig, phys, nw: int) -> list[str]:
-    keys = []
-    n = readout.n
-    confuse = noise.readout and device is not None
-    for si in range(len(outcomes)):
-        bits = []
-        for lq in range(n):
-            w = readout.wire_of_logical[lq]
-            bit = 0 if w is None else int((outcomes[si] >> (nw - 1 - w)) & 1)
-            if confuse:
-                q = phys[w] if w is not None else 0
-                p_flip = device.ro_p01[q] if bit == 0 else device.ro_p10[q]
-                if uniforms[si, col0 + lq] < p_flip:
-                    bit ^= 1
-            bits.append(str(bit))
-        keys.append("".join(bits))
-    return keys
+def _readout_rates(readout: ReadoutMap, device: DeviceModel | None,
+                   noise: NoiseConfig, phys) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per-logical-bit readout confusion rates (p01, p10) of the physical
+    qubit each data bit is read from, or None when readout error is off.
+    Absent qubits take physical qubit 0's rates."""
+    if not noise.readout or device is None:
+        return None
+    qubits = [0 if w is None else phys[w] for w in readout.wire_of_logical]
+    return device.ro_p01[qubits], device.ro_p10[qubits]
+
+
+def _read_data(outcomes: np.ndarray, uniforms: np.ndarray, col0: int,
+               readout: ReadoutMap, nw: int, rates) -> np.ndarray:
+    """Data indices read from measured basis indices, after readout error.
+
+    Logical bit i of shot s flips when ``uniforms[s, col0 + i]`` is below
+    its rate: p10 if the bit is 1, else p01.
+    """
+    index = readout.data_index(outcomes, nw)
+    if rates is not None:
+        p01, p10 = rates
+        for lq, shift in enumerate(range(readout.n - 1, -1, -1)):
+            rate = np.where((index >> shift) & 1, p10[lq], p01[lq])
+            index ^= (uniforms[:, col0 + lq] < rate).astype(np.int64) << shift
+    return index
 
 
 def simulate_shots(circuit: TimedCircuit, device: DeviceModel | None,
@@ -334,8 +350,8 @@ def simulate_shots(circuit: TimedCircuit, device: DeviceModel | None,
                    physical_of_wire=None) -> ShotTable:
     """Monte Carlo trajectory sampling; deterministic given the plan."""
     nw = circuit.num_qubits
-    if nw > plan.max_qubits:
-        raise SimulatorCapError(f"{nw} wires exceeds trajectory cap {plan.max_qubits}")
+    if nw > TRAJECTORY_MAX_WIRES:
+        raise SimulatorCapError(f"{nw} wires exceeds trajectory cap {TRAJECTORY_MAX_WIRES}")
     bad = validate_circuit(circuit)
     if bad is not None:
         raise ValueError(f"invalid circuit: {bad}")
@@ -344,11 +360,11 @@ def simulate_shots(circuit: TimedCircuit, device: DeviceModel | None,
     phys = physical_of_wire if physical_of_wire is not None else list(range(nw))
 
     program = compile_program(circuit, device, noise, phys)
+    rates = _readout_rates(readout, device, noise, phys)
     n_uniforms = program.n_uniform_ops + 1 + readout.n  # ops, measure, readout
     n_normals = len(program.detuned_wires)
     dtype = np.complex128 if plan.precision == "double" else np.complex64
 
-    counts: dict[str, int] = {}
     if not program.stochastic:
         # Every trajectory is identical: evolve once, then draw per-shot
         # measurement and readout from the per-shot streams.
@@ -361,26 +377,24 @@ def simulate_shots(circuit: TimedCircuit, device: DeviceModel | None,
                                     0, n_uniforms)
         outcomes = np.searchsorted(cum, uniforms[:, 0] * cum[-1], side="left")
         outcomes = np.minimum(outcomes, (1 << nw) - 1)
-        keys = _apply_readout(outcomes, uniforms, 1, readout, device, noise, phys, nw)
-        for key in keys:
-            counts[key] = counts.get(key, 0) + 1
-        return ShotTable(oracle, counts, plan.shots)
-
-    batch = plan.batch_size or _auto_batch(plan.shots, nw, np.dtype(dtype).itemsize)
-    for lo in range(0, plan.shots, batch):
-        hi = min(lo + batch, plan.shots)
-        normals, uniforms = _shot_streams(plan.master_seed, oracle.key(), lo, hi,
-                                          n_normals, n_uniforms)
-        state = np.zeros((hi - lo, 1 << nw), dtype=dtype)
-        state[:, 0] = 1.0
-        _evolve(program, state, uniforms, normals * noise.detuning_sigma,
-                plan.assertions)
-        outcomes = ker.measure(state, uniforms[:, program.n_uniform_ops])
-        keys = _apply_readout(outcomes, uniforms, program.n_uniform_ops + 1,
-                              readout, device, noise, phys, nw)
-        for key in keys:
-            counts[key] = counts.get(key, 0) + 1
-    return ShotTable(oracle, counts, plan.shots)
+        reads = [_read_data(outcomes, uniforms, 1, readout, nw, rates)]
+    else:
+        reads = []
+        batch = plan.batch_size or _auto_batch(plan.shots, nw, np.dtype(dtype).itemsize)
+        for lo in range(0, plan.shots, batch):
+            hi = min(lo + batch, plan.shots)
+            normals, uniforms = _shot_streams(plan.master_seed, oracle.key(), lo, hi,
+                                              n_normals, n_uniforms)
+            state = np.zeros((hi - lo, 1 << nw), dtype=dtype)
+            state[:, 0] = 1.0
+            _evolve(program, state, uniforms, normals * noise.detuning_sigma,
+                    plan.assertions)
+            outcomes = ker.measure(state, uniforms[:, program.n_uniform_ops])
+            reads.append(_read_data(outcomes, uniforms, program.n_uniform_ops + 1,
+                                    readout, nw, rates))
+    values, counts = np.unique(np.concatenate(reads), return_counts=True)
+    return ShotTable(oracle, {readout.key(v): int(c) for v, c in zip(values, counts)},
+                     plan.shots)
 
 
 def noiseless_output(circuit: TimedCircuit, readout: ReadoutMap) -> dict[str, float]:
@@ -391,20 +405,10 @@ def noiseless_output(circuit: TimedCircuit, readout: ReadoutMap) -> dict[str, fl
     program = compile_program(circuit, None, NOISELESS)
     _evolve(program, state)
     probs = np.abs(state[0]) ** 2
-    return _collect_distribution(probs, readout, nw)
-
-
-def _collect_distribution(probs: np.ndarray, readout: ReadoutMap, nw: int
-                          ) -> dict[str, float]:
-    n = readout.n
-    out: dict[str, float] = {}
-    for idx in np.nonzero(probs > 1e-300)[0]:
-        bits = "".join(
-            "0" if readout.wire_of_logical[lq] is None else
-            str((int(idx) >> (nw - 1 - readout.wire_of_logical[lq])) & 1)
-            for lq in range(n))
-        out[bits] = out.get(bits, 0.0) + float(probs[idx])
-    return out
+    index, inverse = np.unique(readout.data_index(np.arange(1 << nw), nw),
+                               return_inverse=True)
+    mass = np.bincount(inverse, weights=np.where(probs > 1e-300, probs, 0.0))
+    return {readout.key(i): float(m) for i, m in zip(index, mass) if m > 0}
 
 
 # -- exact density-operator backend ----------------------------------------------
@@ -456,8 +460,9 @@ def _exact_run(program: Program, deltas: dict[int, float]) -> np.ndarray:
     return rho.reshape(1 << nw, 1 << nw)
 
 
-def _confuse_distribution(dist: np.ndarray, n: int, p01, p10) -> np.ndarray:
+def _confuse_distribution(dist: np.ndarray, n: int, rates) -> np.ndarray:
     """Apply per-bit readout confusion to a 2^n distribution vector."""
+    p01, p10 = rates
     tensor = dist.reshape((2,) * n)
     for bit in range(n):
         m = np.array([[1 - p01[bit], p10[bit]], [p01[bit], 1 - p10[bit]]])
@@ -511,28 +516,14 @@ def simulate_exact(circuit: TimedCircuit, device: DeviceModel | None,
     probs = np.maximum(probs, 0.0)
     probs /= probs.sum()
 
-    # marginalize wires onto logical data bits
     n = readout.n
-    data = np.zeros(1 << n)
-    for idx in range(1 << nw):
-        key = 0
-        for lq in range(n):
-            w = readout.wire_of_logical[lq]
-            bit = 0 if w is None else (idx >> (nw - 1 - w)) & 1
-            key = (key << 1) | bit
-        data[key] += probs[idx]
+    data = np.bincount(readout.data_index(np.arange(1 << nw), nw), weights=probs,
+                       minlength=1 << n)
+    rates = _readout_rates(readout, device, noise, phys)
+    if rates is not None:
+        data = _confuse_distribution(data, n, rates)
 
-    if noise.readout and device is not None:
-        p01 = [device.ro_p01[phys[readout.wire_of_logical[lq]]]
-               if readout.wire_of_logical[lq] is not None else device.ro_p01[0]
-               for lq in range(n)]
-        p10 = [device.ro_p10[phys[readout.wire_of_logical[lq]]]
-               if readout.wire_of_logical[lq] is not None else device.ro_p10[0]
-               for lq in range(n)]
-        data = _confuse_distribution(data, n, p01, p10)
-
-    return {format(i, f"0{n}b"): float(data[i])
-            for i in range(1 << n) if data[i] > 1e-300}
+    return {readout.key(i): float(data[i]) for i in np.nonzero(data > 1e-300)[0]}
 
 
 def total_variation_distance(p: dict[str, float], q: dict[str, float]) -> float:

@@ -5,7 +5,7 @@ import pytest
 
 from ssbv.circuit import Bitstring, GateKind
 from ssbv.noise import NOISELESS, NoiseConfig, load_profile
-from ssbv.oracles import (OracleSpec, ShotTable, all_oracles,
+from ssbv.oracles import (OracleSpec, ReadoutMap, ShotTable, all_oracles,
                           bv_logical_circuit, classical_success_prob,
                           counts_from_text, counts_to_text, reduce_counts,
                           representative_oracles)
@@ -22,6 +22,18 @@ def test_identity_oracle_no_cnots_outputs_zero():
     circ, rmap = bv_logical_circuit(spec)
     assert not cnots_of(circ)
     assert noiseless_output(circ, rmap) == pytest.approx({"00": 1.0})
+
+
+def test_readout_map_data_index_layout():
+    # logical bit 0 is the most significant data bit; absent qubits read 0
+    rmap = ReadoutMap((2, None, 0, 3))
+    basis = np.arange(1 << 4)
+    want = [int("".join("0" if w is None else format(i, "04b")[w]
+                        for w in rmap.wire_of_logical), 2) for i in basis]
+    assert rmap.data_index(basis, 4).tolist() == want
+    assert rmap.key(0b1010) == "1010" and rmap.key(1) == "0001"
+    with pytest.raises(ValueError):
+        ReadoutMap((None,) * 63).data_index(basis, 4)
 
 
 def test_all_ones_oracle_has_six_cnots_onto_ancilla():

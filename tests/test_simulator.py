@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from dataclasses import replace
@@ -182,6 +183,58 @@ def test_trajectory_matches_exact_crosstalk_six_wires():
     shots = 4000
     exact = simulate_exact(circ, device, noise, routed.readout, phys)
     table = simulate_shots(circ, device, noise, TrajectoryPlan(shots, 17), spec,
+                           routed.readout, phys)
+    emp = {k: v / shots for k, v in table.counts.items()}
+    bound = 5 * 0.5 * sum(math.sqrt(p * (1 - p) / shots) for p in exact.values())
+    assert total_variation_distance(exact, emp) < bound
+
+
+def confuse_by_hand(dist, readout, phys, device):
+    """Readout confusion of each data bit at the rates of the physical
+    qubit it is read from; absent qubits read 0 at physical qubit 0's rates."""
+    out = {}
+    for key, p in dist.items():
+        for read in itertools.product("01", repeat=len(key)):
+            weight = p
+            for lq, (true_bit, read_bit) in enumerate(zip(key, read)):
+                wire = readout.wire_of_logical[lq]
+                q = 0 if wire is None else phys[wire]
+                flip = device.ro_p10[q] if true_bit == "1" else device.ro_p01[q]
+                weight *= flip if true_bit != read_bit else 1 - flip
+            out["".join(read)] = out.get("".join(read), 0.0) + weight
+    return out
+
+
+@pytest.mark.parametrize("noise, stochastic", [
+    (NoiseConfig(decoherence=False, depolarizing=False, detuning=False, zz=False),
+     False),
+    (replace(MONTREAL.noise(), detuning=False), True),
+])
+def test_asymmetric_readout_agrees_across_backends(noise, stochastic):
+    # Reduced BV-5 (k=3) routed on heavy-hex: two data bits are absent and a
+    # data wire sits on a physical qubit of another index.  Every physical
+    # qubit has its own rates with p01 != p10.
+    graph = heavy_hex_27()
+    base = MONTREAL.device(graph)
+    q = np.arange(len(base.ro_p01))
+    device = replace(base, ro_p01=0.02 + 0.002 * q, ro_p10=0.3 - 0.004 * q)
+    spec = OracleSpec.representative(5, 3)
+    routed = route_bv(spec, graph, embed_oracle(spec, graph), device)
+    circ = routed.circuit
+    phys = [None] * circ.num_qubits
+    for node, w in routed.wire_of_physical.items():
+        phys[w] = node
+    assert None in routed.readout.wire_of_logical
+    assert any(phys[w] != w for w in routed.readout.wire_of_logical if w is not None)
+    assert compile_program(circ, device, noise, phys).stochastic == stochastic
+
+    exact = simulate_exact(circ, device, noise, routed.readout, phys)
+    unread = simulate_exact(circ, device, replace(noise, readout=False),
+                            routed.readout, phys)
+    assert_dist_close(exact, confuse_by_hand(unread, routed.readout, phys, device))
+
+    shots = 4000
+    table = simulate_shots(circ, device, noise, TrajectoryPlan(shots, 23), spec,
                            routed.readout, phys)
     emp = {k: v / shots for k, v in table.counts.items()}
     bound = 5 * 0.5 * sum(math.sqrt(p * (1 - p) / shots) for p in exact.values())
