@@ -113,16 +113,10 @@ def mean_tts(per_oracle_tts, n: int) -> TTSPoint:
     return TTSPoint(n, mean, mean, mean, len(values))
 
 
-def _resample_success(table: ShotTable, rng: np.random.Generator) -> float:
-    keys = sorted(table.counts)
-    counts = np.array([table.counts[k] for k in keys], dtype=float)
-    draw = rng.multinomial(table.total_shots, counts / counts.sum())
-    target = table.oracle.b.to01()
-    succ = 0
-    for k, c in zip(keys, draw):
-        if k == target:
-            succ = int(c)
-    return succ / table.total_shots
+def _resample_success(successes: int, shots: int, rng: np.random.Generator) -> float:
+    """Success frequency of one multinomial redraw of a table's counts: its
+    success count is binomial(shots, successes / shots)."""
+    return int(rng.binomial(shots, successes / shots)) / shots
 
 
 def bootstrap_tts(tables: list[ShotTable], model: DurationModel,
@@ -130,10 +124,11 @@ def bootstrap_tts(tables: list[ShotTable], model: DurationModel,
                   ) -> tuple[TTSPoint, np.ndarray]:
     """Bootstrap the mean TTS over one size's oracle set.
 
-    Each of B resamples redraws every oracle's counts multinomially at the
-    original shot count; resamples in which an oracle of originally
-    nonzero success draws zero successes are discarded (they would give a
-    spurious infinite TTS).  Returns the point (mean, +-tts_ci_sigma
+    Each of B resamples redraws every oracle's success count binomially at
+    the original shot count (the success marginal of a multinomial redraw
+    of its counts); resamples in which an oracle of originally nonzero
+    success draws zero successes are discarded (they would give a spurious
+    infinite TTS).  Returns the point (mean, +-tts_ci_sigma
     bounds) and the retained resample values.
     """
     if not tables:
@@ -141,16 +136,16 @@ def bootstrap_tts(tables: list[ShotTable], model: DurationModel,
     n = tables[0].n
     if any(t.n != n for t in tables):
         raise ValueError("tables mix problem sizes")
-    originals = [t.success_prob() for t in tables]
-    if any(p == 0 for p in originals):
+    successes = [(t.success_count(), t.total_shots) for t in tables]
+    if any(s == 0 for s, _ in successes):
         return terminated_point(n, len(tables)), np.empty(0)
 
     samples = []
     for _ in range(config.bootstrap_b):
         tts_vals = []
         discard = False
-        for table in tables:
-            p_star = _resample_success(table, rng)
+        for s, shots in successes:
+            p_star = _resample_success(s, shots, rng)
             if p_star == 0:
                 discard = True
                 break
@@ -177,9 +172,6 @@ class FitResult:
     ci_high: float
     window: tuple[int, int]
     window_table: dict[int, float]
-
-    def ci_excludes(self, value: float) -> bool:
-        return self.ci_low > value or self.ci_high < value
 
 
 def worst_case_lambda(points: list[TTSPoint], u: int | None = None,
@@ -224,9 +216,9 @@ def bootstrap_lambda(tables_by_n: dict[int, list[ShotTable]], model: DurationMod
                      u: int | None = None) -> FitResult:
     """Worst-case exponent with a bootstrap confidence interval.
 
-    Every resample redraws all counts, rebuilds the TTS curve (sizes whose
-    resample hits zero successes drop out, mirroring curve termination),
-    and refits; the result is the resample mean with +-lambda_ci_sigma
+    Every resample redraws every success count, rebuilds the TTS curve
+    (sizes whose resample hits zero successes drop out, mirroring curve
+    termination), and refits; the result is the resample mean with +-lambda_ci_sigma
     bounds and the raw-data window table.
     """
     raw_points = [mean_tts([tts_quantum(n, t.success_prob(), model, config.p_d)
@@ -234,17 +226,19 @@ def bootstrap_lambda(tables_by_n: dict[int, list[ShotTable]], model: DurationMod
                   for n, tables in sorted(tables_by_n.items())]
     raw = worst_case_lambda(raw_points, u=u, config=config)
 
+    successes = {n: [(t.success_count(), t.total_shots) for t in tables]
+                 for n, tables in sorted(tables_by_n.items())}
     lams = []
     for _ in range(config.bootstrap_b):
         pts = []
-        for n, tables in sorted(tables_by_n.items()):
+        for n, table_successes in successes.items():
             vals = []
             dead = False
-            for table in tables:
-                if table.success_prob() == 0:
+            for s, shots in table_successes:
+                if s == 0:
                     dead = True
                     break
-                p_star = _resample_success(table, rng)
+                p_star = _resample_success(s, shots, rng)
                 if p_star == 0:
                     dead = True
                     break

@@ -9,7 +9,8 @@ applies the same stream to a density operator held as a 2n-axis tensor
 (one axis per row bit, then one per column bit).  Each op is lowered once
 to a superoperator ``sum_K K (x) conj(K)`` whose Kraus operators come from
 ``noise`` (one Kraus operator for gates and ZZ), and the quasi-static
-detuning is averaged by Gauss-Hermite quadrature.
+detuning is averaged by a Smolyak sparse grid of Gauss-Hermite rules whose
+level rises until two successive levels agree.
 
 Conventions: wire 0 is the most significant bit of serialized bitstrings;
 gate errors follow their gate, idle decoherence is applied at the end of
@@ -40,10 +41,13 @@ from .oracles import OracleSpec, ReadoutMap, ShotTable
 
 EXACT_MAX_WIRES = 7
 TRAJECTORY_MAX_WIRES = 21
+# Largest 1-D Gauss-Hermite rule the detuning average may use.
 GH_NODES_DEFAULT = 21
-# Most density-operator runs one simulate_exact call may make: the
-# Gauss-Hermite average costs gh_nodes ** (#detuned wires) runs.
+# Most distinct density-operator runs one simulate_exact call may make.
 EXACT_MAX_RUNS = 21 ** 3
+# Largest change in any basis-state probability between the last two
+# sparse-grid levels that the detuning average accepts.
+EXACT_QUADRATURE_TOL = 1e-9
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
@@ -470,15 +474,108 @@ def _confuse_distribution(dist: np.ndarray, n: int, rates) -> np.ndarray:
     return tensor.reshape(-1)
 
 
+def _gh_rule(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2*level-1 node Gauss-Hermite rule for a standard normal, as
+    hermgauss nodes (scaled by sqrt(2)*sigma at use) and weights summing to 1.
+    Every rule puts its middle node at exactly 0."""
+    x, w = np.polynomial.hermite.hermgauss(2 * level - 1)
+    return x, w / math.sqrt(math.pi)
+
+
+def _sparse_grid(dim: int, level: int) -> dict[tuple[float, ...], float]:
+    """Smolyak rule of ``level`` in ``dim`` dimensions by the combination
+    technique (Gerstner and Griebel, 1998): the sum over level tuples with
+    level <= |l| <= level+dim-1 of (-1)**(level+dim-1-|l|) *
+    C(dim-1, level+dim-1-|l|) times the tensor product of the 1-D rules of
+    levels l.  Maps each distinct node (hermgauss coordinates) to its summed
+    weight."""
+    top = level + dim - 1
+    grid: dict[tuple[float, ...], float] = {}
+    for levels in itertools.product(range(1, level + 1), repeat=dim):
+        if not level <= sum(levels) <= top:
+            continue
+        coef = (-1) ** (top - sum(levels)) * math.comb(dim - 1, top - sum(levels))
+        rules = [_gh_rule(l) for l in levels]
+        for picks in itertools.product(*(range(len(x)) for x, _ in rules)):
+            node = tuple(float(x[i]) for (x, _), i in zip(rules, picks))
+            weight = coef * math.prod(float(w[i]) for (_, w), i in zip(rules, picks))
+            grid[node] = grid.get(node, 0.0) + weight
+    return grid
+
+
+def _grid_runs(dim: int, level: int) -> int:
+    """Distinct nodes of the sparse grids of levels 1..level, counted without
+    building them.  In each dimension a node takes either the shared 0 or
+    one of the 2k nonzero nodes of the rule of level k+1, and the grids up
+    to ``level`` hold exactly the nodes whose k sum to at most level-1."""
+    ways = [1] + [0] * (level - 1)     # ways[s]: prefixes whose k sum to s
+    for _ in range(dim):
+        ways = [ways[s] + sum(2 * k * ways[s - k] for k in range(1, s + 1))
+                for s in range(level)]
+    return sum(ways)
+
+
+def _detuning_average(program: Program, sigma: float, gh_nodes: int) -> np.ndarray:
+    """Basis-state probabilities averaged over Gaussian detuning of every
+    detuned wire, on sparse grids of rising level.
+
+    Level L combines 1-D rules of up to 2L-1 nodes.  The top level is fixed
+    before the first run: 2L-1 <= gh_nodes, and at most EXACT_MAX_RUNS
+    distinct nodes over levels 1..L.  Each node is run once; the average
+    stops at the first L >= 2 whose largest change from level L-1 is within
+    EXACT_QUADRATURE_TOL, and otherwise raises SimulatorCapError.
+    """
+    wires = program.detuned_wires
+    top = 1
+    while (2 * top + 1 <= gh_nodes
+           and _grid_runs(len(wires), top + 1) <= EXACT_MAX_RUNS):
+        top += 1
+    if top < 2:
+        raise SimulatorCapError(
+            f"detuning average over {len(wires)} wires needs a level-2 sparse grid "
+            f"of 3-node rules and {_grid_runs(len(wires), 2)} runs; gh_nodes="
+            f"{gh_nodes} and the exact-backend cap of {EXACT_MAX_RUNS} runs "
+            f"allow only level 1")
+
+    diagonals: dict[tuple[float, ...], np.ndarray] = {}
+
+    def average(level: int) -> np.ndarray:
+        probs = np.zeros(1 << program.num_wires)
+        for node, weight in _sparse_grid(len(wires), level).items():
+            if node not in diagonals:
+                deltas = {w: math.sqrt(2.0) * sigma * x for w, x in zip(wires, node)}
+                diagonals[node] = np.real(np.diag(_exact_run(program, deltas)))
+            probs += weight * diagonals[node]
+        return probs
+
+    previous = average(1)
+    for level in range(2, top + 1):
+        probs = average(level)
+        error = float(np.abs(probs - previous).max())
+        if error <= EXACT_QUADRATURE_TOL:
+            return probs
+        previous = probs
+    raise SimulatorCapError(
+        f"detuning average over {len(wires)} wires: level {top} "
+        f"({len(diagonals)} runs) still changes a probability by {error:.2e} "
+        f"> {EXACT_QUADRATURE_TOL:g}; gh_nodes={gh_nodes} and the exact-backend "
+        f"cap of {EXACT_MAX_RUNS} runs allow no higher level")
+
+
 def simulate_exact(circuit: TimedCircuit, device: DeviceModel | None,
                    noise: NoiseConfig, readout: ReadoutMap | None = None,
                    physical_of_wire=None, cap: int = EXACT_MAX_WIRES,
                    gh_nodes: int = GH_NODES_DEFAULT) -> dict[str, float]:
     """Exact output distribution over data bitstrings (density operator).
 
-    Quasi-static detuning is averaged with a tensor-product Gauss-Hermite
-    rule over the detuned wires, so cost scales as gh_nodes**(#detuned
-    wires); more than EXACT_MAX_RUNS runs raise SimulatorCapError.
+    Quasi-static detuning is averaged on Smolyak sparse grids of
+    Gauss-Hermite rules over the detuned wires, raising the level until
+    two successive levels agree to EXACT_QUADRATURE_TOL in every basis-state
+    probability.  ``gh_nodes`` bounds the largest 1-D rule (a level-L grid
+    uses rules of up to 2L-1 nodes) and EXACT_MAX_RUNS the distinct
+    density-operator runs; SimulatorCapError is raised before the first
+    run when these allow no level above 1, and after the last allowed level
+    when it has not converged.
     """
     nw = circuit.num_qubits
     if nw > cap:
@@ -491,28 +588,10 @@ def simulate_exact(circuit: TimedCircuit, device: DeviceModel | None,
     phys = physical_of_wire if physical_of_wire is not None else list(range(nw))
     program = compile_program(circuit, device, noise, phys)
 
-    runs: list[tuple[float, dict[int, float]]] = [(1.0, {})]
     if program.detuned_wires and noise.detuning_sigma > 0:
-        n_runs = gh_nodes ** len(program.detuned_wires)
-        if n_runs > EXACT_MAX_RUNS:
-            raise SimulatorCapError(
-                f"detuning average needs {gh_nodes}**{len(program.detuned_wires)} = "
-                f"{n_runs} runs, exact-backend cap {EXACT_MAX_RUNS}")
-        x, wts = np.polynomial.hermite.hermgauss(gh_nodes)
-        nodes = math.sqrt(2.0) * noise.detuning_sigma * x
-        wts = wts / math.sqrt(math.pi)
-        runs = []
-        for combo in itertools.product(range(gh_nodes),
-                                       repeat=len(program.detuned_wires)):
-            weight = float(np.prod([wts[i] for i in combo]))
-            deltas = {w: float(nodes[i])
-                      for w, i in zip(program.detuned_wires, combo)}
-            runs.append((weight, deltas))
-
-    probs = np.zeros(1 << nw)
-    for weight, deltas in runs:
-        rho = _exact_run(program, deltas)
-        probs += weight * np.real(np.diag(rho))
+        probs = _detuning_average(program, noise.detuning_sigma, gh_nodes)
+    else:
+        probs = np.real(np.diag(_exact_run(program, {})))
     probs = np.maximum(probs, 0.0)
     probs /= probs.sum()
 

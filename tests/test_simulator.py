@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from ssbv.noise import DeviceModel, NoiseConfig, load_profile
 from ssbv.oracles import (OracleSpec, ReadoutMap, all_oracles,
                           bv_logical_circuit)
 from ssbv.routing import chain_graph, embed_oracle, heavy_hex_27, route_bv
-from ssbv.simulator import (SimulatorCapError, TrajectoryPlan,
-                            check_reduction_equivalence, compile_program,
-                            noiseless_output, simulate_exact, simulate_shots,
-                            total_variation_distance)
+from ssbv.simulator import (GH_NODES_DEFAULT, SimulatorCapError, TrajectoryPlan,
+                            _detuning_average, _exact_run, _grid_runs,
+                            _sparse_grid, check_reduction_equivalence,
+                            compile_program, noiseless_output, simulate_exact,
+                            simulate_shots, total_variation_distance)
 
 MONTREAL = load_profile("montreal")
 
@@ -189,6 +191,21 @@ def test_trajectory_matches_exact_crosstalk_six_wires():
     assert total_variation_distance(exact, emp) < bound
 
 
+def routed_ur14(n, k):
+    """Representative oracle (n, k), reduced setup, routed on heavy-hex-27
+    and dressed with UR14, as in the README run."""
+    graph = heavy_hex_27()
+    device = MONTREAL.device(graph)
+    spec = OracleSpec.representative(n, k)
+    routed = route_bv(spec, graph, embed_oracle(spec, graph), device)
+    circ = schedule_dd(routed.circuit, sequence_from_name("ur14"),
+                       device.dur_dd_pulse)
+    phys = [None] * circ.num_qubits
+    for node, w in routed.wire_of_physical.items():
+        phys[w] = node
+    return spec, routed, circ, device, phys
+
+
 def confuse_by_hand(dist, readout, phys, device):
     """Readout confusion of each data bit at the rates of the physical
     qubit it is read from; absent qubits read 0 at physical qubit 0's rates."""
@@ -242,13 +259,116 @@ def test_asymmetric_readout_agrees_across_backends(noise, stochastic):
 
 
 def test_exact_detuning_average_is_capped():
+    # Five detuned wires: 3-node rules (level 2) leave the average 2.5e-9
+    # from level 1, so gh_nodes=3 refuses through the tolerance; the default
+    # gh_nodes reaches level 3 (71 runs) well within EXACT_MAX_RUNS.
     spec, routed, circ, device, phys = ur4_chain(4)
     noise = MONTREAL.noise()
     assert len(compile_program(circ, device, noise, phys).detuned_wires) == 5
     start = time.perf_counter()
-    with pytest.raises(SimulatorCapError):
-        simulate_exact(circ, device, noise, routed.readout, phys)
+    with pytest.raises(SimulatorCapError, match="still changes a probability"):
+        simulate_exact(circ, device, noise, routed.readout, phys, gh_nodes=3)
     assert time.perf_counter() - start < 1.0
+    dist = simulate_exact(circ, device, noise, routed.readout, phys)
+    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_exact_detuning_average_refuses_before_running():
+    spec, routed, circ, device, phys = ur4_chain(2)
+    program = compile_program(circ, device, MONTREAL.noise(), phys)
+    calls = []
+
+    def run(program, deltas):
+        calls.append(deltas)
+        return _exact_run(program, deltas)
+
+    with patch("ssbv.simulator._exact_run", run):
+        with pytest.raises(SimulatorCapError, match="level-2"):
+            _detuning_average(program, 1e5, gh_nodes=2)
+        with patch("ssbv.simulator.EXACT_MAX_RUNS", 4):
+            with pytest.raises(SimulatorCapError, match="level-2"):
+                _detuning_average(program, 1e5, gh_nodes=21)
+    assert calls == []
+
+
+def gaussian_moment(power):
+    """E[z**power] for a standard normal z."""
+    return 0.0 if power % 2 else float(math.prod(range(power - 1, 0, -2)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_sparse_grid_integrates_total_degree_polynomials(dim, level):
+    # A level-L Smolyak grid of Gauss-Hermite rules with 2l-1 nodes is exact
+    # for every monomial of total degree <= 2L-1.
+    grid = _sparse_grid(dim, level)
+    z = math.sqrt(2.0) * np.array(list(grid), dtype=float).reshape(len(grid), dim)
+    w = np.array(list(grid.values()))
+    for powers in itertools.product(range(2 * level), repeat=dim):
+        if sum(powers) > 2 * level - 1:
+            continue
+        want = math.prod(gaussian_moment(p) for p in powers)
+        got = float(w @ np.prod(z ** np.array(powers), axis=1))
+        assert got == pytest.approx(want, abs=1e-10), powers
+    union = set()
+    for lower in range(1, level + 1):
+        union |= set(_sparse_grid(dim, lower))
+    assert len(union) == _grid_runs(dim, level)
+
+
+def tensor_grid_average(program, sigma, nodes):
+    """Reference: tensor-product Gauss-Hermite average of the basis-state
+    probabilities, nodes ** (#detuned wires) runs."""
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    w = w / math.sqrt(math.pi)
+    probs = np.zeros(1 << program.num_wires)
+    for combo in itertools.product(range(nodes), repeat=len(program.detuned_wires)):
+        deltas = {wire: math.sqrt(2.0) * sigma * x[i]
+                  for wire, i in zip(program.detuned_wires, combo)}
+        probs += math.prod(w[i] for i in combo) * np.real(
+            np.diag(_exact_run(program, deltas)))
+    return probs
+
+
+@pytest.mark.parametrize("case", ["ur4 chain, 2 wires at 10x sigma",
+                                  "bv3 k=1, 3 wires"])
+def test_sparse_grid_matches_tensor_grid(case):
+    if case.startswith("ur4"):
+        _, _, circ, device, phys = ur4_chain(2)
+        noise = MONTREAL.noise()
+        noise = replace(noise, detuning_sigma=10 * noise.detuning_sigma)
+        nodes = 9
+    else:
+        device = MONTREAL.device(chain_graph(4))
+        circ, _ = bv_circuit(OracleSpec.representative(3, 1), device)
+        phys = None
+        noise = MONTREAL.noise()
+        nodes = 7
+    program = compile_program(circ, device, noise, phys)
+    assert len(program.detuned_wires) == (2 if case.startswith("ur4") else 3)
+    got = _detuning_average(program, noise.detuning_sigma, GH_NODES_DEFAULT)
+    want = tensor_grid_average(program, noise.detuning_sigma, nodes)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["ur4 chain 5 wires", "ur4 chain 7 wires",
+                                  "readme oracle k=4"])
+def test_trajectory_matches_exact_with_detuning(case):
+    if case.startswith("ur4"):
+        spec, routed, circ, device, phys = ur4_chain(int(case.split()[2]) - 1)
+    else:
+        spec, routed, circ, device, phys = routed_ur14(10, 4)
+    noise = MONTREAL.noise()
+    program = compile_program(circ, device, noise, phys)
+    assert len(program.detuned_wires) == circ.num_qubits
+    assert {"detune", "dep2", "damp", "deph"} <= {op.kind for op in program.ops}
+    shots = 4000
+    exact = simulate_exact(circ, device, noise, routed.readout, phys)
+    table = simulate_shots(circ, device, noise, TrajectoryPlan(shots, 29), spec,
+                           routed.readout, phys)
+    emp = {k: v / shots for k, v in table.counts.items()}
+    bound = 5 * 0.5 * sum(math.sqrt(p * (1 - p) / shots) for p in exact.values())
+    assert total_variation_distance(exact, emp) < bound
 
 
 def test_seed_determinism_and_batch_invariance():
@@ -275,16 +395,8 @@ def test_assertion_mode_checks_norms():
 def test_assertion_mode_full_noise_routed_dd():
     # Norm drift stays below the check on every op of a routed, UR-dressed
     # circuit under every montreal channel, and checking changes no count.
-    graph = heavy_hex_27()
-    device = MONTREAL.device(graph)
-    spec = OracleSpec.representative(5, 5)
-    routed = route_bv(spec, graph, embed_oracle(spec, graph), device)
-    circ = schedule_dd(routed.circuit, sequence_from_name("ur14"),
-                       device.dur_dd_pulse)
+    spec, routed, circ, device, phys = routed_ur14(5, 5)
     assert circ.num_qubits >= 5
-    phys = [None] * circ.num_qubits
-    for node, w in routed.wire_of_physical.items():
-        phys[w] = node
     tables = [simulate_shots(circ, device, MONTREAL.noise(),
                              TrajectoryPlan(200, 5, assertions=checked),
                              spec, routed.readout, phys)
