@@ -10,7 +10,7 @@ applies the same stream to a density operator held as a 2n-axis tensor
 to a superoperator ``sum_K K (x) conj(K)`` whose Kraus operators come from
 ``noise`` (one Kraus operator for gates and ZZ), and the quasi-static
 detuning is averaged by a Smolyak sparse grid of Gauss-Hermite rules whose
-level rises until two successive levels agree.
+level rises until three successive levels agree.
 
 Conventions: wire 0 is the most significant bit of serialized bitstrings;
 gate errors follow their gate, idle decoherence is applied at the end of
@@ -45,8 +45,8 @@ TRAJECTORY_MAX_WIRES = 21
 GH_NODES_DEFAULT = 21
 # Most distinct density-operator runs one simulate_exact call may make.
 EXACT_MAX_RUNS = 21 ** 3
-# Largest change in any basis-state probability between the last two
-# sparse-grid levels that the detuning average accepts.
+# Largest change in any basis-state probability, in each of the last two
+# steps between sparse-grid levels, that the detuning average accepts.
 EXACT_QUADRATURE_TOL = 1e-9
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -453,14 +453,30 @@ def _apply_superop(rho: np.ndarray, sop: np.ndarray, wires: tuple[int, ...]
 
 
 def _exact_run(program: Program, deltas: dict[int, float]) -> np.ndarray:
-    """Evolve the density operator for one fixed detuning realization."""
+    """Evolve the density operator for one fixed detuning realization.
+
+    Successive one-wire superoperators of a wire are multiplied into one
+    pending 4x4 matrix, which reaches rho before the next multi-wire op on
+    that wire or at the end: ops on disjoint wires commute, so rho takes
+    one pass per multi-wire op and per run of one-wire ops."""
     nw = program.num_wires
     rho = np.zeros((2,) * (2 * nw), dtype=complex)
     rho[(0,) * (2 * nw)] = 1.0
+    pending: dict[int, np.ndarray] = {}
     for op, sop in zip(program.ops, program.superops):
         if sop is None:
             sop = _superop(_kraus_operators(op, deltas.get(op.wires[0], 0.0)))
+        if len(op.wires) == 1:
+            w = op.wires[0]
+            sop = sop.reshape(4, 4)
+            pending[w] = sop @ pending[w] if w in pending else sop
+            continue
+        for w in op.wires:
+            if w in pending:
+                rho = _apply_superop(rho, pending.pop(w).reshape(2, 2, 2, 2), (w,))
         rho = _apply_superop(rho, sop, op.wires)
+    for w, sop in pending.items():
+        rho = _apply_superop(rho, sop.reshape(2, 2, 2, 2), (w,))
     return rho.reshape(1 << nw, 1 << nw)
 
 
@@ -475,10 +491,10 @@ def _confuse_distribution(dist: np.ndarray, n: int, rates) -> np.ndarray:
 
 
 def _gh_rule(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 2*level-1 node Gauss-Hermite rule for a standard normal, as
+    """The ``level``-node Gauss-Hermite rule for a standard normal, as
     hermgauss nodes (scaled by sqrt(2)*sigma at use) and weights summing to 1.
-    Every rule puts its middle node at exactly 0."""
-    x, w = np.polynomial.hermite.hermgauss(2 * level - 1)
+    Every odd rule puts its middle node at exactly 0."""
+    x, w = np.polynomial.hermite.hermgauss(level)
     return x, w / math.sqrt(math.pi)
 
 
@@ -505,12 +521,14 @@ def _sparse_grid(dim: int, level: int) -> dict[tuple[float, ...], float]:
 
 def _grid_runs(dim: int, level: int) -> int:
     """Distinct nodes of the sparse grids of levels 1..level, counted without
-    building them.  In each dimension a node takes either the shared 0 or
-    one of the 2k nonzero nodes of the rule of level k+1, and the grids up
-    to ``level`` hold exactly the nodes whose k sum to at most level-1."""
+    building them.  In each dimension a node takes either the 0 shared by
+    the odd rules or one of the 2*((k+1)//2) nonzero nodes of the rule of
+    level k+1 (rules of different sizes share no other node), and the grids
+    up to ``level`` hold exactly the nodes whose k sum to at most level-1."""
     ways = [1] + [0] * (level - 1)     # ways[s]: prefixes whose k sum to s
     for _ in range(dim):
-        ways = [ways[s] + sum(2 * k * ways[s - k] for k in range(1, s + 1))
+        ways = [ways[s] + sum(2 * ((k + 1) // 2) * ways[s - k]
+                              for k in range(1, s + 1))
                 for s in range(level)]
     return sum(ways)
 
@@ -519,23 +537,24 @@ def _detuning_average(program: Program, sigma: float, gh_nodes: int) -> np.ndarr
     """Basis-state probabilities averaged over Gaussian detuning of every
     detuned wire, on sparse grids of rising level.
 
-    Level L combines 1-D rules of up to 2L-1 nodes.  The top level is fixed
-    before the first run: 2L-1 <= gh_nodes, and at most EXACT_MAX_RUNS
+    Level L combines 1-D rules of up to L nodes.  The top level is fixed
+    before the first run: L <= gh_nodes, and at most EXACT_MAX_RUNS
     distinct nodes over levels 1..L.  Each node is run once; the average
-    stops at the first L >= 2 whose largest change from level L-1 is within
-    EXACT_QUADRATURE_TOL, and otherwise raises SimulatorCapError.
+    returns level L once the last two changes, L-2 to L-1 and L-1 to L, are
+    both within EXACT_QUADRATURE_TOL (so L >= 3: one small change can be a
+    coincidence of two wrong levels), and otherwise raises SimulatorCapError.
     """
     wires = program.detuned_wires
     top = 1
-    while (2 * top + 1 <= gh_nodes
+    while (top + 1 <= gh_nodes
            and _grid_runs(len(wires), top + 1) <= EXACT_MAX_RUNS):
         top += 1
-    if top < 2:
+    if top < 3:
         raise SimulatorCapError(
-            f"detuning average over {len(wires)} wires needs a level-2 sparse grid "
-            f"of 3-node rules and {_grid_runs(len(wires), 2)} runs; gh_nodes="
+            f"detuning average over {len(wires)} wires needs a level-3 sparse grid "
+            f"of 3-node rules and {_grid_runs(len(wires), 3)} runs; gh_nodes="
             f"{gh_nodes} and the exact-backend cap of {EXACT_MAX_RUNS} runs "
-            f"allow only level 1")
+            f"allow only level {top}")
 
     diagonals: dict[tuple[float, ...], np.ndarray] = {}
 
@@ -548,16 +567,17 @@ def _detuning_average(program: Program, sigma: float, gh_nodes: int) -> np.ndarr
             probs += weight * diagonals[node]
         return probs
 
-    previous = average(1)
+    previous, change = average(1), math.inf
     for level in range(2, top + 1):
         probs = average(level)
-        error = float(np.abs(probs - previous).max())
+        last, change = change, float(np.abs(probs - previous).max())
+        error = max(last, change)
         if error <= EXACT_QUADRATURE_TOL:
             return probs
         previous = probs
     raise SimulatorCapError(
-        f"detuning average over {len(wires)} wires: level {top} "
-        f"({len(diagonals)} runs) still changes a probability by {error:.2e} "
+        f"detuning average over {len(wires)} wires: levels {top - 2} to {top} "
+        f"({len(diagonals)} runs) still change a probability by {error:.2e} "
         f"> {EXACT_QUADRATURE_TOL:g}; gh_nodes={gh_nodes} and the exact-backend "
         f"cap of {EXACT_MAX_RUNS} runs allow no higher level")
 
@@ -570,12 +590,13 @@ def simulate_exact(circuit: TimedCircuit, device: DeviceModel | None,
 
     Quasi-static detuning is averaged on Smolyak sparse grids of
     Gauss-Hermite rules over the detuned wires, raising the level until
-    two successive levels agree to EXACT_QUADRATURE_TOL in every basis-state
-    probability.  ``gh_nodes`` bounds the largest 1-D rule (a level-L grid
-    uses rules of up to 2L-1 nodes) and EXACT_MAX_RUNS the distinct
-    density-operator runs; SimulatorCapError is raised before the first
-    run when these allow no level above 1, and after the last allowed level
-    when it has not converged.
+    three successive levels agree: both of the last two changes are within
+    EXACT_QUADRATURE_TOL in every basis-state probability.  ``gh_nodes``
+    bounds the largest 1-D rule (a level-L grid uses rules of up to L
+    nodes) and EXACT_MAX_RUNS the distinct density-operator runs;
+    SimulatorCapError is raised before the first run when these allow no
+    level above 2, and after the last allowed level when it has not
+    converged.
     """
     nw = circuit.num_qubits
     if nw > cap:

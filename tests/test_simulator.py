@@ -259,14 +259,14 @@ def test_asymmetric_readout_agrees_across_backends(noise, stochastic):
 
 
 def test_exact_detuning_average_is_capped():
-    # Five detuned wires: 3-node rules (level 2) leave the average 2.5e-9
-    # from level 1, so gh_nodes=3 refuses through the tolerance; the default
-    # gh_nodes reaches level 3 (71 runs) well within EXACT_MAX_RUNS.
+    # Five detuned wires: level 2 moves the average by 2.5e-9 from level 1,
+    # so gh_nodes=3 (top level 3, 61 runs) refuses through the tolerance; the
+    # default gh_nodes reaches level 4 (241 runs) well within EXACT_MAX_RUNS.
     spec, routed, circ, device, phys = ur4_chain(4)
     noise = MONTREAL.noise()
     assert len(compile_program(circ, device, noise, phys).detuned_wires) == 5
     start = time.perf_counter()
-    with pytest.raises(SimulatorCapError, match="still changes a probability"):
+    with pytest.raises(SimulatorCapError, match="still change a probability"):
         simulate_exact(circ, device, noise, routed.readout, phys, gh_nodes=3)
     assert time.perf_counter() - start < 1.0
     dist = simulate_exact(circ, device, noise, routed.readout, phys)
@@ -276,6 +276,7 @@ def test_exact_detuning_average_is_capped():
 def test_exact_detuning_average_refuses_before_running():
     spec, routed, circ, device, phys = ur4_chain(2)
     program = compile_program(circ, device, MONTREAL.noise(), phys)
+    assert len(program.detuned_wires) == 2
     calls = []
 
     def run(program, deltas):
@@ -283,12 +284,33 @@ def test_exact_detuning_average_refuses_before_running():
         return _exact_run(program, deltas)
 
     with patch("ssbv.simulator._exact_run", run):
-        with pytest.raises(SimulatorCapError, match="level-2"):
+        with pytest.raises(SimulatorCapError, match="level-3"):
             _detuning_average(program, 1e5, gh_nodes=2)
-        with patch("ssbv.simulator.EXACT_MAX_RUNS", 4):
-            with pytest.raises(SimulatorCapError, match="level-2"):
+        # Levels 1-2 take 5 runs and levels 1-3 take 13.
+        with patch("ssbv.simulator.EXACT_MAX_RUNS", 12):
+            with pytest.raises(SimulatorCapError, match="level-3"):
                 _detuning_average(program, 1e5, gh_nodes=21)
     assert calls == []
+
+
+def test_detuning_average_needs_two_small_changes():
+    # Ramsey (H - idle - H) on one detuned wire with sigma*t = 2*pi/sqrt(3).
+    # The 3-node rule's nodes delta = 0, +-sqrt(3)*sigma give delta*t = 0,
+    # +-2*pi, so level 3 reads P(0) = 1, as does level 1's one node delta = 0,
+    # while the average is (1 + exp(-(sigma*t)^2 / 2)) / 2, about 0.5007.
+    device = plain_device(1)
+    idle = 3000
+    events = (GateEvent(GateKind.H, (0,), 0, 10),
+              GateEvent(GateKind.H, (0,), 10 + idle, 10))
+    circ = TimedCircuit(1, events, dt=device.dt)
+    sigma_t = 2 * math.pi / math.sqrt(3)
+    noise = NoiseConfig(detuning_sigma=sigma_t / (idle * float(device.dt)))
+    want = (1 + math.exp(-sigma_t ** 2 / 2)) / 2
+    # Levels 20 and 21 still move P(0) by 1.0e-8 and 1.7e-9: refused.
+    with pytest.raises(SimulatorCapError, match="still change a probability"):
+        simulate_exact(circ, device, noise, ReadoutMap((0,)))
+    dist = simulate_exact(circ, device, noise, ReadoutMap((0,)), gh_nodes=23)
+    assert dist["0"] == pytest.approx(want, abs=1e-9)
 
 
 def gaussian_moment(power):
@@ -299,7 +321,7 @@ def gaussian_moment(power):
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 def test_sparse_grid_integrates_total_degree_polynomials(dim, level):
-    # A level-L Smolyak grid of Gauss-Hermite rules with 2l-1 nodes is exact
+    # A level-L Smolyak grid of Gauss-Hermite rules with l nodes is exact
     # for every monomial of total degree <= 2L-1.
     grid = _sparse_grid(dim, level)
     z = math.sqrt(2.0) * np.array(list(grid), dtype=float).reshape(len(grid), dim)

@@ -1,21 +1,22 @@
 """Alternated A/B benchmark of a base revision against the working tree.
 
-    python3 tools/ab.py --pairs 10 --out BENCH_6.json [--base HEAD]
+    python3 tools/ab.py --base PARENT --pairs 10 --out BENCH_6.json
 
 Extracts the base revision (``git archive``) and the working tree (tracked
 and untracked, not ignored, files as they are on disk) into temporary
 copies.  For each of N pairs and each workload of BENCHMARK.json it runs
 
-    python3 bench/run.py --workload W --seed 1 --seconds 45 --trace 0
+    python3 bench/run.py --workload W --seed 1 --seconds S --trace 0
 
-once in each copy, one run at a time.  The order inside a pair alternates
-(base first in even pairs, change first in odd ones), so a drift of the
-host's speed falls on both sides.  The JSON written to ``--out`` holds, per
-workload and end-to-end metric, every value, the median and the
-quartiles from ``statistics.quantiles(values, n=4)`` of each side, the
-relative change of the medians, and the number of pairs the change won;
-plus each side's digests and failed-operation counts.  Exit code 1 when a
-run fails its own output checks.
+(S is BENCHMARK.json's ``run_seconds``) once in each copy, one run at a
+time.  The order inside a pair alternates (base first in even pairs,
+change first in odd ones), so a drift of the host's speed falls on both
+sides.  The JSON written to ``--out`` holds, per workload and end-to-end
+metric, every value, the median and the quartiles from
+``statistics.quantiles(values, n=4)`` of each side, the relative change of
+the medians, and the number of pairs the change won; plus each side's
+digests and failed-operation counts.  Exit code 1 when a run fails its own
+output checks.
 """
 from __future__ import annotations
 
@@ -84,11 +85,10 @@ def side_summary(values: list[float]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--base", default="HEAD",
-                        help="git revision to compare against (default HEAD)")
+    parser.add_argument("--base", required=True,
+                        help="git revision to compare the working tree against")
     parser.add_argument("--out", required=True, help="JSON report to write")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=45.0)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -109,7 +109,7 @@ def main(argv=None) -> int:
             for workload in workloads:
                 for side in order:
                     result = run_bench(trees[side], workload, args.seed,
-                                       args.seconds)
+                                       spec["run_seconds"])
                     runs[workload][side].append(result)
                     print(f"pair {i} {workload} {side}: {result['elapsed_s']:.0f} s "
                           + "  ".join(f"{k}={v['value']:.4g}"
@@ -122,7 +122,8 @@ def main(argv=None) -> int:
         "change": "working tree",
         "pairs": args.pairs,
         "command": ["python3", "bench/run.py", "--workload", "W", "--seed",
-                    str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
+                    str(args.seed), "--seconds", str(spec["run_seconds"]),
+                    "--trace", "0"],
         "host": runs[workloads[0]]["base"][0]["env"],
         "workloads": {},
     }
