@@ -6,11 +6,13 @@ phases).  The trajectory backend samples one Kraus branch per channel
 application on batched statevectors (exact in distribution), through the
 in-place strided-view numpy kernels of ``_kernels``; the exact backend
 applies the same stream to a density operator held as a 2n-axis tensor
-(one axis per row bit, then one per column bit).  Each op is lowered once
-to a superoperator ``sum_K K (x) conj(K)`` whose Kraus operators come from
-``noise`` (one Kraus operator for gates and ZZ), and the quasi-static
-detuning is averaged by a Smolyak sparse grid of Gauss-Hermite rules whose
-level rises until three successive levels agree.
+(one axis per row bit, then one per column bit).  Each distinct op is
+lowered once to a superoperator ``sum_K K (x) conj(K)`` whose Kraus
+operators come from ``noise`` (one Kraus operator for gates and ZZ);
+superoperators are multiplied together per wire and per wire pair before
+they reach the density operator, and the quasi-static detuning is averaged
+by a Smolyak sparse grid of Gauss-Hermite rules whose level rises until
+three successive levels agree.
 
 Conventions: wire 0 is the most significant bit of serialized bitstrings;
 gate errors follow their gate, idle decoherence is applied at the end of
@@ -88,10 +90,22 @@ class Program:
 
     @cached_property
     def superops(self) -> tuple[np.ndarray | None, ...]:
-        """Each op's exact-backend superoperator, lowered once per program;
-        None for detune ops, whose phase depends on the detuning node."""
-        return tuple(None if op.kind == "detune" else _superop(_kraus_operators(op))
-                     for op in self.ops)
+        """Each op's exact-backend superoperator as a (4^k, 4^k) matrix on
+        its k wires; None for detune ops, whose phase depends on the
+        detuning node.  Ops equal in (kind, wire count, p, phase, matrix)
+        share one superoperator, lowered once per program."""
+        lowered: dict[tuple, np.ndarray] = {}
+        out = []
+        for op in self.ops:
+            if op.kind == "detune":
+                out.append(None)
+                continue
+            key = (op.kind, len(op.wires), op.p, op.phase,
+                   None if op.matrix is None else op.matrix.tobytes())
+            if key not in lowered:
+                lowered[key] = _superop(_kraus_operators(op))
+            out.append(lowered[key])
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -227,8 +241,8 @@ def _shot_streams(master_seed: int, oracle_key: int, lo: int, hi: int,
         fresh["state"]["key"] = np.array([key, seed_word], dtype=np.uint64)
         bg.state = fresh
         if n_normals:
-            normals[i] = rng.standard_normal(n_normals)
-        uniforms[i] = rng.random(n_uniforms)
+            rng.standard_normal(out=normals[i])
+        rng.random(out=uniforms[i])
     return normals, uniforms
 
 
@@ -316,7 +330,9 @@ def _evolve(program: Program, state: np.ndarray, uniforms: np.ndarray | None = N
 
 
 def _auto_batch(shots: int, nw: int, itemsize: int) -> int:
-    budget = 512 * 1024 * 1024  # bytes of state per batch
+    # Bytes of state per batch: small enough to stay in cache from one op
+    # pass to the next.  Results do not depend on it (batch invariance).
+    budget = 4 * 1024 * 1024
     per_shot = (1 << nw) * itemsize
     return max(1, min(shots, budget // max(per_shot, 1)))
 
@@ -437,46 +453,70 @@ def _kraus_operators(op: Op, delta: float = 0.0) -> tuple[np.ndarray, ...]:
 
 
 def _superop(kraus: tuple[np.ndarray, ...]) -> np.ndarray:
-    """``sum_K K (x) conj(K)`` as a (2,)*4k tensor: output row bits, output
-    column bits, input row bits, input column bits."""
-    k = kraus[0].shape[0].bit_length() - 1
-    return sum(np.kron(m, m.conj()) for m in kraus).reshape((2,) * (4 * k))
+    """``sum_K K (x) conj(K)`` as a (4^k, 4^k) matrix whose row and column
+    index both read (row bits, column bits) of the k wires."""
+    stack = np.asarray(kraus)
+    d = stack.shape[1]
+    return np.einsum("nij,nkl->ikjl", stack, stack.conj()).reshape(d * d, d * d)
 
 
 def _apply_superop(rho: np.ndarray, sop: np.ndarray, wires: tuple[int, ...]
                    ) -> np.ndarray:
-    """Apply a superoperator to the row and column axes of ``wires``."""
+    """Apply a (4^k, 4^k) superoperator to the row and column axes of the k
+    ``wires``."""
     nw = rho.ndim // 2
+    k = len(wires)
     axes = list(wires) + [nw + w for w in wires]
-    out = np.tensordot(sop, rho, axes=(range(len(axes), 2 * len(axes)), axes))
-    return np.moveaxis(out, range(len(axes)), axes)
+    out = np.tensordot(sop.reshape((2,) * (4 * k)), rho,
+                       axes=(range(2 * k, 4 * k), axes))
+    return np.moveaxis(out, range(2 * k), axes)
+
+
+_I4 = np.eye(4)
+
+
+def _pair_superop(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    """One-wire 4x4 superoperators on wires a and b as one 16x16 on the
+    pair (a, b)."""
+    return np.einsum("acAC,bdBD->abcdABCD", sa.reshape(2, 2, 2, 2),
+                     sb.reshape(2, 2, 2, 2)).reshape(16, 16)
 
 
 def _exact_run(program: Program, deltas: dict[int, float]) -> np.ndarray:
     """Evolve the density operator for one fixed detuning realization.
 
-    Successive one-wire superoperators of a wire are multiplied into one
-    pending 4x4 matrix, which reaches rho before the next multi-wire op on
-    that wire or at the end: ops on disjoint wires commute, so rho takes
-    one pass per multi-wire op and per run of one-wire ops."""
+    Superoperators are multiplied together before rho sees them; ops on
+    disjoint wires commute, so only each wire's order matters.  Successive
+    one-wire ops of a wire make one pending 4x4.  A two-wire op absorbs the
+    pending 4x4s of its wires and stays pending as a 16x16 until a
+    two-wire op on another pair touches one of its wires or the stream
+    ends; the next two-wire op on the same ordered pair multiplies into it.
+    So rho takes one pass per run of two-wire ops on one ordered pair, plus
+    one per wire left with a pending 4x4 and no pending pair at the end."""
     nw = program.num_wires
     rho = np.zeros((2,) * (2 * nw), dtype=complex)
     rho[(0,) * (2 * nw)] = 1.0
-    pending: dict[int, np.ndarray] = {}
+    one: dict[int, np.ndarray] = {}
+    two: dict[tuple[int, int], np.ndarray] = {}
     for op, sop in zip(program.ops, program.superops):
         if sop is None:
             sop = _superop(_kraus_operators(op, deltas.get(op.wires[0], 0.0)))
         if len(op.wires) == 1:
             w = op.wires[0]
-            sop = sop.reshape(4, 4)
-            pending[w] = sop @ pending[w] if w in pending else sop
+            one[w] = sop @ one[w] if w in one else sop
             continue
-        for w in op.wires:
-            if w in pending:
-                rho = _apply_superop(rho, pending.pop(w).reshape(2, 2, 2, 2), (w,))
-        rho = _apply_superop(rho, sop, op.wires)
-    for w, sop in pending.items():
-        rho = _apply_superop(rho, sop.reshape(2, 2, 2, 2), (w,))
+        pair = op.wires
+        for other in [q for q in two if q != pair and set(q) & set(pair)]:
+            rho = _apply_superop(rho, two.pop(other), other)
+        if pair[0] in one or pair[1] in one:
+            sop = sop @ _pair_superop(one.pop(pair[0], _I4), one.pop(pair[1], _I4))
+        two[pair] = sop @ two[pair] if pair in two else sop
+    for pair, sop in two.items():
+        if pair[0] in one or pair[1] in one:
+            sop = _pair_superop(one.pop(pair[0], _I4), one.pop(pair[1], _I4)) @ sop
+        rho = _apply_superop(rho, sop, pair)
+    for w, sop in one.items():
+        rho = _apply_superop(rho, sop, (w,))
     return rho.reshape(1 << nw, 1 << nw)
 
 

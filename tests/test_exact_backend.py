@@ -1,12 +1,17 @@
-"""Exact backend against a dense np.kron Kraus reference on random programs."""
+"""Exact backend against a dense np.kron Kraus reference on random programs,
+and the lowering and fusion counts of its superoperators."""
 import itertools
 import math
+from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssbv.simulator import Op, Program, _exact_run
+from ssbv.simulator import (Op, Program, _apply_superop, _exact_run,
+                            _kraus_operators, compile_program)
+from test_simulator import MONTREAL, ur4_chain
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -15,7 +20,6 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (I2, X, Y, Z)
-KINDS = ("u1", "cnot", "dep1", "dep2", "deph", "damp", "detune", "zz")
 
 
 def embed(mat, w, nw):
@@ -81,25 +85,54 @@ def random_unitary(rng):
     return q
 
 
+ONE_WIRE = ("u1", "dep1", "deph", "damp", "detune")
+TWO_WIRE = ("cnot", "dep2", "zz")
+
+
 @st.composite
-def ops(draw, nw, rng):
-    kind = draw(st.sampled_from(KINDS if nw > 1 else
-                                [k for k in KINDS if k not in ("cnot", "dep2", "zz")]))
-    if kind in ("cnot", "dep2", "zz"):
-        wires = tuple(draw(st.permutations(range(nw)))[:2])
-    else:
-        wires = (draw(st.integers(0, nw - 1)),)
+def templates(draw, kinds, rng):
+    """An op of one of ``kinds`` with its parameters and no wires yet."""
+    kind = draw(st.sampled_from(kinds))
     if kind == "u1":
-        return Op(kind, wires, matrix=random_unitary(rng))
+        return Op(kind, (), matrix=random_unitary(rng))
     if kind in ("dep1", "dep2", "damp"):
-        return Op(kind, wires, p=draw(st.floats(0.0, 1.0)))
+        return Op(kind, (), p=draw(st.floats(0.0, 1.0)))
     if kind == "deph":
-        return Op(kind, wires, p=draw(st.floats(0.0, 0.5)))
+        return Op(kind, (), p=draw(st.floats(0.0, 0.5)))
     if kind == "detune":
-        return Op(kind, wires, t=rng.uniform(0.0, 1e-5))
+        return Op(kind, (), t=rng.uniform(0.0, 1e-5))
     if kind == "zz":
-        return Op(kind, wires, phase=np.exp(1j * rng.uniform(-math.pi, math.pi)))
-    return Op(kind, wires)
+        return Op(kind, (), phase=np.exp(1j * rng.uniform(-math.pi, math.pi)))
+    return Op(kind, ())
+
+
+@st.composite
+def segments(draw, nw, pool1, pool2):
+    """A few ops drawn from the pools: a lone op on random wires, or a run
+    of two-wire ops on one pair in either order with one-wire ops of the
+    pair between them, sometimes closed by a two-wire op that joins one
+    wire of the pair to a third."""
+    def one(w):
+        return replace(draw(st.sampled_from(pool1)), wires=(w,))
+
+    def two(a, b):
+        return replace(draw(st.sampled_from(pool2)), wires=(a, b))
+
+    if nw == 1 or draw(st.booleans()):
+        if nw > 1 and draw(st.booleans()):
+            return [two(*draw(st.permutations(range(nw)))[:2])]
+        return [one(draw(st.integers(0, nw - 1)))]
+    wires = draw(st.permutations(range(nw)))
+    a, b = wires[:2]
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        out += [one(w) for w in draw(st.lists(st.sampled_from((a, b)), max_size=2))]
+        out.append(two(a, b) if draw(st.booleans()) else two(b, a))
+    if nw > 2 and draw(st.booleans()):
+        c = wires[2]
+        out.append(two(draw(st.sampled_from((a, b))), c) if draw(st.booleans())
+                   else two(c, draw(st.sampled_from((a, b)))))
+    return out
 
 
 @st.composite
@@ -107,12 +140,18 @@ def programs(draw):
     nw = draw(st.integers(1, 4))
     # Hypothesis picks the structure and the channel probabilities; angles,
     # durations and detunings come from a seeded generator so they differ
-    # from wire to wire.
+    # from op to op.
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Streams repeat ops from small pools, so that ops share one lowered
+    # superoperator, on the same wires and on others.
+    pool1 = draw(st.lists(templates(ONE_WIRE, rng), min_size=1, max_size=4))
+    pool2 = draw(st.lists(templates(TWO_WIRE, rng), min_size=1, max_size=3))
     # A random unitary on every wire first, so that the stream acts on
     # coherences and populations of every wire.
-    stream = tuple(Op("u1", (w,), matrix=random_unitary(rng)) for w in range(nw))
-    stream += tuple(draw(st.lists(ops(nw, rng), min_size=1, max_size=12)))
+    stream = [Op("u1", (w,), matrix=random_unitary(rng)) for w in range(nw)]
+    for segment in draw(st.lists(segments(nw, pool1, pool2), min_size=1, max_size=8)):
+        stream += segment
+    stream = tuple(stream[:nw + 24])
     detuned = tuple(sorted({op.wires[0] for op in stream if op.kind == "detune"}))
     # Some detuned wires get no node and run at zero detuning.
     deltas = {w: rng.uniform(-1e6, 1e6) for w in detuned if draw(st.booleans())}
@@ -126,3 +165,49 @@ def test_exact_run_matches_dense_kraus_reference(case):
     program, deltas = case
     got = _exact_run(program, deltas)
     np.testing.assert_allclose(got, reference_run(program, deltas), rtol=0, atol=1e-12)
+
+
+def lowering_key(op):
+    return (op.kind, len(op.wires), op.p, op.phase,
+            None if op.matrix is None else op.matrix.tobytes())
+
+
+def test_superops_lower_each_distinct_op_once():
+    _, _, circ, device, phys = ur4_chain(6)
+    program = compile_program(circ, device, MONTREAL.noise(), phys)
+    assert program.num_wires == 7
+    calls = []
+
+    def counting(op, delta=0.0):
+        calls.append(lowering_key(op))
+        return _kraus_operators(op, delta)
+
+    with patch("ssbv.simulator._kraus_operators", counting):
+        superops = program.superops
+    keys = {lowering_key(op) for op in program.ops if op.kind != "detune"}
+    assert sorted(calls, key=repr) == sorted(keys, key=repr)
+    assert len(calls) < len(program.ops) // 4
+    first = {}
+    for op, sop in zip(program.ops, superops):
+        assert (sop is None) == (op.kind == "detune")
+        if sop is not None:
+            assert first.setdefault(lowering_key(op), sop) is sop
+
+
+def test_exact_run_fuses_into_two_wire_passes():
+    # 242 ops on the 7-wire UR4 chain, 20 of them two-wire: 10 cnot/dep2
+    # pairs on 10 ordered wire pairs.  Unfused that is 242 rho passes;
+    # fusing one-wire ops only, 34.  Now one pass per cnot/dep2 pair and one
+    # per wire whose last one-wire ops follow no pending pair: 10 + 5.
+    _, _, circ, device, phys = ur4_chain(6)
+    program = compile_program(circ, device, replace(MONTREAL.noise(), detuning=False),
+                              phys)
+    passes = []
+
+    def counting(rho, sop, wires):
+        passes.append(wires)
+        return _apply_superop(rho, sop, wires)
+
+    with patch("ssbv.simulator._apply_superop", counting):
+        _exact_run(program, {})
+    assert len(passes) == 15

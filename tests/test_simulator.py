@@ -15,7 +15,8 @@ from ssbv.oracles import (OracleSpec, ReadoutMap, all_oracles,
 from ssbv.routing import chain_graph, embed_oracle, heavy_hex_27, route_bv
 from ssbv.simulator import (GH_NODES_DEFAULT, SimulatorCapError, TrajectoryPlan,
                             _detuning_average, _exact_run, _grid_runs,
-                            _sparse_grid, check_reduction_equivalence,
+                            _shot_streams, _sparse_grid,
+                            check_reduction_equivalence,
                             compile_program, noiseless_output, simulate_exact,
                             simulate_shots, total_variation_distance)
 
@@ -404,6 +405,20 @@ def test_seed_determinism_and_batch_invariance():
     c = simulate_shots(circ, device, noise, TrajectoryPlan(2000, 12), spec, rmap)
     assert a.counts == b.counts
     assert a.counts != c.counts
+
+
+@pytest.mark.parametrize("n_normals", [0, 3])
+def test_shot_streams_match_a_fresh_philox_per_shot(n_normals):
+    seed, key, lo, hi, n_uniforms = (1 << 63) + 5, 0xBEEF, 1000, 1013, 7
+    normals, uniforms = _shot_streams(seed, key, lo, hi, n_normals, n_uniforms)
+    assert normals.shape == (hi - lo, n_normals)
+    assert uniforms.shape == (hi - lo, n_uniforms)
+    for row, i in enumerate(range(lo, hi)):
+        rng = np.random.Generator(np.random.Philox(key=(seed << 64) | (key << 32) | i))
+        want_normals = rng.standard_normal(n_normals)
+        want_uniforms = rng.random(n_uniforms)
+        assert np.array_equal(normals[row], want_normals)
+        assert np.array_equal(uniforms[row], want_uniforms)
 
 
 def test_assertion_mode_checks_norms():

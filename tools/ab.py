@@ -15,8 +15,13 @@ sides.  The JSON written to ``--out`` holds, per workload and end-to-end
 metric, every value, the median and the quartiles from
 ``statistics.quantiles(values, n=4)`` of each side, the relative change of
 the medians, and the number of pairs the change won; plus each side's
-digests and failed-operation counts.  Exit code 1 when a run fails its own
-output checks.
+digests and failed-operation counts.  Each metric also gets the
+acceptance verdict: ``within_bound`` when the change median is no worse
+than the base median by more than the metric's ``bound`` (relative), and
+``claim_met`` when the change won at least 9 in 10 of the pairs and its
+median is better than the base median by more than the base IQR.  One
+summary line per workload names the metrics outside their bound and those
+whose claim is met.  Exit code 1 when a run fails its own output checks.
 """
 from __future__ import annotations
 
@@ -80,6 +85,16 @@ def side_summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4)
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1,
             "values": values}
+
+
+def verdict(m: dict, b: dict, c: dict, wins: int, pairs: int) -> dict:
+    """Acceptance fields of one metric from both sides' summaries."""
+    sign = 1 if m["better"] == "lower" else -1
+    gain = sign * (b["median"] - c["median"])      # > 0: the change is better
+    bound = m.get("bound")
+    return {"within_bound": None if bound is None
+            else -gain <= bound * abs(b["median"]),
+            "claim_met": 10 * wins >= 9 * pairs and gain > b["iqr"]}
 
 
 def main(argv=None) -> int:
@@ -147,11 +162,19 @@ def main(argv=None) -> int:
                 "base": b, "change": c,
                 "relative_change": (c["median"] - b["median"]) / b["median"],
                 "change_wins": wins,
+                **verdict(m, b, c, wins, args.pairs),
             }
             print(f"{workload:16s} {name:12s} {b['median']:.4g} -> {c['median']:.4g} "
                   f"({entry['metrics'][name]['relative_change']:+.1%}, "
                   f"base IQR {b['iqr']:.3g}, change better {wins}/{args.pairs})")
         report["workloads"][workload] = entry
+        verdicts = entry["metrics"]
+        outside = [k for k, v in verdicts.items() if v["within_bound"] is False]
+        claimed = [k for k, v in verdicts.items() if v["claim_met"]]
+        print(f"{workload}: outside bound: {', '.join(outside) or 'none'}; "
+              f"claim met: {', '.join(claimed) or 'none'}; failed runs "
+              f"{sum(map(bool, entry['failed']['base']))} base, "
+              f"{sum(map(bool, entry['failed']['change']))} change")
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
