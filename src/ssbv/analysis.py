@@ -15,13 +15,16 @@ import numpy as np
 from .circuit import DurationModel
 from .oracles import ShotTable, classical_success_prob
 
+# Confidence-interval half-widths, in bootstrap standard deviations, of the
+# mean TTS per size and of the worst-case exponent.
+TTS_CI_SIGMA = 5.0
+LAMBDA_CI_SIGMA = 2.0
+
 
 @dataclass(frozen=True)
 class AnalysisConfig:
     p_d: float = 0.99
     bootstrap_b: int = 100
-    tts_ci_sigma: float = 5.0
-    lambda_ci_sigma: float = 2.0
     n_min: int = 3            # excludes small-size effects from fits
 
     def __post_init__(self) -> None:
@@ -113,10 +116,19 @@ def mean_tts(per_oracle_tts, n: int) -> TTSPoint:
     return TTSPoint(n, mean, mean, mean, len(values))
 
 
-def _resample_success(successes: int, shots: int, rng: np.random.Generator) -> float:
-    """Success frequency of one multinomial redraw of a table's counts: its
-    success count is binomial(shots, successes / shots)."""
-    return int(rng.binomial(shots, successes / shots)) / shots
+def _resample_tts(n: int, successes: list[tuple[int, int]], model: DurationModel,
+                  config: AnalysisConfig, rng: np.random.Generator) -> float | None:
+    """Mean TTS of one resample of a size's oracle set, or None if a table
+    draws zero successes.  Each table's success count is redrawn, in table
+    order, as binomial(shots, successes / shots) (the success marginal of a
+    multinomial redraw of its counts); drawing stops at the first zero."""
+    vals = []
+    for s, shots in successes:
+        p_star = int(rng.binomial(shots, s / shots)) / shots
+        if p_star == 0:
+            return None
+        vals.append(tts_quantum(n, p_star, model, config.p_d))
+    return float(np.mean(vals))
 
 
 def bootstrap_tts(tables: list[ShotTable], model: DurationModel,
@@ -124,12 +136,11 @@ def bootstrap_tts(tables: list[ShotTable], model: DurationModel,
                   ) -> tuple[TTSPoint, np.ndarray]:
     """Bootstrap the mean TTS over one size's oracle set.
 
-    Each of B resamples redraws every oracle's success count binomially at
-    the original shot count (the success marginal of a multinomial redraw
-    of its counts); resamples in which an oracle of originally nonzero
+    Each of B resamples redraws every oracle's success count
+    (``_resample_tts``); resamples in which an oracle of originally nonzero
     success draws zero successes are discarded (they would give a spurious
-    infinite TTS).  Returns the point (mean, +-tts_ci_sigma
-    bounds) and the retained resample values.
+    infinite TTS).  Returns the point (mean, +-TTS_CI_SIGMA bounds) and the
+    retained resample values.
     """
     if not tables:
         raise ValueError("need at least one table")
@@ -140,24 +151,14 @@ def bootstrap_tts(tables: list[ShotTable], model: DurationModel,
     if any(s == 0 for s, _ in successes):
         return terminated_point(n, len(tables)), np.empty(0)
 
-    samples = []
-    for _ in range(config.bootstrap_b):
-        tts_vals = []
-        discard = False
-        for s, shots in successes:
-            p_star = _resample_success(s, shots, rng)
-            if p_star == 0:
-                discard = True
-                break
-            tts_vals.append(tts_quantum(n, p_star, model, config.p_d))
-        if not discard:
-            samples.append(float(np.mean(tts_vals)))
+    samples = [tts for tts in (_resample_tts(n, successes, model, config, rng)
+                               for _ in range(config.bootstrap_b)) if tts is not None]
     if not samples:
         return terminated_point(n, len(tables)), np.empty(0)
     arr = np.array(samples)
     mean = float(arr.mean())
     sigma = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
-    width = config.tts_ci_sigma * sigma
+    width = TTS_CI_SIGMA * sigma
     point = TTSPoint(n, mean, mean - width, mean + width, len(tables))
     return point, arr
 
@@ -218,8 +219,8 @@ def bootstrap_lambda(tables_by_n: dict[int, list[ShotTable]], model: DurationMod
 
     Every resample redraws every success count, rebuilds the TTS curve
     (sizes whose resample hits zero successes drop out, mirroring curve
-    termination), and refits; the result is the resample mean with +-lambda_ci_sigma
-    bounds and the raw-data window table.
+    termination), and refits; the result is the resample mean with
+    +-LAMBDA_CI_SIGMA bounds and the raw-data window table.
     """
     raw_points = [mean_tts([tts_quantum(n, t.success_prob(), model, config.p_d)
                             for t in tables], n)
@@ -232,19 +233,9 @@ def bootstrap_lambda(tables_by_n: dict[int, list[ShotTable]], model: DurationMod
     for _ in range(config.bootstrap_b):
         pts = []
         for n, table_successes in successes.items():
-            vals = []
-            dead = False
-            for s, shots in table_successes:
-                if s == 0:
-                    dead = True
-                    break
-                p_star = _resample_success(s, shots, rng)
-                if p_star == 0:
-                    dead = True
-                    break
-                vals.append(tts_quantum(n, p_star, model, config.p_d))
-            if not dead:
-                pts.append(mean_tts(vals, n))
+            tts = _resample_tts(n, table_successes, model, config, rng)
+            if tts is not None:
+                pts.append(TTSPoint(n, tts, tts, tts, len(table_successes)))
         try:
             lams.append(worst_case_lambda(pts, u=u, config=config).exponent)
         except ValueError:
@@ -254,7 +245,7 @@ def bootstrap_lambda(tables_by_n: dict[int, list[ShotTable]], model: DurationMod
     arr = np.array(lams)
     mean = float(arr.mean())
     sigma = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
-    width = config.lambda_ci_sigma * sigma
+    width = LAMBDA_CI_SIGMA * sigma
     return FitResult(mean, mean - width, mean + width, raw.window, raw.window_table)
 
 

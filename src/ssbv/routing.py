@@ -4,12 +4,12 @@ Instead of swapping marked data qubits toward a fixed ancilla, the ancilla
 walks the graph.  A walk step onto a marked node fuses the oracle CNOT with
 the SWAP (CNOT12*SWAP12 = CNOT21*CNOT12) and costs 2 CNOTs; a step onto an
 unmarked node is a plain 3-CNOT SWAP; a marked node adjacent to the walk
-gets its CNOT directly for 1.  Embedding search minimizes the emitted CNOT
-count under this cost model.
+gets its CNOT directly for 1.  The embedding search also chooses where the
+k marked qubits sit: every walk step lands on one and the rest sit next to
+the walk, so a walk of s steps costs k + s CNOTs and the search minimizes s.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +22,6 @@ from .oracles import OracleSpec, ReadoutMap
 # two-step look-ahead takes over.
 EXACT_SEARCH_MAX_NODES = 32
 EXACT_SEARCH_BUDGET = 2_000_000
-PINNED_SEARCH_MAX_K = 16
 
 
 class RoutingInfeasible(Exception):
@@ -170,7 +169,7 @@ def _free_placement_search(adj: dict[int, set[int]], k: int,
     s + c >= k.  Deterministic: sorted expansion, lowest-index tie-breaks,
     fixed node-expansion budget.
     """
-    best: list = [None]  # [cost, walk(list), exact-complete flag]
+    best: list = [None]  # [best cost, then each improving walk]
     expansions = [0]
 
     def neighborhood(path: list[int], pathset: set[int]) -> set[int]:
@@ -230,103 +229,33 @@ def _assemble_free(adj: dict[int, set[int]], k: int, walk: list[int],
     return _SearchResult(walk, hits, cover, cost, exact)
 
 
-def _pinned_search(adj: dict[int, set[int]], marked: list[int],
+def _greedy_search(adj: dict[int, set[int]], k: int,
                    starts: list[int]) -> _SearchResult | None:
-    """Exact Dijkstra over (position, covered-mask) states for a pinned
-    physical marked set.  Walk steps may revisit nodes (plain SWAPs)."""
-    k = len(marked)
-    bit = {node: 1 << i for i, node in enumerate(marked)}
-    full = (1 << k) - 1
-    markedset = set(marked)
-
-    settled: dict[tuple[int, int], int] = {}
-    parent: dict[tuple[int, int], tuple[tuple[int, int], str, int] | None] = {}
-    heap: list = []
-    seq = 0  # heap tiebreaker, keeps pops deterministic
-    for s in starts:
-        heapq.heappush(heap, (0, seq, s, 0, None, "start", s))
-        seq += 1
-    goal = None
-    while heap:
-        cost, _, pos, mask, prev, move, node = heapq.heappop(heap)
-        state = (pos, mask)
-        if state in settled:
-            continue
-        settled[state] = cost
-        parent[state] = None if prev is None else (prev, move, node)
-        if mask == full:
-            goal = (state, cost)
-            break
-        for nb in sorted(adj[pos]):
-            fresh = nb in markedset and not mask & bit[nb]
-            if fresh:
-                heapq.heappush(heap, (cost + 1, seq, pos, mask | bit[nb], state, "hit", nb))
-                heapq.heappush(heap, (cost + 2, seq + 1, nb, mask | bit[nb], state, "step", nb))
-            else:
-                heapq.heappush(heap, (cost + 3, seq, nb, mask, state, "swap", nb))
-            seq += 2
-    if goal is None:
-        return None
-    state, cost = goal
-    moves: list[tuple[str, int]] = []
-    while parent[state] is not None:
-        prev, move, node = parent[state]
-        moves.append((move, node))
-        state = prev
-    moves.append(("start", state[0]))
-    moves.reverse()
-
-    walk = [moves[0][1]]
-    hits: list[int] = []
-    cover: list[int] = []
-    for kind, node in moves[1:]:
-        if kind == "hit":
-            hits.append(node)
-            cover.append(node)
-        else:
-            walk.append(node)
-            if kind == "step":
-                cover.append(node)
-    return _SearchResult(walk, hits, cover, cost, True)
-
-
-def _greedy_search(adj: dict[int, set[int]], k: int, marked: set[int] | None,
-                   starts: list[int]) -> _SearchResult | None:
-    """Greedy walk extension with two-step look-ahead; direct hits are
-    preferred over stepping onto would-be pendants at degree-3 junctions."""
+    """Greedy walk extension with two-step look-ahead, placement of marked
+    qubits free; direct hits are preferred over stepping onto would-be
+    pendants at degree-3 junctions.  Cheapest walk over all starts wins."""
 
     def capacity(pathset: set[int]) -> set[int]:
         out: set[int] = set()
         for p in pathset:
             out |= adj[p]
-        out -= pathset
-        if marked is not None:
-            out &= marked
-        return out
+        return out - pathset
 
     def grow(start: int) -> _SearchResult | None:
         walk = [start]
         pathset = {start}
         while True:
             s = len(walk) - 1
-            cap = capacity(pathset)
-            covered_by_walk = s if marked is None else \
-                len([w for w in walk[1:] if w in marked])
-            if covered_by_walk + len(cap) >= k:
-                if marked is None:
-                    return _assemble_free(adj, k, walk, k + s, False)
-                hits = sorted(cap)[:k - covered_by_walk]
-                cover = [w for w in walk[1:] if w in marked] + hits
-                cost = 2 * covered_by_walk + 3 * (s - covered_by_walk) + len(hits)
-                return _SearchResult(walk, hits, cover, cost, False)
+            if s + len(capacity(pathset)) >= k:
+                return _assemble_free(adj, k, walk, k + s, False)
             cands = sorted(adj[walk[-1]] - pathset)
             if not cands:
                 return None
             # look-ahead 2: pick the step whose best continuation adds the
             # most fresh capacity; skip pendant candidates reachable as hits
-            def score(x: int) -> tuple[int, int]:
+            def score(x: int) -> tuple[int, bool, int]:
                 base = pathset | {x}
-                gain1 = len(capacity(base)) + (1 if marked is None or x in marked else 0)
+                gain1 = len(capacity(base)) + 1
                 best2 = 0
                 for y in sorted(adj[x] - base):
                     g2 = len(capacity(base | {y}))
@@ -347,57 +276,34 @@ def _greedy_search(adj: dict[int, set[int]], k: int, marked: set[int] | None,
     return best
 
 
-def find_embedding(graph: CouplingGraph, marked, ancilla_start: int | None = None,
+def find_embedding(graph: CouplingGraph, k: int, ancilla_start: int | None = None,
                    marked_logicals=None) -> Embedding:
-    """Find a low-CNOT embedding.
+    """Find a low-CNOT embedding of k marked qubits; where they sit is part
+    of the search.
 
-    ``marked`` is either an integer count (placement of the marked qubits is
-    part of the search) or an explicit set of physical nodes.  Exhaustive
-    search runs within deterministic budgets; a greedy walk with look-ahead
-    takes over beyond them.
+    On up to EXACT_SEARCH_MAX_NODES usable nodes, branch-and-bound finds the
+    optimum within EXACT_SEARCH_BUDGET expansions (the greedy walk is kept
+    if it beats an unfinished search); on larger graphs the greedy walk
+    with look-ahead runs alone.  ``marked_logicals`` names the logical
+    qubits in CNOT order (default 0..k-1).
     """
     adj = graph.adjacency()
     usable = graph.usable
     if ancilla_start is not None and ancilla_start not in adj:
         raise RoutingInfeasible(f"ancilla start {ancilla_start} unusable")
-
-    if isinstance(marked, int):
-        k = marked
-        marked_nodes = None
-        if k > len(usable) - 1:
-            raise RoutingInfeasible(f"k={k} exceeds usable nodes - 1 = {len(usable) - 1}")
-        starts = [ancilla_start] if ancilla_start is not None else list(usable)
-        if k == 0:
-            result = _SearchResult([starts[0]], [], [], 0, True)
-        elif len(usable) <= EXACT_SEARCH_MAX_NODES:
-            result = _free_placement_search(adj, k, starts, EXACT_SEARCH_BUDGET)
-            if result is not None and not result.exact:
-                greedy = _greedy_search(adj, k, None, starts)
-                if greedy is not None and greedy.cost < result.cost:
-                    result = greedy
-        else:
-            result = _greedy_search(adj, k, None, starts)
+    if k > len(usable) - 1:
+        raise RoutingInfeasible(f"k={k} exceeds usable nodes - 1 = {len(usable) - 1}")
+    starts = [ancilla_start] if ancilla_start is not None else list(usable)
+    if k == 0:
+        result = _SearchResult([starts[0]], [], [], 0, True)
+    elif len(usable) <= EXACT_SEARCH_MAX_NODES:
+        result = _free_placement_search(adj, k, starts, EXACT_SEARCH_BUDGET)
+        if result is not None and not result.exact:
+            greedy = _greedy_search(adj, k, starts)
+            if greedy is not None and greedy.cost < result.cost:
+                result = greedy
     else:
-        marked_nodes = sorted(set(marked))
-        k = len(marked_nodes)
-        for node in marked_nodes:
-            if node not in adj:
-                raise RoutingInfeasible(f"marked node {node} unusable")
-        if ancilla_start is not None:
-            if ancilla_start in marked_nodes:
-                raise RoutingInfeasible("ancilla cannot start on a marked node")
-            starts = [ancilla_start]
-        else:
-            starts = [q for q in usable if q not in marked_nodes]
-        if not starts:
-            raise RoutingInfeasible("no unmarked node left for the ancilla")
-        if k == 0:
-            result = _SearchResult([starts[0]], [], [], 0, True)
-        elif k <= PINNED_SEARCH_MAX_K:
-            result = _pinned_search(adj, marked_nodes, starts)
-        else:
-            result = _greedy_search(adj, k, set(marked_nodes), starts)
-
+        result = _greedy_search(adj, k, starts)
     if result is None:
         raise RoutingInfeasible("graph disconnected over the required nodes")
 

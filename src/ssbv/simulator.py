@@ -624,7 +624,7 @@ def _detuning_average(program: Program, sigma: float, gh_nodes: int) -> np.ndarr
 
 def simulate_exact(circuit: TimedCircuit, device: DeviceModel | None,
                    noise: NoiseConfig, readout: ReadoutMap | None = None,
-                   physical_of_wire=None, cap: int = EXACT_MAX_WIRES,
+                   physical_of_wire=None,
                    gh_nodes: int = GH_NODES_DEFAULT) -> dict[str, float]:
     """Exact output distribution over data bitstrings (density operator).
 
@@ -639,8 +639,9 @@ def simulate_exact(circuit: TimedCircuit, device: DeviceModel | None,
     converged.
     """
     nw = circuit.num_qubits
-    if nw > cap:
-        raise SimulatorCapError(f"{nw} wires exceeds exact-backend cap {cap}")
+    if nw > EXACT_MAX_WIRES:
+        raise SimulatorCapError(
+            f"{nw} wires exceeds exact-backend cap {EXACT_MAX_WIRES}")
     bad = validate_circuit(circuit)
     if bad is not None:
         raise ValueError(f"invalid circuit: {bad}")

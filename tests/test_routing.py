@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ssbv.circuit import Bitstring, GateKind, validate_circuit
 from ssbv.noise import load_profile
@@ -58,15 +60,6 @@ def test_heavy_hex_blacklist():
     g = heavy_hex_27().with_blacklist({19, 20, 22})
     assert len(g.usable) == 24
     assert 20 not in g.neighbors(19)
-
-
-def test_path3_pinned_marked_pair_costs_three():
-    g = chain_graph(3)
-    emb = find_embedding(g, {0, 1})
-    spec = OracleSpec.representative(2, 2)
-    cost = embedding_cnot_count(emb, spec)
-    assert cost == 3
-    assert cost == brute_force_min_cost(g, {0, 1})
 
 
 def test_chain_bv2_routed_has_three_cnots():
@@ -144,26 +137,66 @@ def test_cnot_scaling_fully_connected():
     assert all(c == n for n, c in counts.items())
 
 
-def test_pinned_search_matches_brute_force_on_random_graphs():
+def random_connected_graph(rng: np.random.Generator) -> CouplingGraph:
+    n = int(rng.integers(4, 8))
+    edges = set()
+    for i in range(1, n):  # random spanning tree
+        edges.add((int(rng.integers(0, i)), i))
+    for _ in range(n):
+        a, b = rng.integers(0, n, size=2)
+        if a != b:
+            edges.add((min(int(a), int(b)), max(int(a), int(b))))
+    return CouplingGraph(n, frozenset(edges))
+
+
+def test_free_placement_matches_brute_force_on_random_graphs():
     rng = np.random.default_rng(11)
     for _ in range(12):
-        n = int(rng.integers(4, 8))
-        edges = set()
-        nodes = list(range(n))
-        for i in range(1, n):  # random connected graph
-            edges.add((int(rng.integers(0, i)), i))
-        for _ in range(n):
-            a, b = rng.integers(0, n, size=2)
-            if a != b:
-                edges.add((min(int(a), int(b)), max(int(a), int(b))))
-        g = CouplingGraph(n, frozenset(edges))
-        k = int(rng.integers(1, n - 1))
-        marked = set(int(q) for q in rng.choice(n, size=k, replace=False))
-        if len(g.usable) - len(marked) < 1:
+        g = random_connected_graph(rng)
+        n = g.num_physical
+        for k in range(1, n):
+            optimum = min(brute_force_min_cost(g, set(marked))
+                          for marked in itertools.combinations(range(n), k))
+            spec = OracleSpec.representative(k, k)
+            emb = embed_oracle(spec, g)
+            assert embedding_cnot_count(emb, spec) == optimum, (sorted(g.edges), k)
+            routed = route_bv(spec, g, emb)
+            assert routed.cnot_count == optimum
+            assert verify_routed(routed, spec)
+
+
+def largest_component(graph: CouplingGraph) -> int:
+    adj = graph.adjacency()
+    seen: set[int] = set()
+    largest = 0
+    for root in adj:
+        if root in seen:
             continue
-        emb = find_embedding(g, marked)
-        spec = OracleSpec.representative(k, k)
-        assert embedding_cnot_count(emb, spec) == brute_force_min_cost(g, marked)
+        stack, size = [root], 0
+        seen.add(root)
+        while stack:
+            size += 1
+            for nb in adj[stack.pop()] - seen:
+                seen.add(nb)
+                stack.append(nb)
+        largest = max(largest, size)
+    return largest
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(0, 26), min_size=1, max_size=7),
+       st.lists(st.integers(0, 1), min_size=2, max_size=10))
+@example({7, 8, 12, 14, 18, 19}, [1, 1, 1, 1, 1, 1, 0])  # largest component: 6 nodes
+def test_verify_routed_on_random_blacklisted_heavy_hex(blacklist, bits):
+    g = heavy_hex_27().with_blacklist(blacklist)
+    spec = OracleSpec(Bitstring(tuple(bits)))
+    if largest_component(g) <= spec.k:  # no walk can reach k marked nodes
+        with pytest.raises(RoutingInfeasible):
+            embed_oracle(spec, g)
+        return
+    routed = route_bv(spec, g, embed_oracle(spec, g))
+    assert verify_routed(routed, spec)
+    assert not set(routed.wire_of_physical) & blacklist
 
 
 def test_blacklist_monotonicity_exact_regime():
