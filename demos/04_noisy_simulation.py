@@ -1,8 +1,9 @@
 """Noisy simulation on the exact and trajectory backends.
 
 The same compiled operation stream drives a dense density-operator
-backend (small registers, ground truth) and a batched statevector
-trajectory backend (Kraus branch sampling, exact in distribution).
+backend (small registers, ground truth) and a trajectory backend over
+batched per-wire statevector factors (Kraus branch sampling, exact in
+distribution).
 """
 import numpy as np
 

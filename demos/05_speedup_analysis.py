@@ -18,7 +18,7 @@ for dd in ("none", "ur14"):
     cfg = ExperimentConfig(n_min=SIZES[0], n_max=SIZES[1], shots=SHOTS,
                            layout="heavy-hex-27", profile="montreal",
                            collection="reduced", dd=dd, master_seed=2024,
-                           bootstrap_b=50, precision="single")
+                           bootstrap_b=50)
     out = os.path.join(tempfile.mkdtemp(prefix="ssbv-demo-"), dd)
     cmd_simulate(cfg, out)
     results[dd] = (cmd_analyze(cfg, out), out)

@@ -1,6 +1,7 @@
 """Batched statevector kernels for the trajectory backend.
 
-States are (shots, 2**n) complex arrays with wire 0 as the most
+States are (shots, 2**n) complex arrays: one per-wire factor of the
+trajectory executor (or a whole register), with its first wire as the most
 significant bit.  The wire whose bit has stride ``sw`` is addressed
 through the view ``state.reshape(s, a, 2, b)`` with ``b = sw`` and
 ``a = 2**n // (2*sw)``, so axis 2 is that wire's bit; two-wire kernels use
@@ -40,7 +41,7 @@ def _mix(v: np.ndarray, u: np.ndarray) -> None:
 def apply_1q(state: np.ndarray, a: int, b: int, u: np.ndarray) -> None:
     """Apply the 2x2 matrix ``u`` to wire w, given ``a = 2**w`` and
     ``b = 2**(n-1-w)``."""
-    _mix(state.reshape(state.shape[0], a, 2, b), u.astype(state.dtype))
+    _mix(state.reshape(state.shape[0], a, 2, b), u)
 
 
 def apply_1q_rows(state: np.ndarray, rows: np.ndarray, a: int, b: int,
@@ -53,7 +54,7 @@ def apply_1q_rows(state: np.ndarray, rows: np.ndarray, a: int, b: int,
     if len(rows) == 0:
         return
     sub = state[rows]
-    _mix(sub.reshape(len(rows), a, 2, b), u.astype(state.dtype))
+    _mix(sub.reshape(len(rows), a, 2, b), u)
     state[rows] = sub
 
 
@@ -71,7 +72,6 @@ def cnot(state: np.ndarray, sc: int, st: int) -> None:
 
 def phase_bit_pershot(state: np.ndarray, sw: int, phases: np.ndarray) -> None:
     """Multiply the bit-1 half of each shot by that shot's phase."""
-    phases = np.asarray(phases, dtype=state.dtype)
     _wire_view(state, sw)[:, :, 1, :] *= phases[:, None, None]
 
 
@@ -101,22 +101,26 @@ def ampdamp(state: np.ndarray, sw: int, p: float, pop: np.ndarray,
     v = _wire_view(state, sw)
     rows = np.nonzero(jump)[0]
     if len(rows):
-        scale = (1.0 / np.sqrt(np.maximum(pop[rows], 1e-300))).astype(state.dtype)
+        scale = 1.0 / np.sqrt(np.maximum(pop[rows], 1e-300))
         moved = v[rows, :, 1, :] * scale[:, None, None]
     norm = np.sqrt(np.maximum(1.0 - p * pop, 1e-300))
-    v[:, :, 0, :] *= (1.0 / norm).astype(state.dtype)[:, None, None]
-    v[:, :, 1, :] *= (np.sqrt(1.0 - p) / norm).astype(state.dtype)[:, None, None]
+    v[:, :, 0, :] *= (1.0 / norm)[:, None, None]
+    v[:, :, 1, :] *= (np.sqrt(1.0 - p) / norm)[:, None, None]
     if len(rows):
         v[rows, :, 0, :] = moved
         v[rows, :, 1, :] = 0.0
 
 
-def measure(state: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per-shot basis-state index sampled with the uniforms ``u``."""
-    probs = state.real ** 2 + state.imag ** 2
-    cum = np.cumsum(probs, axis=1)
-    targets = u * cum[:, -1]
-    return np.minimum((cum < targets[:, None]).sum(axis=1), state.shape[1] - 1)
+def measure(state: np.ndarray, sw: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Measure the wire of stride ``sw``: shot s reads 1 when ``u[s]`` times
+    its squared norm exceeds its probability of reading 0.  Returns the bits
+    and the renormalized (shots, 2**(n-1)) states of the other wires."""
+    v = _wire_view(state, sw)
+    probs = np.einsum("sabc,sabc->sb", v, v.conj()).real
+    bits = (u * probs.sum(axis=1) > probs[:, 0]).astype(np.int64)
+    rows = np.arange(len(state))
+    kept = v[rows, :, bits, :] / np.sqrt(np.maximum(probs[rows, bits], 1e-300))[:, None, None]
+    return bits, kept.reshape(len(state), -1)
 
 
 def norm2(state: np.ndarray) -> np.ndarray:

@@ -70,12 +70,11 @@ def _add_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--collection", choices=["direct", "reduced"])
     p.add_argument("--setup", choices=["reduced", "standard"])
     p.add_argument("--shots", type=int)
-    p.add_argument("--precision", choices=["double", "single"])
 
 
 _OVERRIDE_KEYS = ("n_min", "n_max", "oracle_mode", "layout", "profile",
                   "blacklist", "dd", "dd_pulse_duration_dt", "dd_fallback",
-                  "collection", "setup", "shots", "precision")
+                  "collection", "setup", "shots")
 
 
 def _config_from_args(args) -> ExperimentConfig:

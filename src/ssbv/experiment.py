@@ -33,7 +33,7 @@ from .oracles import (OracleSpec, ShotTable, all_oracles, load_counts,
                       reduce_counts, representative_oracles, save_counts)
 from .routing import embed_oracle, layout_from_name, route_bv
 from .simulator import (TRAJECTORY_MAX_WIRES, SimulatorCapError, TrajectoryPlan,
-                        simulate_shots)
+                        compile_program, simulate_shots)
 
 BOOTSTRAP_TAG = 0xB007
 
@@ -47,7 +47,6 @@ _CONFIG_FIELDS = {
     "profile": str, "blacklist": str, "dd": str, "dd_pulse_duration_dt": int,
     "dd_fallback": str, "collection": str, "setup": str, "shots": int,
     "master_seed": int, "p_d": float, "bootstrap_b": int, "n_min_fit": int,
-    "precision": str,
 }
 
 
@@ -69,7 +68,6 @@ class ExperimentConfig:
     p_d: float = 0.99
     bootstrap_b: int = 100
     n_min_fit: int = 3
-    precision: str = "double"
 
     def __post_init__(self) -> None:
         if not 1 <= self.n_min <= self.n_max:
@@ -84,8 +82,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown setup {self.setup!r}")
         if self.dd_fallback not in ("ladder", "idle"):
             raise ConfigError(f"unknown dd_fallback {self.dd_fallback!r}")
-        if self.precision not in ("double", "single"):
-            raise ConfigError(f"unknown precision {self.precision!r}")
         if self.shots <= 0:
             raise ConfigError("shots must be positive")
         try:
@@ -231,13 +227,12 @@ def _duration_table(config: ExperimentConfig, graph, device, sequence, pulse
 def cmd_simulate(config: ExperimentConfig, out_dir) -> str:
     """Run the trajectory backend over the configured oracle grid.
 
-    Every circuit of the grid is routed and checked against the trajectory
-    cap before anything is simulated or written, so an infeasible grid
-    fails fast and leaves no tables behind.
+    Every circuit of the grid is routed and compiled, and its widest factor
+    checked against the trajectory cap, before anything is simulated or
+    written, so an infeasible grid fails fast and leaves no tables behind.
     """
     graph, device, noise, sequence, pulse = _resolve(config)
-    plan = TrajectoryPlan(config.shots, config.master_seed,
-                          precision=config.precision)
+    plan = TrajectoryPlan(config.shots, config.master_seed)
     reduced = config.collection == "reduced"
     sizes = [config.n_max] if reduced else range(config.n_min, config.n_max + 1)
     jobs = []
@@ -245,11 +240,15 @@ def cmd_simulate(config: ExperimentConfig, out_dir) -> str:
         for spec in _oracles_for(config, n):
             routed, circuit = _routed_for(config, spec, graph, device,
                                           sequence, pulse)
-            if circuit.num_qubits > TRAJECTORY_MAX_WIRES:
+            phys = [None] * circuit.num_qubits
+            for node, w in routed.wire_of_physical.items():
+                phys[w] = node
+            width = compile_program(circuit, device, noise, phys).width
+            if width > TRAJECTORY_MAX_WIRES:
                 raise SimulatorCapError(
-                    f"{_table_name(spec)}: {circuit.num_qubits} wires exceeds "
+                    f"{_table_name(spec)}: widest factor of {width} wires exceeds "
                     f"trajectory cap {TRAJECTORY_MAX_WIRES}")
-            jobs.append((spec, routed, circuit))
+            jobs.append((spec, routed, circuit, phys))
     durations = _duration_table(config, graph, device, sequence, pulse)
 
     counts_dir = os.path.join(out_dir, "counts")
@@ -269,10 +268,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir) -> str:
                           b=table.oracle.b.to01(), shots=table.total_shots,
                           derived=int(derived))
 
-    for spec, routed, circuit in jobs:
-        phys = [None] * circuit.num_qubits
-        for node, w in routed.wire_of_physical.items():
-            phys[w] = node
+    for spec, routed, circuit, phys in jobs:
         table = simulate_shots(circuit, device, noise, plan, spec,
                                routed.readout, phys)
         write_table(table, derived=False)

@@ -2,9 +2,13 @@
 
 ``compile_program`` lowers a timed circuit plus device/noise models into an
 ordered list of primitive operations (unitaries, Kraus channels, coherent
-phases).  The trajectory backend samples one Kraus branch per channel
-application on batched statevectors (exact in distribution), through the
-in-place strided-view numpy kernels of ``_kernels``; the exact backend
+phases), each wire's one-wire ops after its last two-wire op moved up to
+follow that op.  The trajectory backend samples one Kraus branch per
+channel application (exact in distribution) on batched per-wire factors:
+two-wire ops merge the factors of their wires, and each wire is measured
+and dropped right after its last op, so a BV circuit never holds more than
+two live wires.  Ops run through the in-place strided-view numpy kernels
+of ``_kernels``.  The exact backend
 applies the same stream to a density operator held as a 2n-axis tensor
 (one axis per row bit, then one per column bit).  Each distinct op is
 lowered once to a superoperator ``sum_K K (x) conj(K)`` whose Kraus
@@ -42,7 +46,11 @@ from .noise import (NOISELESS, PAULIS_1Q, DeviceModel, NoiseConfig,
 from .oracles import OracleSpec, ReadoutMap, ShotTable
 
 EXACT_MAX_WIRES = 7
+# Most wires one factor of the trajectory executor may hold.
 TRAJECTORY_MAX_WIRES = 21
+# Bytes of widest factor and random streams per batch of trajectory shots.
+# Results do not depend on the batch size (batch invariance).
+BATCH_BYTES = 32 << 20
 # Largest 1-D Gauss-Hermite rule the detuning average may use.
 GH_NODES_DEFAULT = 21
 # Most distinct density-operator runs one simulate_exact call may make.
@@ -84,9 +92,25 @@ class Program:
     detuned_wires: tuple[int, ...]
     n_uniform_ops: int
 
-    @property
-    def stochastic(self) -> bool:
-        return self.n_uniform_ops > 0 or len(self.detuned_wires) > 0
+    @cached_property
+    def last_op(self) -> dict[int, int]:
+        """Index of each wire's last op, for the wires some op touches."""
+        return {w: i for i, op in enumerate(self.ops) for w in op.wires}
+
+    @cached_property
+    def width(self) -> int:
+        """Most wires one factor of the trajectory executor holds: a two-wire
+        op joins the factors of its wires, and a wire leaves its factor
+        after its last op."""
+        factor = {w: {w} for w in range(self.num_wires)}
+        widest = 1
+        for i, op in enumerate(self.ops):
+            joined = factor[op.wires[0]] | factor[op.wires[-1]]
+            widest = max(widest, len(joined))
+            for w in joined:
+                factor[w] = joined
+            joined.difference_update(w for w in op.wires if self.last_op[w] == i)
+        return widest
 
     @cached_property
     def superops(self) -> tuple[np.ndarray | None, ...]:
@@ -119,14 +143,11 @@ class TrajectoryPlan:
     shots: int
     master_seed: int
     batch_size: int | None = None
-    precision: str = "double"   # double | single
     assertions: bool = False
 
     def __post_init__(self) -> None:
         if self.shots <= 0:
             raise ValueError("shots must be positive")
-        if self.precision not in ("double", "single"):
-            raise ValueError("precision must be 'double' or 'single'")
 
 
 def _gate_matrix(ev: GateEvent, eps: float) -> np.ndarray | None:
@@ -156,8 +177,14 @@ def compile_program(circuit: TimedCircuit, device: DeviceModel | None,
 
     Ordering: operations sort by (time, phase, emission index) where idle
     ops carry phase 0 at their interval end and gates phase 1 at their
-    start, so decoherence accrued before a gate is applied before it.
+    start, so decoherence accrued before a gate is applied before it.  Then
+    each wire's one-wire ops after its last two-wire op move up, in order,
+    to follow that op; they commute with every op on other wires.  Raises
+    ValueError for an invalid circuit.
     """
+    bad = validate_circuit(circuit)
+    if bad is not None:
+        raise ValueError(f"invalid circuit: {bad}")
     nw = circuit.num_qubits
     dt = float(circuit.dt)
     eps = noise.flip_angle_eps
@@ -215,7 +242,11 @@ def compile_program(circuit: TimedCircuit, device: DeviceModel | None,
                         push(o1, 0, Op("zz", (wa, wb), phase=np.exp(1j * angle)))
 
     entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    ops = tuple(op for _, _, _, op in entries)
+    ops = [op for _, _, _, op in entries]
+    last2 = {w: i for i, op in enumerate(ops) if len(op.wires) == 2 for w in op.wires}
+    slot = [min(i, last2.get(op.wires[0], i)) if len(op.wires) == 1 else i
+            for i, op in enumerate(ops)]
+    ops = tuple(ops[i] for i in sorted(range(len(ops)), key=lambda i: (slot[i], i)))
     n_uniform = sum(1 for op in ops if op.draws_uniform)
     return Program(nw, ops, tuple(detuned), n_uniform)
 
@@ -246,95 +277,86 @@ def _shot_streams(master_seed: int, oracle_key: int, lo: int, hi: int,
     return normals, uniforms
 
 
-def _dep1_branches(u: np.ndarray, p: float) -> np.ndarray:
+def _pauli_branches(u: np.ndarray, p: float, k: int) -> np.ndarray:
+    """Per-wire Pauli index (0-3) of a k-wire depolarizing channel for each
+    shot, shape (k, shots): identity on every wire when ``u < 1 - p``, else
+    one of the 4**k - 1 other Pauli strings, equally likely."""
+    m = 4 ** k - 1
     branch = np.zeros(len(u), dtype=np.int64)
     hot = u >= 1.0 - p
-    branch[hot] = 1 + np.minimum(((u[hot] - (1.0 - p)) / (p / 3.0)).astype(np.int64), 2)
-    return branch
+    branch[hot] = 1 + np.minimum(((u[hot] - (1.0 - p)) / (p / m)).astype(np.int64), m - 1)
+    return np.array([(branch >> 2 * (k - 1 - i)) & 3 for i in range(k)])
 
 
-def _dep2_branches(u: np.ndarray, p: float) -> np.ndarray:
-    branch = np.zeros(len(u), dtype=np.int64)
-    hot = u >= 1.0 - p
-    branch[hot] = 1 + np.minimum(((u[hot] - (1.0 - p)) / (p / 15.0)).astype(np.int64), 14)
-    return branch
+def _apply(op: Op, state: np.ndarray, wires: list[int], draw: np.ndarray | None = None) -> None:
+    """Apply one op in place to a batch of states over ``wires`` (the first
+    the most significant bit).  ``draw`` holds each shot's uniform for a
+    channel op, or its detuning for a detune op."""
+    d = state.shape[1]
+    sws = [d >> (wires.index(w) + 1) for w in op.wires]
+    sw = sws[0]
+    if op.kind == "u1":
+        ker.apply_1q(state, d // (2 * sw), sw, op.matrix)
+    elif op.kind == "cnot":
+        ker.cnot(state, *sws)
+    elif op.kind in ("dep1", "dep2"):
+        for sw, paulis in zip(sws, _pauli_branches(draw, op.p, len(sws))):
+            for j in (1, 2, 3):
+                ker.apply_1q_rows(state, np.nonzero(paulis == j)[0], d // (2 * sw), sw,
+                                  PAULIS_1Q[j])
+    elif op.kind == "deph":
+        ker.apply_1q_rows(state, np.nonzero(draw < op.p)[0], d // (2 * sw), sw, PAULIS_1Q[3])
+    elif op.kind == "damp":
+        pop = ker.pop1(state, sw)
+        ker.ampdamp(state, sw, op.p, pop, draw < op.p * pop)
+    elif op.kind == "detune":
+        ker.phase_bit_pershot(state, sw, np.exp(1j * draw * op.t))
+    elif op.kind == "zz":
+        ker.phase_zz(state, *sws, op.phase)
 
 
-def _evolve(program: Program, state: np.ndarray, uniforms: np.ndarray | None = None,
-            deltas: np.ndarray | None = None, assertions: bool = False) -> None:
-    """Evolve a batch of statevectors in place through the op stream.
+def _evolve(program: Program, uniforms: np.ndarray, deltas: dict[int, np.ndarray],
+            assertions: bool = False) -> np.ndarray:
+    """Run a batch of shots through the op stream; return each shot's
+    measured basis index.
 
-    Channel op i samples its branch from ``uniforms[:, i]``; detune ops
-    read the per-shot detuning of their wire from ``deltas``.  Programs
-    that are not stochastic need neither.
+    Every wire starts as its own (shots, 2) factor in |0>.  A two-wire op
+    on wires of two factors first merges them, by a per-shot outer product.
+    Channel ops take the uniform columns in stream order; a detune op reads
+    the per-shot detuning of its wire from ``deltas``.  Right after its
+    last op, wire w is measured with ``uniforms[:, n_uniform_ops + w]`` and
+    leaves its factor; a wire no op touches reads 0.
     """
     nw = program.num_wires
-    wslot = {w: i for i, w in enumerate(program.detuned_wires)}
-    cursor = 0
-
-    for op in program.ops:
-        if op.kind == "u1":
-            w = op.wires[0]
-            ker.apply_1q(state, 1 << w, 1 << (nw - 1 - w), op.matrix)
-        elif op.kind == "cnot":
-            c, t = op.wires
-            ker.cnot(state, 1 << (nw - 1 - c), 1 << (nw - 1 - t))
-        elif op.kind == "dep1":
-            u = uniforms[:, cursor]
-            cursor += 1
-            branch = _dep1_branches(u, op.p)
-            w = op.wires[0]
-            a, b = 1 << w, 1 << (nw - 1 - w)
-            for j in (1, 2, 3):
-                rows = np.nonzero(branch == j)[0]
-                if len(rows):
-                    ker.apply_1q_rows(state, rows, a, b, PAULIS_1Q[j])
-        elif op.kind == "dep2":
-            u = uniforms[:, cursor]
-            cursor += 1
-            branch = _dep2_branches(u, op.p)
-            for j in range(1, 16):
-                rows = np.nonzero(branch == j)[0]
-                if not len(rows):
-                    continue
-                for w, pj in zip(op.wires, (j // 4, j % 4)):
-                    if pj:
-                        ker.apply_1q_rows(state, rows, 1 << w, 1 << (nw - 1 - w),
-                                          PAULIS_1Q[pj])
-        elif op.kind == "deph":
-            u = uniforms[:, cursor]
-            cursor += 1
-            rows = np.nonzero(u < op.p)[0]
-            w = op.wires[0]
-            ker.apply_1q_rows(state, rows, 1 << w, 1 << (nw - 1 - w), PAULIS_1Q[3])
-        elif op.kind == "damp":
-            u = uniforms[:, cursor]
-            cursor += 1
-            w = op.wires[0]
-            sw = 1 << (nw - 1 - w)
-            pop = ker.pop1(state, sw)
-            jump = u < op.p * pop
-            ker.ampdamp(state, sw, op.p, pop, jump)
-        elif op.kind == "detune":
-            w = op.wires[0]
-            phases = np.exp(1j * deltas[:, wslot[w]] * op.t)
-            ker.phase_bit_pershot(state, 1 << (nw - 1 - w), phases)
-        elif op.kind == "zz":
-            wa, wb = op.wires
-            ker.phase_zz(state, 1 << (nw - 1 - wa), 1 << (nw - 1 - wb), op.phase)
+    shots = len(uniforms)
+    ket0 = np.zeros((shots, 2), dtype=complex)
+    ket0[:, 0] = 1.0
+    factor = {w: [ket0.copy(), [w]] for w in range(nw)}
+    columns = iter(uniforms.T)
+    outcomes = np.zeros(shots, dtype=np.int64)
+    for i, op in enumerate(program.ops):
+        f, g = factor[op.wires[0]], factor[op.wires[-1]]
+        if g is not f:
+            f[0] = np.einsum("si,sj->sij", f[0], g[0]).reshape(shots, -1)
+            f[1] += g[1]
+            for w in g[1]:
+                factor[w] = f
+        draw = next(columns) if op.draws_uniform else None
+        if op.kind == "detune":
+            draw = deltas[op.wires[0]]
+        _apply(op, f[0], f[1], draw)
         if assertions:
-            norms = ker.norm2(state)
+            norms = ker.norm2(f[0])
             if not np.allclose(norms, 1.0, atol=1e-6):
                 raise AssertionError(f"norm drift after {op.kind}: "
                                      f"max |1-n| = {np.abs(1 - norms).max():.2e}")
-
-
-def _auto_batch(shots: int, nw: int, itemsize: int) -> int:
-    # Bytes of state per batch: small enough to stay in cache from one op
-    # pass to the next.  Results do not depend on it (batch invariance).
-    budget = 4 * 1024 * 1024
-    per_shot = (1 << nw) * itemsize
-    return max(1, min(shots, budget // max(per_shot, 1)))
+        for w in op.wires:
+            if program.last_op[w] == i:
+                bits, f[0] = ker.measure(f[0], f[0].shape[1] >> (f[1].index(w) + 1),
+                                         uniforms[:, program.n_uniform_ops + w])
+                f[1].remove(w)
+                outcomes |= bits << (nw - 1 - w)
+    return outcomes
 
 
 def _readout_rates(readout: ReadoutMap, device: DeviceModel | None,
@@ -370,48 +392,28 @@ def simulate_shots(circuit: TimedCircuit, device: DeviceModel | None,
                    physical_of_wire=None) -> ShotTable:
     """Monte Carlo trajectory sampling; deterministic given the plan."""
     nw = circuit.num_qubits
-    if nw > TRAJECTORY_MAX_WIRES:
-        raise SimulatorCapError(f"{nw} wires exceeds trajectory cap {TRAJECTORY_MAX_WIRES}")
-    bad = validate_circuit(circuit)
-    if bad is not None:
-        raise ValueError(f"invalid circuit: {bad}")
     if readout is None:
         readout = ReadoutMap.identity(oracle.n)
     phys = physical_of_wire if physical_of_wire is not None else list(range(nw))
 
     program = compile_program(circuit, device, noise, phys)
+    if program.width > TRAJECTORY_MAX_WIRES:
+        raise SimulatorCapError(f"widest factor of {program.width} wires exceeds "
+                                f"trajectory cap {TRAJECTORY_MAX_WIRES}")
     rates = _readout_rates(readout, device, noise, phys)
-    n_uniforms = program.n_uniform_ops + 1 + readout.n  # ops, measure, readout
+    n_uniforms = program.n_uniform_ops + nw + readout.n  # ops, measures, readout
     n_normals = len(program.detuned_wires)
-    dtype = np.complex128 if plan.precision == "double" else np.complex64
-
-    if not program.stochastic:
-        # Every trajectory is identical: evolve once, then draw per-shot
-        # measurement and readout from the per-shot streams.
-        state = np.zeros((1, 1 << nw), dtype=dtype)
-        state[0, 0] = 1.0
-        _evolve(program, state)
-        probs = (state[0].real.astype(float) ** 2 + state[0].imag.astype(float) ** 2)
-        cum = np.cumsum(probs)
-        _, uniforms = _shot_streams(plan.master_seed, oracle.key(), 0, plan.shots,
-                                    0, n_uniforms)
-        outcomes = np.searchsorted(cum, uniforms[:, 0] * cum[-1], side="left")
-        outcomes = np.minimum(outcomes, (1 << nw) - 1)
-        reads = [_read_data(outcomes, uniforms, 1, readout, nw, rates)]
-    else:
-        reads = []
-        batch = plan.batch_size or _auto_batch(plan.shots, nw, np.dtype(dtype).itemsize)
-        for lo in range(0, plan.shots, batch):
-            hi = min(lo + batch, plan.shots)
-            normals, uniforms = _shot_streams(plan.master_seed, oracle.key(), lo, hi,
-                                              n_normals, n_uniforms)
-            state = np.zeros((hi - lo, 1 << nw), dtype=dtype)
-            state[:, 0] = 1.0
-            _evolve(program, state, uniforms, normals * noise.detuning_sigma,
-                    plan.assertions)
-            outcomes = ker.measure(state, uniforms[:, program.n_uniform_ops])
-            reads.append(_read_data(outcomes, uniforms, program.n_uniform_ops + 1,
-                                    readout, nw, rates))
+    per_shot = (16 << program.width) + 8 * (n_uniforms + n_normals)
+    batch = plan.batch_size or max(1, BATCH_BYTES // per_shot)
+    reads = []
+    for lo in range(0, plan.shots, batch):
+        hi = min(lo + batch, plan.shots)
+        normals, uniforms = _shot_streams(plan.master_seed, oracle.key(), lo, hi,
+                                          n_normals, n_uniforms)
+        deltas = dict(zip(program.detuned_wires, normals.T * noise.detuning_sigma))
+        outcomes = _evolve(program, uniforms, deltas, plan.assertions)
+        reads.append(_read_data(outcomes, uniforms, program.n_uniform_ops + nw,
+                                readout, nw, rates))
     values, counts = np.unique(np.concatenate(reads), return_counts=True)
     return ShotTable(oracle, {readout.key(v): int(c) for v, c in zip(values, counts)},
                      plan.shots)
@@ -422,8 +424,8 @@ def noiseless_output(circuit: TimedCircuit, readout: ReadoutMap) -> dict[str, fl
     nw = circuit.num_qubits
     state = np.zeros((1, 1 << nw), dtype=complex)
     state[0, 0] = 1.0
-    program = compile_program(circuit, None, NOISELESS)
-    _evolve(program, state)
+    for op in compile_program(circuit, None, NOISELESS).ops:
+        _apply(op, state, list(range(nw)))
     probs = np.abs(state[0]) ** 2
     index, inverse = np.unique(readout.data_index(np.arange(1 << nw), nw),
                                return_inverse=True)
@@ -499,8 +501,9 @@ def _exact_run(program: Program, deltas: dict[int, float]) -> np.ndarray:
     one: dict[int, np.ndarray] = {}
     two: dict[tuple[int, int], np.ndarray] = {}
     for op, sop in zip(program.ops, program.superops):
-        if sop is None:
-            sop = _superop(_kraus_operators(op, deltas.get(op.wires[0], 0.0)))
+        if sop is None:     # detune: diag(1, e^{iδt}) as a superoperator
+            phase = np.exp(1j * deltas.get(op.wires[0], 0.0) * op.t)
+            sop = np.diag([1.0, phase.conjugate(), phase, 1.0])
         if len(op.wires) == 1:
             w = op.wires[0]
             one[w] = sop @ one[w] if w in one else sop
@@ -642,9 +645,6 @@ def simulate_exact(circuit: TimedCircuit, device: DeviceModel | None,
     if nw > EXACT_MAX_WIRES:
         raise SimulatorCapError(
             f"{nw} wires exceeds exact-backend cap {EXACT_MAX_WIRES}")
-    bad = validate_circuit(circuit)
-    if bad is not None:
-        raise ValueError(f"invalid circuit: {bad}")
     if readout is None:
         readout = ReadoutMap.identity(nw - 1 if nw > 1 else nw)
     phys = physical_of_wire if physical_of_wire is not None else list(range(nw))

@@ -118,16 +118,27 @@ def test_cli_exit_codes(tmp_path):
     assert main(["--out", out + "i", "simulate", "--n-min", "4", "--n-max",
                  "4", "--layout", "file:" + _split_file(tmp_path),
                  "--shots", "10"]) == 3
-    # backend cap: 22 data qubits exceeds the trajectory cap
+    # backend cap: ZZ crosstalk joins all 22 wires of BV-21 into one factor,
+    # wider than the trajectory cap
     assert main(["--out", out + "3", "simulate", "--n-min", "21", "--n-max",
-                 "21", "--layout", "chain", "--shots", "10"]) == 4
+                 "21", "--layout", "chain", "--shots", "10", "--collection",
+                 "direct", "--profile", _xtalk_profile(tmp_path)]) == 4
 
 
 def test_cap_preflight_writes_nothing(tmp_path):
     out = tmp_path / "cap"
     assert main(["simulate", "--n-min", "20", "--n-max", "21", "--layout",
-                 "chain", "--shots", "10", "--out", str(out)]) == 4
+                 "chain", "--shots", "10", "--collection", "direct",
+                 "--profile", _xtalk_profile(tmp_path), "--out", str(out)]) == 4
     assert not out.exists()
+
+
+def _xtalk_profile(tmp_path) -> str:
+    """Montreal with ZZ crosstalk on every idle coupled pair."""
+    profile = load_profile("montreal")
+    path = tmp_path / "xtalk.profile"
+    path.write_text(profile_to_text(Profile(dict(profile.values, zz_rate=1e5))))
+    return str(path)
 
 
 def test_reduced_collection_refused_under_crosstalk(tmp_path):

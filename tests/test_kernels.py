@@ -136,10 +136,17 @@ def test_ampdamp(with_jumps, batch, data):
 @given(batches())
 def test_measure_and_norm2(batch):
     nw, state, rng = batch
+    w = int(rng.integers(nw))
     u = rng.random(len(state))
     probs = np.abs(state) ** 2
-    cum = np.cumsum(probs, axis=1)
-    want = [min(np.searchsorted(c, ui * c[-1], side="left"), c.size - 1)
-            for c, ui in zip(cum, u)]
-    np.testing.assert_array_equal(ker.measure(state, u), want)
+    # Dense projection onto each value of wire w's bit.
+    proj = [state @ embed(np.diag(bit), w, nw) for bit in ([1.0, 0.0], [0.0, 1.0])]
+    p0, p1 = (np.linalg.norm(v, axis=1) ** 2 for v in proj)
+    want_bits = (u * (p0 + p1) > p0).astype(np.int64)
+    keep = ((np.arange(1 << nw) >> (nw - 1 - w)) & 1)[None, :] == want_bits[:, None]
+    want = np.where(want_bits[:, None], proj[1], proj[0])[keep].reshape(len(state), -1)
+    want /= np.linalg.norm(want, axis=1, keepdims=True)
+    bits, collapsed = ker.measure(state, 1 << (nw - 1 - w), u)
+    np.testing.assert_array_equal(bits, want_bits)
+    np.testing.assert_allclose(collapsed, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(ker.norm2(state), probs.sum(axis=1), rtol=0, atol=1e-12)

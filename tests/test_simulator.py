@@ -223,12 +223,12 @@ def confuse_by_hand(dist, readout, phys, device):
     return out
 
 
-@pytest.mark.parametrize("noise, stochastic", [
+@pytest.mark.parametrize("noise, channels", [
     (NoiseConfig(decoherence=False, depolarizing=False, detuning=False, zz=False),
      False),
     (replace(MONTREAL.noise(), detuning=False), True),
 ])
-def test_asymmetric_readout_agrees_across_backends(noise, stochastic):
+def test_asymmetric_readout_agrees_across_backends(noise, channels):
     # Reduced BV-5 (k=3) routed on heavy-hex: two data bits are absent and a
     # data wire sits on a physical qubit of another index.  Every physical
     # qubit has its own rates with p01 != p10.
@@ -244,7 +244,7 @@ def test_asymmetric_readout_agrees_across_backends(noise, stochastic):
         phys[w] = node
     assert None in routed.readout.wire_of_logical
     assert any(phys[w] != w for w in routed.readout.wire_of_logical if w is not None)
-    assert compile_program(circ, device, noise, phys).stochastic == stochastic
+    assert (compile_program(circ, device, noise, phys).n_uniform_ops > 0) == channels
 
     exact = simulate_exact(circ, device, noise, routed.readout, phys)
     unread = simulate_exact(circ, device, replace(noise, readout=False),
@@ -441,17 +441,30 @@ def test_assertion_mode_full_noise_routed_dd():
     assert tables[0].counts == tables[1].counts
 
 
-def test_single_precision_close_to_double():
-    device = MONTREAL.device(chain_graph(4))
-    spec = OracleSpec.representative(3, 3)
-    circ, rmap = bv_circuit(spec, device)
-    noise = NoiseConfig(detuning_sigma=1e5)
-    dbl = simulate_shots(circ, device, noise, TrajectoryPlan(20_000, 9), spec, rmap)
-    sgl = simulate_shots(circ, device, noise,
-                         TrajectoryPlan(20_000, 9, precision="single"), spec, rmap)
-    pd = {k: v / 20_000 for k, v in dbl.counts.items()}
-    ps = {k: v / 20_000 for k, v in sgl.counts.items()}
-    assert total_variation_distance(pd, ps) < 0.02
+def test_widest_factor_is_two_on_the_paper_grid():
+    # Compile only: every representative oracle of n 3-26 (which holds the
+    # README grid, n 3-10), reduced setup, routed on heavy-hex-27 with UR14
+    # under full montreal noise.  Each data wire meets the ancilla in one
+    # run of CNOTs, so no factor ever holds more than the pair; k = 0 has no
+    # CNOT at all.
+    widths = {}
+    for n in range(3, 27):
+        for k in range(n + 1):
+            spec, routed, circ, device, phys = routed_ur14(n, k)
+            widths[n, k] = compile_program(circ, device, MONTREAL.noise(), phys).width
+    assert {key for key, w in widths.items() if w != 2} == {(n, 0) for n in range(3, 27)}
+    assert all(widths[n, 0] == 1 for n in range(3, 27))
+
+
+def test_27_wire_oracle_runs_and_is_batch_invariant():
+    spec, routed, circ, device, phys = routed_ur14(26, 26)
+    assert circ.num_qubits == 27
+    tables = [simulate_shots(circ, device, MONTREAL.noise(),
+                             TrajectoryPlan(400, 3, batch_size=batch), spec,
+                             routed.readout, phys)
+              for batch in (None, 77)]
+    assert tables[0].counts == tables[1].counts
+    assert sum(tables[0].counts.values()) == 400
 
 
 def test_permutation_covariance_wire_relabeling():
@@ -477,8 +490,14 @@ def test_backend_caps():
     circ = TimedCircuit(8, events, dt=device.dt)
     with pytest.raises(SimulatorCapError):
         simulate_exact(circ, device, NoiseConfig(), ReadoutMap.identity(7))
-    big = TimedCircuit(22, (GateEvent(GateKind.H, (21,), 0, 10),))
-    with pytest.raises(SimulatorCapError):
+    # CNOTs down a 22-wire chain and back up: after the way down every wire
+    # still has a CNOT to come, so one factor holds all 22 wires.
+    down = [(w, w + 1) for w in range(21)]
+    up = [(w + 1, w) for w in range(20, -1, -1)]
+    big = TimedCircuit(22, tuple(GateEvent(GateKind.CNOT, pair, 10 * i, 10)
+                                 for i, pair in enumerate(down + up)))
+    assert compile_program(big, None, NoiseConfig()).width == 22
+    with pytest.raises(SimulatorCapError, match="widest factor of 22"):
         simulate_shots(big, None, NoiseConfig(), TrajectoryPlan(10, 0),
                        OracleSpec.representative(21, 0))
 
@@ -516,6 +535,6 @@ def test_compile_skips_noise_ops_when_disabled():
     quiet = compile_program(circ, device, NoiseConfig(
         decoherence=False, depolarizing=False, readout=False,
         detuning=False, zz=False))
-    assert quiet.n_uniform_ops == 0 and not quiet.stochastic
+    assert quiet.n_uniform_ops == 0 and not quiet.detuned_wires
     noisy = compile_program(circ, device, NoiseConfig())
     assert noisy.n_uniform_ops > 0
