@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,13 +18,17 @@ from .circuit import GateEvent, GateKind, TimedCircuit, TWO_PI
 IDENTITY_TOL = 1e-10
 
 
+@lru_cache(maxsize=1024)
 def pulse_unitary(phase: float, flip_angle_eps: float = 0.0) -> np.ndarray:
     """Pi rotation about the equatorial axis at the given phase, with an
-    optional systematic over-rotation by a factor (1 + eps)."""
+    optional systematic over-rotation by a factor (1 + eps).  Lowered once
+    per (phase, eps); the shared matrix is read-only."""
     theta = math.pi * (1.0 + flip_angle_eps)
     axis = np.array([[0.0, np.exp(-1j * phase)],
                      [np.exp(1j * phase), 0.0]])  # cos(phi) X + sin(phi) Y
-    return np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * axis
+    u = np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * axis
+    u.setflags(write=False)
+    return u
 
 
 def _sequence_product(phases) -> np.ndarray:

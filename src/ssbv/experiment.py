@@ -1,9 +1,10 @@
 """Experiment configuration and the generate/simulate/ingest/analyze pipeline.
 
-All randomness flows from one master seed: simulation shots use Philox
-streams keyed by (seed, oracle, shot); bootstrap resampling uses the
-dedicated substream keyed by (seed, BOOTSTRAP_TAG).  Given a config and a
-seed, every produced report is byte-identical across runs.
+All randomness flows from one master seed: each oracle's simulation shots
+draw from one Philox keyed by (seed, oracle), shot i from its own block of
+counters; bootstrap resampling uses the dedicated substream keyed by
+(seed, BOOTSTRAP_TAG).  Given a config and a seed, every produced report
+is byte-identical across runs.
 
 Collection modes: 'direct' simulates every (n, oracle) pair; 'reduced'
 simulates only the largest size and derives all smaller-n tables by

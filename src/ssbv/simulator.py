@@ -25,8 +25,10 @@ idles only.  The readout window contributes no idle decoherence; its
 errors live in the confusion matrix, which one readout stage applies on
 every output path (``ReadoutMap.data_index`` projects basis states onto
 data bits, ``_readout_rates`` looks up each bit's rates by physical
-qubit).  Shot i's random stream is a pure function of (master_seed,
-oracle key, i), so chunked, serial, and parallel executions all produce
+qubit).  Each oracle's shots draw from one Philox keyed by (oracle key,
+master_seed), shot i reading its own block of counters, so shot i's
+uniforms and detuning normals are a pure function of (master_seed, oracle
+key, i, program) and every split of the shots into batches produces
 identical tables.
 """
 from __future__ import annotations
@@ -136,8 +138,9 @@ class Program:
 class TrajectoryPlan:
     """Shot budget and reproducibility contract for the trajectory backend.
 
-    Shot i's stream is derived from Philox keyed by (master_seed, oracle
-    key, i); batch_size only controls memory, never results.
+    Shot i's stream is the block of counters it owns in one Philox keyed
+    by (oracle key, master_seed) (see ``_shot_streams``); batch_size only
+    controls memory, never results.
     """
 
     shots: int
@@ -253,28 +256,40 @@ def compile_program(circuit: TimedCircuit, device: DeviceModel | None,
 
 # -- trajectory backend ---------------------------------------------------------
 
+def _stream_blocks(n_uniforms: int, n_normals: int) -> int:
+    """Philox blocks (four doubles each) one shot's stream takes: its
+    uniforms, then two uniforms per Box-Muller normal."""
+    return -(-(n_uniforms + 2 * n_normals) // 4)
+
+
 def _shot_streams(master_seed: int, oracle_key: int, lo: int, hi: int,
                   n_normals: int, n_uniforms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-shot randomness for shots [lo, hi): Philox keyed by shot index.
+    """Per-shot randomness for shots [lo, hi), drawn by one generator call.
 
-    One generator is re-keyed per shot, which draws exactly what a fresh
-    ``Philox(key=(master_seed << 64) | (oracle_key << 32) | i)`` would.
+    One Philox is keyed by (oracle_key, master_seed), and shot i owns the
+    ``m = _stream_blocks(n_uniforms, n_normals)`` counter blocks after
+    ``i * m``: its row is what ``Generator(Philox(key=..., counter=i * m))
+    .random(4 * m)`` draws.  Columns [0, n_uniforms) are the uniforms; the
+    next two groups of n_normals columns, a and b, give the normals by
+    Box-Muller, ``sqrt(-2 log1p(-a)) cos(2 pi b)``, computed in place.  Both
+    results are views into the one (hi - lo, 4m) draw.
     """
-    count = hi - lo
-    normals = np.empty((count, n_normals)) if n_normals else np.zeros((count, 0))
-    uniforms = np.empty((count, n_uniforms))
-    bg = np.random.Philox()
-    rng = np.random.Generator(bg)
-    fresh = bg.state            # counter zero, no buffered output
-    seed_word = int(master_seed) & 0xFFFFFFFFFFFFFFFF
-    for i in range(count):
-        key = ((oracle_key & 0xFFFFFFFF) << 32) | ((lo + i) & 0xFFFFFFFF)
-        fresh["state"]["key"] = np.array([key, seed_word], dtype=np.uint64)
-        bg.state = fresh
-        if n_normals:
-            rng.standard_normal(out=normals[i])
-        rng.random(out=uniforms[i])
-    return normals, uniforms
+    m = _stream_blocks(n_uniforms, n_normals)
+    key = np.array([oracle_key & 0xFFFFFFFF, int(master_seed) & 0xFFFFFFFFFFFFFFFF],
+                   dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(counter=lo * m, key=key))
+    draw = rng.random((hi - lo, 4 * m))
+    a = draw[:, n_uniforms:n_uniforms + n_normals]
+    b = draw[:, n_uniforms + n_normals:n_uniforms + 2 * n_normals]
+    # Not np.negative: numpy 2.4 misreads a column of 64-byte stride in place.
+    a *= -1.0
+    np.log1p(a, out=a)
+    a *= -2.0
+    np.sqrt(a, out=a)
+    b *= 2.0 * math.pi
+    np.cos(b, out=b)
+    a *= b
+    return a, draw[:, :n_uniforms]
 
 
 def _pauli_branches(u: np.ndarray, p: float, k: int) -> np.ndarray:
@@ -403,7 +418,7 @@ def simulate_shots(circuit: TimedCircuit, device: DeviceModel | None,
     rates = _readout_rates(readout, device, noise, phys)
     n_uniforms = program.n_uniform_ops + nw + readout.n  # ops, measures, readout
     n_normals = len(program.detuned_wires)
-    per_shot = (16 << program.width) + 8 * (n_uniforms + n_normals)
+    per_shot = (16 << program.width) + 32 * _stream_blocks(n_uniforms, n_normals)
     batch = plan.batch_size or max(1, BATCH_BYTES // per_shot)
     reads = []
     for lo in range(0, plan.shots, batch):

@@ -6,6 +6,8 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssbv.circuit import Bitstring, GateEvent, GateKind, TimedCircuit
 from ssbv.decoupling import schedule_dd, sequence_from_name, ur_phases
@@ -407,18 +409,49 @@ def test_seed_determinism_and_batch_invariance():
     assert a.counts != c.counts
 
 
-@pytest.mark.parametrize("n_normals", [0, 3])
-def test_shot_streams_match_a_fresh_philox_per_shot(n_normals):
-    seed, key, lo, hi, n_uniforms = (1 << 63) + 5, 0xBEEF, 1000, 1013, 7
+@pytest.mark.parametrize("n_uniforms, n_normals", [(7, 0), (7, 3), (5, 1)])
+def test_shot_stream_rows_match_their_philox_counter_blocks(n_uniforms, n_normals):
+    # (5, 1) gives rows of 8 doubles, so the normals' column has a 64-byte stride.
+    seed, key, lo, hi = (1 << 63) + 5, 0xBEEF, 1000, 1013
     normals, uniforms = _shot_streams(seed, key, lo, hi, n_normals, n_uniforms)
     assert normals.shape == (hi - lo, n_normals)
     assert uniforms.shape == (hi - lo, n_uniforms)
+    m = math.ceil((n_uniforms + 2 * n_normals) / 4)
     for row, i in enumerate(range(lo, hi)):
-        rng = np.random.Generator(np.random.Philox(key=(seed << 64) | (key << 32) | i))
-        want_normals = rng.standard_normal(n_normals)
-        want_uniforms = rng.random(n_uniforms)
-        assert np.array_equal(normals[row], want_normals)
-        assert np.array_equal(uniforms[row], want_uniforms)
+        bits = np.random.Philox(key=(seed << 64) | key, counter=i * m)
+        draw = np.random.Generator(bits).random(4 * m)
+        a = draw[n_uniforms:n_uniforms + n_normals]
+        b = draw[n_uniforms + n_normals:n_uniforms + 2 * n_normals]
+        assert np.array_equal(uniforms[row], draw[:n_uniforms])
+        assert np.array_equal(normals[row],
+                              np.sqrt(-2 * np.log1p(-a)) * np.cos(2 * np.pi * b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lo=st.integers(0, 2 ** 40), count=st.integers(1, 40),
+       cuts=st.lists(st.integers(1, 39), max_size=6),
+       n_uniforms=st.integers(1, 12), n_normals=st.integers(0, 5))
+def test_shot_streams_concatenate_across_any_batch_split(lo, count, cuts, n_uniforms,
+                                                         n_normals):
+    hi = lo + count
+    edges = sorted({lo, hi} | {lo + c for c in cuts if c < count})
+    whole = _shot_streams(7, 0x1234, lo, hi, n_normals, n_uniforms)
+    parts = [_shot_streams(7, 0x1234, a, b, n_normals, n_uniforms)
+             for a, b in zip(edges, edges[1:])]
+    for got, want in zip(zip(*parts), whole):
+        assert np.array_equal(np.concatenate(got), want)
+
+
+def test_shot_stream_normals_are_standard_normal():
+    n = 200_000
+    normals, _ = _shot_streams(2024, 0xD1CE, 0, n // 4, 4, 3)
+    x = np.sort(normals.ravel())
+    assert len(x) == n
+    assert abs(x.mean()) < 5 / math.sqrt(n)
+    assert abs(x.var() - 1) < 5 * math.sqrt(2 / n)
+    cdf = 0.5 * (1 + np.array([math.erf(v / math.sqrt(2)) for v in x]))
+    ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+    assert ks < 1.95 / math.sqrt(n)
 
 
 def test_assertion_mode_checks_norms():
