@@ -7,6 +7,7 @@ stay bit-exact.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -214,9 +215,46 @@ def run_time(n: int, model: DurationModel) -> float:
     return model.run_time(n)
 
 
-# -- serialization ------------------------------------------------------------
-#
-# Line format, one event per record:
+# -- text files ---------------------------------------------------------------
+
+def read_fields(text: str | list[tuple[int, str]],
+                schema: dict[str, Callable[[str], object]], optional=(),
+                records: bool = False
+                ) -> tuple[dict[str, object], list[tuple[int, str]]]:
+    """Read the leading 'key value' fields of a text file against a schema.
+
+    ``text`` is the text, or the numbered lines a previous call returned;
+    blank lines and '#' comments are skipped.  Every name not in ``optional``
+    must appear.  With ``records`` the fields end at the first other key, and
+    the (file line number, line) pairs from there on are returned; without,
+    that key is an unknown field.  Raises ValueError("line N: ...").
+    """
+    if isinstance(text, str):
+        stripped = (ln.split("#", 1)[0].strip() for ln in text.splitlines())
+        text = [(lineno, ln) for lineno, ln in enumerate(stripped, 1) if ln]
+    values: dict[str, object] = {}
+    n_fields = 0
+    for lineno, ln in text:
+        key, _, raw = ln.partition(" ")
+        if key not in schema:
+            if records:
+                break
+            raise ValueError(f"line {lineno}: unknown field {key!r}")
+        try:
+            values[key] = schema[key](raw.strip())
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"line {lineno}: bad value for {key}: "
+                             f"{raw.strip()!r}") from None
+        n_fields += 1
+    rest = text[n_fields:]
+    missing = [key for key in schema if key not in values and key not in optional]
+    if missing:
+        where = f"line {rest[0][0]}" if rest else "end of text"
+        raise ValueError(f"{where}: missing field {', '.join(missing)}")
+    return values, rest
+
+
+# Circuit files: a header, then one event per record:
 #   KIND phase q0 [q1] start duration
 # phase is '-' except for PHASED_PI.  dt is stored as an exact 'num/den'
 # fraction of seconds so round-trips are lossless.
@@ -230,11 +268,9 @@ def _dt_to_text(dt: Fraction | float) -> str:
     return repr(float(dt))
 
 
-def _dt_from_text(s: str) -> Fraction | float:
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return float(s)
+_CIRCUIT_FIELDS = {"num_qubits": int,
+                   "dt": lambda s: Fraction(s) if "/" in s else float(s),
+                   "readout_duration": int, "events": int}
 
 
 def circuit_to_text(circuit: TimedCircuit) -> str:
@@ -251,27 +287,20 @@ def circuit_to_text(circuit: TimedCircuit) -> str:
 
 
 def circuit_from_text(text: str) -> TimedCircuit:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    header: dict[str, str] = {}
-    for ln in lines[:4]:
-        key, _, value = ln.partition(" ")
-        header[key] = value.strip()
-    num_qubits = int(header["num_qubits"])
-    dt = _dt_from_text(header["dt"])
-    readout = int(header["readout_duration"])
-    n_events = int(header["events"])
+    head, records = read_fields(text, _CIRCUIT_FIELDS, records=True)
     events = []
-    for ln in lines[4:4 + n_events]:
-        parts = ln.split()
-        kind = GateKind(parts[0])
-        phase = 0.0 if parts[1] == "-" else float(parts[1])
-        nq = 2 if kind is GateKind.CNOT else 1
-        qubits = tuple(int(p) for p in parts[2:2 + nq])
-        start, duration = int(parts[2 + nq]), int(parts[3 + nq])
-        events.append(GateEvent(kind, qubits, start, duration, phase))
-    if len(events) != n_events:
-        raise ValueError(f"expected {n_events} events, found {len(events)}")
-    return TimedCircuit(num_qubits, tuple(events), readout, dt)
+    for lineno, ln in records:
+        try:
+            kind, phase, *ints = ln.split()
+            *qubits, start, duration = (int(p) for p in ints)
+            events.append(GateEvent(GateKind(kind), tuple(qubits), start, duration,
+                                    0.0 if phase == "-" else float(phase)))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: bad event {ln!r}: {exc}") from None
+    if len(events) != head["events"]:
+        raise ValueError(f"expected {head['events']} events, found {len(events)}")
+    return TimedCircuit(head["num_qubits"], tuple(events),
+                        head["readout_duration"], head["dt"])
 
 
 def save_circuit(circuit: TimedCircuit, path) -> None:

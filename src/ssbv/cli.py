@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .experiment import (ConfigError, ExperimentConfig, cmd_analyze,
                          cmd_generate, cmd_ingest, cmd_simulate, load_config)
@@ -72,23 +72,13 @@ def _add_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shots", type=int)
 
 
-_OVERRIDE_KEYS = ("n_min", "n_max", "oracle_mode", "layout", "profile",
-                  "blacklist", "dd", "dd_pulse_duration_dt", "dd_fallback",
-                  "collection", "setup", "shots")
-
-
 def _config_from_args(args) -> ExperimentConfig:
     config = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {key: getattr(args, key) for key in _OVERRIDE_KEYS
-                 if getattr(args, key, None) is not None}
+    overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+                 if getattr(args, f.name, None) is not None}
     if args.seed is not None:
         overrides["master_seed"] = args.seed
-    try:
-        return replace(config, **overrides)
-    except ConfigError:
-        raise
-    except Exception as exc:  # dataclass replace surfaces validation errors
-        raise ConfigError(str(exc)) from None
+    return replace(config, **overrides)  # validation raises ConfigError
 
 
 def main(argv=None) -> int:

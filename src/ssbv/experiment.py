@@ -25,7 +25,7 @@ from .analysis import (AnalysisConfig, FitResult, TTSPoint, bootstrap_lambda,
                        bootstrap_tts, classical_points, local_lambda,
                        speedup_ratio, success_matrix, tts_quantum,
                        worst_case_lambda)
-from .circuit import DurationModel, circuit_duration, save_circuit
+from .circuit import DurationModel, circuit_duration, read_fields, save_circuit
 from .decoupling import schedule_dd, sequence_from_name
 from .manifest import (append_entry, append_file_entry, read_manifest,
                        start_manifest)
@@ -41,14 +41,6 @@ BOOTSTRAP_TAG = 0xB007
 
 class ConfigError(Exception):
     """Invalid or unresolvable experiment configuration."""
-
-
-_CONFIG_FIELDS = {
-    "n_min": int, "n_max": int, "oracle_mode": str, "layout": str,
-    "profile": str, "blacklist": str, "dd": str, "dd_pulse_duration_dt": int,
-    "dd_fallback": str, "collection": str, "setup": str, "shots": int,
-    "master_seed": int, "p_d": float, "bootstrap_b": int, "n_min_fit": int,
-}
 
 
 @dataclass(frozen=True)
@@ -94,13 +86,11 @@ class ExperimentConfig:
         return AnalysisConfig(p_d=self.p_d, bootstrap_b=self.bootstrap_b,
                               n_min=self.n_min_fit)
 
-    def blacklist_nodes(self) -> frozenset[int]:
-        if not self.blacklist.strip():
-            return frozenset()
-        return frozenset(int(tok) for tok in self.blacklist.split(","))
-
 
 _CONFIG_HEADER = "# ssbv experiment config v1"
+
+# Every field is optional in a config file; its default's type reads it.
+_CONFIG_FIELDS = {f.name: type(f.default) for f in fields(ExperimentConfig)}
 
 
 def config_to_text(config: ExperimentConfig) -> str:
@@ -111,18 +101,10 @@ def config_to_text(config: ExperimentConfig) -> str:
 
 
 def config_from_text(text: str) -> ExperimentConfig:
-    values: dict[str, object] = {}
-    for lineno, ln in enumerate(text.splitlines(), 1):
-        ln = ln.split("#", 1)[0].strip()
-        if not ln:
-            continue
-        key, _, raw = ln.partition(" ")
-        if key not in _CONFIG_FIELDS:
-            raise ConfigError(f"line {lineno}: unknown config field {key!r}")
-        try:
-            values[key] = _CONFIG_FIELDS[key](raw.strip())
-        except ValueError:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {raw!r}") from None
+    try:
+        values, _ = read_fields(text, _CONFIG_FIELDS, optional=_CONFIG_FIELDS)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return ExperimentConfig(**values)
 
 
@@ -141,18 +123,25 @@ def save_config(config: ExperimentConfig, path) -> None:
 
 # -- shared setup ----------------------------------------------------------------
 
+def _load_profile(config: ExperimentConfig):
+    try:
+        return load_profile(config.profile)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load profile {config.profile!r}: {exc}") from None
+
+
 def _resolve(config: ExperimentConfig):
-    graph = layout_from_name(config.layout, min_nodes=config.n_max + 1)
-    black = config.blacklist_nodes()
-    if black:
-        graph = graph.with_blacklist(black)
+    try:
+        graph = layout_from_name(config.layout, min_nodes=config.n_max + 1)
+        graph = graph.with_blacklist(int(tok) for tok in config.blacklist.split(",")
+                                     if tok.strip())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot use layout {config.layout!r} with blacklist "
+                          f"{config.blacklist!r}: {exc}") from None
     if config.n_max + 1 > len(graph.usable):
         raise ConfigError(f"n_max={config.n_max} needs {config.n_max + 1} usable "
                           f"nodes, layout has {len(graph.usable)}")
-    try:
-        profile = load_profile(config.profile)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot load profile {config.profile!r}: {exc}") from None
+    profile = _load_profile(config)
     device = profile.device(graph)
     noise = profile.noise()
     if config.collection == "reduced" and noise.zz and noise.zz_rate > 0:
@@ -331,7 +320,11 @@ def _load_tables(out_dir) -> tuple[dict[int, list[ShotTable]], dict[int, float]]
     durations: dict[int, float] = {}
     for entry in read_manifest(manifest):
         if entry["kind"] == "counts":
-            table = load_counts(os.path.join(base, entry["file"]))
+            path = os.path.join(base, entry["file"])
+            try:
+                table = load_counts(path)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"{path}: {exc}") from None
             tables.setdefault(table.n, []).append(table)
         elif entry["kind"] == "duration":
             durations[int(entry["n"])] = float(entry["seconds"])
@@ -344,8 +337,7 @@ def _load_tables(out_dir) -> tuple[dict[int, list[ShotTable]], dict[int, float]]
 
 def _analysis_duration_model(config: ExperimentConfig,
                              durations: dict[int, float]) -> DurationModel:
-    profile = load_profile(config.profile)
-    base = profile.device(num_qubits=2).duration_model
+    base = _load_profile(config).device(num_qubits=2).duration_model
     return DurationModel(base.c, base.tau_2q, base.tau_0,
                          exact_table=durations or None)
 
@@ -399,9 +391,8 @@ def render_report(config: ExperimentConfig, model: DurationModel,
                   points: list[TTSPoint], classical: list[TTSPoint],
                   fit: FitResult | None, local: dict[int, FitResult],
                   speedup, verdicts: dict[int, bool]) -> str:
-    out = ["# ssbv analysis report v1", "", "[config]"]
-    for f in fields(config):
-        out.append(f"{f.name} {getattr(config, f.name)}")
+    out = ["# ssbv analysis report v1", "", "[config]",
+           *config_to_text(config).splitlines()[1:]]  # the fields, no file header
     out += ["", "[duration-model]",
             f"slope_us {model.slope * 1e6:.6f}",
             f"intercept_us {model.tau_0 * 1e6:.6f}",

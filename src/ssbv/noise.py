@@ -19,7 +19,7 @@ from importlib import resources
 
 import numpy as np
 
-from .circuit import DT_SECONDS, DurationModel
+from .circuit import DT_SECONDS, DurationModel, read_fields
 from .routing import CouplingGraph
 
 COMPLETENESS_TOL = 1e-12
@@ -257,19 +257,7 @@ class Profile:
 
 
 def profile_from_text(text: str) -> Profile:
-    values: dict[str, object] = {}
-    for lineno, ln in enumerate(text.splitlines(), 1):
-        ln = ln.split("#", 1)[0].strip()
-        if not ln:
-            continue
-        key, _, raw = ln.partition(" ")
-        if key not in _PROFILE_FIELDS:
-            raise ValueError(f"line {lineno}: unknown profile field {key!r}")
-        values[key] = _PROFILE_FIELDS[key](raw.strip())
-    missing = set(_PROFILE_FIELDS) - set(values)
-    if missing:
-        raise ValueError(f"profile missing fields: {sorted(missing)}")
-    return Profile(values)
+    return Profile(read_fields(text, _PROFILE_FIELDS)[0])
 
 
 def profile_to_text(profile: Profile) -> str:

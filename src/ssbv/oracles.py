@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circuit import DT_SECONDS, Bitstring, GateEvent, GateKind, TimedCircuit
+from .circuit import (DT_SECONDS, Bitstring, GateEvent, GateKind, TimedCircuit,
+                      read_fields)
 
 # Enumerating all 2^n oracles is opt-in and memory-guarded.
 ALL_ORACLES_CAP = 12
@@ -100,7 +101,7 @@ class ShotTable:
         n = self.oracle.n
         total = 0
         for key, c in self.counts.items():
-            if len(key) != n or any(ch not in "01" for ch in key):
+            if len(key) != n or key.strip("01"):
                 raise ValueError(f"bad counts key {key!r} for n={n}")
             if c < 0:
                 raise ValueError(f"negative count for {key!r}")
@@ -204,6 +205,9 @@ def reduce_counts(table: ShotTable, m: int) -> ShotTable:
 
 _HEADER = "# ssbv counts v1"
 
+_COUNTS_FIELDS = {"oracle": lambda s: OracleSpec(Bitstring.from_str(s)),
+                  "total_shots": int, "records": int}
+
 
 def counts_to_text(table: ShotTable) -> str:
     lines = [_HEADER,
@@ -216,28 +220,21 @@ def counts_to_text(table: ShotTable) -> str:
 
 
 def counts_from_text(text: str) -> ShotTable:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    header: dict[str, str] = {}
-    for ln in lines[:3]:
-        key, _, value = ln.partition(" ")
-        header[key] = value.strip()
-    oracle = OracleSpec(Bitstring.from_str(header["oracle"]))
-    total = int(header["total_shots"])
-    n_records = int(header["records"])
+    head, records = read_fields(text, _COUNTS_FIELDS, records=True)
+    oracle = head["oracle"]
     counts: dict[str, int] = {}
-    for i, ln in enumerate(lines[3:3 + n_records]):
+    for lineno, ln in records:
         parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed count record on line {i + 4}: {ln!r}")
+        if len(parts) != 2 or len(parts[0]) != oracle.n or parts[0].strip("01") \
+                or not parts[1].isdecimal():
+            raise ValueError(f"line {lineno}: bad count record {ln!r} (n={oracle.n})")
         key, value = parts
-        if len(key) != oracle.n or any(ch not in "01" for ch in key):
-            raise ValueError(f"bad bitstring {key!r} on line {i + 4} (n={oracle.n})")
         if key in counts:
-            raise ValueError(f"duplicate bitstring {key!r} on line {i + 4}")
+            raise ValueError(f"line {lineno}: duplicate bitstring {key!r}")
         counts[key] = int(value)
-    if len(counts) != n_records:
-        raise ValueError(f"expected {n_records} records, found {len(counts)}")
-    return ShotTable(oracle, counts, total)
+    if len(counts) != head["records"]:
+        raise ValueError(f"expected {head['records']} records, found {len(counts)}")
+    return ShotTable(oracle, counts, head["total_shots"])
 
 
 def save_counts(table: ShotTable, path) -> None:

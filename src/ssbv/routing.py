@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import DT_SECONDS, GateEvent, GateKind, TimedCircuit
+from .circuit import DT_SECONDS, GateEvent, GateKind, TimedCircuit, read_fields
 from .oracles import OracleSpec, ReadoutMap
 
 # Exact branch-and-bound is used up to this many usable nodes, within a
@@ -528,19 +528,22 @@ def graph_to_text(graph: CouplingGraph) -> str:
 
 
 def graph_from_text(text: str) -> CouplingGraph:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    num = int(lines[0].split()[1])
-    n_edges = int(lines[1].split()[1])
-    edges = set()
-    for ln in lines[2:2 + n_edges]:
-        a, b = ln.split()
-        edges.add((int(a), int(b)))
-    rest = lines[2 + n_edges:]
-    n_black = int(rest[0].split()[1])
-    blacklist: set[int] = set()
-    if n_black:
-        blacklist = {int(tok) for tok in rest[1].split()}
-    return CouplingGraph(num, frozenset(edges), frozenset(blacklist))
+    head, records = read_fields(text, {"num_physical": int, "edges": int},
+                                records=True)
+    n_edges = head["edges"]
+    edges = frozenset(_nodes(lineno, ln, 2) for lineno, ln in records[:n_edges])
+    tail, rest = read_fields(records[n_edges:], {"blacklist": int}, records=True)
+    if len(rest) != bool(tail["blacklist"]):
+        raise ValueError(f"expected {tail['blacklist']} blacklisted nodes on one line")
+    blacklist = _nodes(*rest[0], tail["blacklist"]) if rest else ()
+    return CouplingGraph(head["num_physical"], edges, frozenset(blacklist))
+
+
+def _nodes(lineno: int, ln: str, count: int) -> tuple[int, ...]:
+    row = ln.split()
+    if len(row) != count or not all(tok.isdecimal() for tok in row):
+        raise ValueError(f"line {lineno}: expected {count} node numbers, got {ln!r}")
+    return tuple(int(tok) for tok in row)
 
 
 def save_graph(graph: CouplingGraph, path) -> None:

@@ -5,11 +5,12 @@ import pytest
 
 from ssbv.circuit import (DT_SECONDS, Bitstring, DurationModel, GateEvent,
                           GateKind, TimedCircuit, circuit_duration,
-                          circuit_from_text, circuit_to_text, run_time,
-                          validate_circuit)
+                          circuit_from_text, circuit_to_text, read_fields,
+                          run_time, validate_circuit)
+from ssbv.decoupling import schedule_dd, sequence_from_name
 from ssbv.noise import load_profile
-from ssbv.oracles import OracleSpec
-from ssbv.routing import chain_graph, embed_oracle, route_bv
+from ssbv.oracles import OracleSpec, representative_oracles
+from ssbv.routing import chain_graph, embed_oracle, heavy_hex_27, route_bv
 
 
 def test_bitstring_weight_and_roundtrip():
@@ -147,3 +148,66 @@ def test_serialization_float_dt():
     circ = TimedCircuit(1, (GateEvent(GateKind.H, (0,), 0, 1),), dt=1e-9)
     back = circuit_from_text(circuit_to_text(circ))
     assert back.dt == 1e-9
+
+
+def test_serialization_roundtrip_routed_dd_circuits():
+    # Circuits as the pipeline writes them: routed on heavy-hex, UR14-dressed
+    # (PHASED_PI phases that are not short decimals) and plain.
+    graph = heavy_hex_27()
+    device = load_profile("montreal").device(graph)
+    for n in (3, 6):
+        for spec in representative_oracles(n):
+            circ = route_bv(spec, graph, embed_oracle(spec, graph), device).circuit
+            for dressed in (circ, schedule_dd(circ, sequence_from_name("ur14"),
+                                              device.dur_dd_pulse, "ladder")):
+                assert circuit_from_text(circuit_to_text(dressed)) == dressed
+
+
+SCHEMA = {"a": int, "b": float}
+
+
+def test_read_fields_numbers_lines_as_in_the_file():
+    text = "# header\n\na 3  # inline comment\nb 0.5\n# note\n1 2\n\n3 4\n"
+    values, records = read_fields(text, SCHEMA, records=True)
+    assert values == {"a": 3, "b": 0.5}
+    assert records == [(6, "1 2"), (8, "3 4")]
+    # the returned lines read on where the previous call stopped
+    assert read_fields([(9, "a 1"), (10, "x")], {"a": int}, records=True) == \
+        ({"a": 1}, [(10, "x")])
+    assert read_fields("b 1\n", SCHEMA, optional=("a",)) == ({"b": 1.0}, [])
+
+
+@pytest.mark.parametrize("text, records, message", [
+    ("a 1\nc 2\nb 1\n", False, "line 2: unknown field 'c'"),
+    ("a 1\n\n# c\nb x\n", False, "line 4: bad value for b: 'x'"),
+    ("a 1\n", False, "end of text: missing field b"),
+    ("", False, "end of text: missing field a, b"),
+    ("a 1\n# b\n1 2\n", True, "line 3: missing field b"),
+    ("c 2\na 1\nb 1\n", True, "line 1: missing field a, b"),
+])
+def test_read_fields_rejects(text, records, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read_fields(text, SCHEMA, records=records)
+
+
+def _circuit_text() -> str:
+    events = (GateEvent(GateKind.H, (0,), 0, 180),
+              GateEvent(GateKind.CNOT, (0, 1), 180, 1935))
+    return circuit_to_text(TimedCircuit(2, events, readout_duration=100))
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (lambda t: t.replace("dt ", "# dt "), "line 6: missing field dt"),
+    (lambda t: t.replace("num_qubits", "qubits"), "line 2: missing field num_qubits"),
+    (lambda t: t.replace("events 2", "events 2\ngates 2"), "line 6: bad event 'gates 2'"),
+    (lambda t: t.replace(f"dt {DT_SECONDS.numerator}/{DT_SECONDS.denominator}", "dt 1/0"),
+     "line 3: bad value for dt: '1/0'"),
+    (lambda t: t.replace("180 1935", "180"), "line 7: bad event"),
+    (lambda t: t.replace("CNOT -", "CNOT 0.5"), "line 7: bad event"),
+    (lambda t: t.rsplit("\n", 2)[0] + "\n", "expected 2 events, found 1"),
+    (lambda t: "", "end of text: missing field"),
+], ids=["missing", "unknown-in-header", "unknown-after-header", "zero-denominator",
+        "short-record", "phase-on-cnot", "truncated", "empty"])
+def test_circuit_reader_rejects_malformed_text(mangle, message):
+    with pytest.raises(ValueError, match=message):
+        circuit_from_text(mangle(_circuit_text()))

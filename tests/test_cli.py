@@ -32,6 +32,15 @@ def test_config_validation():
         config_from_text("unknown_key 1\n")
 
 
+def test_config_reader_reports_file_lines():
+    with pytest.raises(ConfigError, match="line 3: unknown field 'precision'"):
+        config_from_text("n_min 3\n\nprecision single\n")
+    with pytest.raises(ConfigError, match="line 2: bad value for shots: 'many'"):
+        config_from_text("# c\nshots many\n")
+    # every field has a default, so an empty config file is the default config
+    assert config_from_text("") == ExperimentConfig()
+
+
 def test_generate_writes_expected_file_count(tmp_path):
     cfg = ExperimentConfig(n_min=2, n_max=6, layout="heavy-hex-27",
                            profile="montreal", shots=10)
@@ -208,3 +217,61 @@ def test_manifest_checksums_catch_tampering(tmp_path):
     with open(path, "a") as fh:
         fh.write("# tampered\n")
     assert verify_manifest(manifest) != []
+
+
+def _garbage_counts(tmp_path):
+    out = tmp_path / "run"
+    cmd_simulate(ExperimentConfig(n_min=2, n_max=3, layout="chain", shots=10), out)
+    victim = sorted((out / "counts").iterdir())[0]
+    victim.write_text("garbage\n")
+    return ["--out", str(out), "analyze", "--n-min", "2", "--n-max", "3",
+            "--layout", "chain"], victim.name
+
+
+def _missing_profile(tmp_path):
+    out = tmp_path / "run"
+    cmd_simulate(ExperimentConfig(n_min=2, n_max=3, layout="chain", shots=10), out)
+    return ["--out", str(out), "analyze", "--n-min", "2", "--n-max", "3",
+            "--layout", "chain", "--profile", str(tmp_path / "gone.profile")], \
+        "gone.profile"
+
+
+def _ingest_without_oracle(tmp_path):
+    path = tmp_path / "no-oracle.counts"
+    path.write_text("total_shots 10\nrecords 1\n110 10\n")
+    return ["--out", str(tmp_path / "run"), "ingest", str(path)], path.name
+
+
+def _layout(tmp_path, text):
+    argv = ["--out", str(tmp_path / "run"), "simulate", "--n-min", "2",
+            "--n-max", "3", "--shots", "10", "--layout"]
+    if text is None:
+        return argv + ["file:" + str(tmp_path / "gone.graph")], "gone.graph"
+    path = tmp_path / "cut.graph"
+    path.write_text(text)
+    return argv + ["file:" + str(path)], path.name
+
+
+@pytest.mark.parametrize("case", [
+    _ingest_without_oracle,
+    _garbage_counts,
+    _missing_profile,
+    lambda tmp_path: _layout(tmp_path, None),
+    lambda tmp_path: _layout(tmp_path, "# ssbv graph v1\nnum_physical 5\n"),
+], ids=["ingest-no-oracle", "analyze-garbage-counts", "analyze-missing-profile",
+        "simulate-missing-layout", "simulate-cut-layout"])
+def test_unreadable_inputs_exit_2_naming_the_file(tmp_path, capsys, case):
+    argv, name = case(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and name in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("blacklist", ["a", "99"])
+def test_bad_blacklist_exits_2(tmp_path, capsys, blacklist):
+    assert main(["--out", str(tmp_path / "run"), "simulate", "--n-min", "2",
+                 "--n-max", "3", "--layout", "chain", "--blacklist", blacklist]) == 2
+    assert f"blacklist {blacklist!r}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

@@ -206,8 +206,9 @@ def test_shipped_profiles_load():
 
 
 def test_profile_text_roundtrip():
-    profile = load_profile("montreal")
-    assert profile_from_text(profile_to_text(profile)) == profile
+    for name in ("montreal", "cairo", "noiseless"):
+        profile = load_profile(name)
+        assert profile_from_text(profile_to_text(profile)) == profile
 
 
 def test_profile_rejects_unknown_and_missing_fields():
@@ -215,3 +216,15 @@ def test_profile_rejects_unknown_and_missing_fields():
         profile_from_text("bogus_field 3\n")
     with pytest.raises(ValueError):
         profile_from_text("name incomplete\n")
+
+
+def test_profile_reader_rejects_malformed_text():
+    text = profile_to_text(load_profile("montreal"))
+    for mangled, message in (
+            (text.replace("zz_rate", "# zz_rate"), "end of text: missing field zz_rate"),
+            (text.replace("t2_us", "t2"), "line 4: unknown field 't2'"),
+            (text.replace("t1_us 113.2", "t1_us 113.2us"), "line 3: bad value for t1_us"),
+            (text.split("readout_error")[0], "end of text: missing field readout_error"),
+            ("", "end of text: missing field name, t1_us")):
+        with pytest.raises(ValueError, match=message):
+            profile_from_text(mangled)

@@ -196,3 +196,40 @@ def test_counts_rejects_malformed_records():
     text = "oracle 110\ntotal_shots 10\nrecords 1\n11 10\n"
     with pytest.raises(ValueError):
         counts_from_text(text)
+
+
+def test_reduce_counts_composes():
+    # Tracing out to m and then to l equals tracing out to l directly.
+    rng = np.random.default_rng(5)
+    n, k = 7, 2
+    keys = [format(v, f"0{n}b") for v in range(1 << n)]
+    raw = rng.multinomial(20000, rng.dirichlet(np.ones(1 << n)))
+    table = ShotTable(OracleSpec.representative(n, k),
+                      {key: int(c) for key, c in zip(keys, raw) if c}, 20000)
+    for m in range(k + 1, n):
+        for l in range(k, m):
+            assert reduce_counts(reduce_counts(table, m), l) == reduce_counts(table, l)
+
+
+def _counts_text() -> str:
+    spec = OracleSpec.representative(3, 2)
+    return counts_to_text(ShotTable(spec, {"110": 900, "010": 60, "111": 40}, 1000))
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (lambda t: t.replace("oracle 110\n", ""), "line 4: missing field oracle"),
+    (lambda t: t.replace("oracle", "orcale"), "line 2: missing field oracle"),
+    (lambda t: t.replace("records 3", "records 3\nshots 1000"),
+     "line 5: bad count record 'shots 1000'"),
+    (lambda t: t.replace("total_shots 1000", "total_shots many"),
+     "line 3: bad value for total_shots: 'many'"),
+    (lambda t: t.replace("110 900", "# kept\n1101 900"), "line 7: bad count record"),
+    (lambda t: t.replace("110 900", "110 -900"), "line 6: bad count record"),
+    (lambda t: t.replace("111 40", "010 40"), "line 7: duplicate bitstring '010'"),
+    (lambda t: t.rsplit("\n", 2)[0] + "\n", "expected 3 records, found 2"),
+    (lambda t: "", "end of text: missing field oracle, total_shots, records"),
+], ids=["missing", "unknown-in-header", "unknown-after-header", "bad-value",
+        "record-after-comment", "negative-count", "duplicate", "truncated", "empty"])
+def test_counts_reader_rejects_malformed_text(mangle, message):
+    with pytest.raises(ValueError, match=message):
+        counts_from_text(mangle(_counts_text()))

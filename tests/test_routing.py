@@ -274,9 +274,29 @@ def test_find_embedding_infeasible_cases():
 
 
 def test_graph_io_roundtrip():
-    g = heavy_hex_27().with_blacklist({19, 20, 22})
-    back = graph_from_text(graph_to_text(g))
-    assert back == g
+    for g in (heavy_hex_27().with_blacklist({19, 20, 22}), chain_graph(5),
+              CouplingGraph(3, frozenset())):
+        assert graph_from_text(graph_to_text(g)) == g
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (lambda t: t.replace("edges 4\n", ""), "line 3: missing field edges"),
+    (lambda t: t.replace("num_physical", "nodes"), "line 2: missing field num_physical"),
+    (lambda t: t.replace("blacklist 0", "blacklist none"), "line 8: bad value for blacklist"),
+    (lambda t: t.replace("1 2\n", "# cut\n1 two\n"), "line 6: expected 2 node numbers"),
+    (lambda t: t.replace("blacklist 0", "blacklist 2"), "expected 2 blacklisted nodes"),
+    (lambda t: t.replace("blacklist 0", "blacklist 2\n1 2 3"),
+     "line 9: expected 2 node numbers"),
+    (lambda t: t.split("edges")[0], "end of text: missing field edges"),
+    (lambda t: t.split("blacklist")[0], "end of text: missing field blacklist"),
+    (lambda t: t.replace("3 4\n", ""), "line 7: expected 2 node numbers, got 'blacklist 0'"),
+    (lambda t: "", "end of text: missing field num_physical, edges"),
+], ids=["missing", "unknown-in-header", "bad-value", "record-after-comment",
+        "missing-blacklist-line", "long-blacklist", "cut-after-num-physical",
+        "cut-after-edges", "short-edge-list", "empty"])
+def test_graph_reader_rejects_malformed_text(mangle, message):
+    with pytest.raises(ValueError, match=message):
+        graph_from_text(mangle(graph_to_text(chain_graph(5))))
 
 
 def test_layout_registry(tmp_path):

@@ -25,7 +25,11 @@ import sys
 import tempfile
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from ab import copy_working_tree, extract_revision  # noqa: E402
+from ab import ROOT, copy_working_tree, extract_revision  # noqa: E402
+
+sys.path.insert(0, os.path.join(ROOT, "src"))
+from ssbv.manifest import read_manifest  # noqa: E402
+from ssbv.oracles import load_counts  # noqa: E402
 
 README_ARGS = ["--n-min", "3", "--n-max", "10", "--layout", "heavy-hex-27",
                "--profile", "montreal", "--dd", "ur14", "--collection", "reduced"]
@@ -38,16 +42,9 @@ def simulate(tree: str, out: str, shots: int, seed: int) -> dict[str, dict[str, 
     subprocess.run([sys.executable, "-m", "ssbv.cli", "--out", out, "simulate",
                     *README_ARGS, "--shots", str(shots), "--seed", str(seed)],
                    cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
-    tables = {}
-    with open(os.path.join(out, "manifest.txt")) as fh:
-        entries = [dict(f.split("=", 1) for f in ln.split()[1:])
-                   for ln in fh if ln.startswith("counts ")]
-    for entry in entries:
-        if entry["derived"] == "0":
-            with open(os.path.join(out, entry["file"])) as fh:
-                records = [ln.split() for ln in fh.read().splitlines()[4:]]
-            tables[entry["b"]] = {key: int(count) for key, count in records}
-    return tables
+    return {entry["b"]: load_counts(os.path.join(out, entry["file"])).counts
+            for entry in read_manifest(os.path.join(out, "manifest.txt"))
+            if entry["kind"] == "counts" and entry["derived"] == "0"}
 
 
 def compare(b: str, base: dict[str, int], change: dict[str, int]) -> dict:
