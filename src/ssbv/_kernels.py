@@ -11,6 +11,8 @@ masks or index arrays.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -28,14 +30,12 @@ def _pair_view(state: np.ndarray, sa: int, sb: int) -> np.ndarray:
 
 
 def _mix(v: np.ndarray, u: np.ndarray) -> None:
-    """Apply ``u`` in place to the pairs ``(v[:, :, 0, :], v[:, :, 1, :])``."""
-    x0, x1 = v[:, :, 0, :], v[:, :, 1, :]
-    cross1 = np.multiply(u[1, 0], x0)
-    cross0 = np.multiply(u[0, 1], x1)
-    x0 *= u[0, 0]
-    x0 += cross0
-    x1 *= u[1, 1]
-    x1 += cross1
+    """Apply ``u`` in place to the pairs ``(x0, x1) = (v[:, :, 0, :], v[:, :,
+    1, :])``: two broadcast products, each ``u[i, j] x_j`` for both i at
+    once, and one add into ``v``.  They run on the bit-major view (bit axis
+    first), where the shots make the products' long inner loop."""
+    vt = v.transpose(2, 0, 1, 3)
+    np.add(u[:, 0, None, None, None] * vt[0], u[:, 1, None, None, None] * vt[1], out=vt)
 
 
 def apply_1q(state: np.ndarray, a: int, b: int, u: np.ndarray) -> None:
@@ -83,32 +83,26 @@ def phase_zz(state: np.ndarray, sa: int, sb: int, phase: complex) -> None:
 
 
 def pop1(state: np.ndarray, sw: int) -> np.ndarray:
-    """Per-shot probability that the wire reads 1."""
+    """Per-shot squared norm of the wire's bit-1 half: the unnormalized
+    weight of reading 1, which is the probability only for a unit state."""
     s, d = state.shape
     # Real view: each bit-1 half is a contiguous run of 2*sw floats.
     hot = state.view(state.real.dtype).reshape(s, d // (2 * sw), 2, 2 * sw)[:, :, 1, :]
     return np.einsum("sab,sab->s", hot, hot)
 
 
-def ampdamp(state: np.ndarray, sw: int, p: float, pop: np.ndarray,
-            jump: np.ndarray) -> None:
-    """One amplitude-damping branch per shot, renormalized.
+def ampdamp(state: np.ndarray, sw: int, p: float, jump_rows: np.ndarray) -> None:
+    """One amplitude-damping branch per shot, unnormalized.
 
-    No-jump shots scale the bit-0 half by ``1/norm`` and the bit-1 half by
-    ``sqrt(1-p)/norm``; jump shots move the bit-1 half, scaled by
-    ``1/sqrt(pop)``, onto the bit-0 half and zero the bit-1 half.
+    The ``jump_rows`` take ``K1 / sqrt(p)``: their bit-1 half moves onto
+    the bit-0 half and the bit-1 half is zeroed.  Every row then takes the
+    no-jump ``K0 = diag(1, sqrt(1-p))``, which leaves a jump row as it is.
     """
     v = _wire_view(state, sw)
-    rows = np.nonzero(jump)[0]
-    if len(rows):
-        scale = 1.0 / np.sqrt(np.maximum(pop[rows], 1e-300))
-        moved = v[rows, :, 1, :] * scale[:, None, None]
-    norm = np.sqrt(np.maximum(1.0 - p * pop, 1e-300))
-    v[:, :, 0, :] *= (1.0 / norm)[:, None, None]
-    v[:, :, 1, :] *= (np.sqrt(1.0 - p) / norm)[:, None, None]
-    if len(rows):
-        v[rows, :, 0, :] = moved
-        v[rows, :, 1, :] = 0.0
+    if len(jump_rows):
+        v[jump_rows, :, 0, :] = v[jump_rows, :, 1, :]
+        v[jump_rows, :, 1, :] = 0.0
+    v[:, :, 1, :] *= math.sqrt(1.0 - p)
 
 
 def measure(state: np.ndarray, sw: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +113,8 @@ def measure(state: np.ndarray, sw: int, u: np.ndarray) -> tuple[np.ndarray, np.n
     probs = np.einsum("sabc,sabc->sb", v, v.conj()).real
     bits = (u * probs.sum(axis=1) > probs[:, 0]).astype(np.int64)
     rows = np.arange(len(state))
-    kept = v[rows, :, bits, :] / np.sqrt(np.maximum(probs[rows, bits], 1e-300))[:, None, None]
+    kept = v[rows, :, bits, :]
+    kept /= np.sqrt(np.maximum(probs[rows, bits], 1e-300))[:, None, None]
     return bits, kept.reshape(len(state), -1)
 
 

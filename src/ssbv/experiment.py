@@ -30,7 +30,7 @@ from .decoupling import schedule_dd, sequence_from_name
 from .manifest import (append_entry, append_file_entry, read_manifest,
                        start_manifest)
 from .noise import load_profile
-from .oracles import (OracleSpec, ShotTable, all_oracles, load_counts,
+from .oracles import (ALL_ORACLES_CAP, OracleSpec, ShotTable, all_oracles, load_counts,
                       reduce_counts, representative_oracles, save_counts)
 from .routing import embed_oracle, layout_from_name, route_bv
 from .simulator import (TRAJECTORY_MAX_WIRES, SimulatorCapError, TrajectoryPlan,
@@ -71,6 +71,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown collection {self.collection!r}")
         if self.collection == "reduced" and self.oracle_mode != "representative":
             raise ConfigError("reduced collection requires representative oracles")
+        if self.oracle_mode == "all" and self.n_max > ALL_ORACLES_CAP:
+            raise ConfigError(f"oracle_mode all covers n up to {ALL_ORACLES_CAP}, "
+                              f"not n_max={self.n_max}")
         if self.setup not in ("reduced", "standard"):
             raise ConfigError(f"unknown setup {self.setup!r}")
         if self.dd_fallback not in ("ladder", "idle"):
@@ -320,6 +323,8 @@ def _load_tables(out_dir) -> tuple[dict[int, list[ShotTable]], dict[int, float]]
     durations: dict[int, float] = {}
     for entry in read_manifest(manifest):
         if entry["kind"] == "counts":
+            if "file" not in entry:
+                raise ConfigError(f"{manifest}: counts entry without file=")
             path = os.path.join(base, entry["file"])
             try:
                 table = load_counts(path)
@@ -327,7 +332,11 @@ def _load_tables(out_dir) -> tuple[dict[int, list[ShotTable]], dict[int, float]]
                 raise ConfigError(f"{path}: {exc}") from None
             tables.setdefault(table.n, []).append(table)
         elif entry["kind"] == "duration":
-            durations[int(entry["n"])] = float(entry["seconds"])
+            try:
+                durations[int(entry["n"])] = float(entry["seconds"])
+            except (KeyError, ValueError):
+                raise ConfigError(f"{manifest}: duration entry needs an integer n= "
+                                  f"and a number seconds=, got {entry}") from None
     if not tables:
         raise ConfigError("manifest references no count tables")
     for n in tables:

@@ -8,7 +8,13 @@ channel application (exact in distribution) on batched per-wire factors:
 two-wire ops merge the factors of their wires, and each wire is measured
 and dropped right after its last op, so a BV circuit never holds more than
 two live wires.  Ops run through the in-place strided-view numpy kernels
-of ``_kernels``.  The exact backend
+of ``_kernels``.  Each batch is screened once, by the smallest and largest
+uniform of each channel: a Pauli channel that no shot of the batch
+branches on is skipped, and damp tests for a jump only the shots that can
+jump.  States are kept unnormalized (quantum jumps with unnormalized
+states, Dalibard, Castin and Molmer, PRL 68, 580, 1992): damp applies the
+fixed no-jump diagonal, a jump is a ratio of norms, and only measurement
+renormalizes.  The exact backend
 applies the same stream to a density operator held as a 2n-axis tensor
 (one axis per row bit, then one per column bit).  Each distinct op is
 lowered once to a superoperator ``sum_K K (x) conj(K)`` whose Kraus
@@ -103,15 +109,19 @@ class Program:
     def width(self) -> int:
         """Most wires one factor of the trajectory executor holds: a two-wire
         op joins the factors of its wires, and a wire leaves its factor
-        after its last op."""
-        factor = {w: {w} for w in range(self.num_wires)}
+        after its last op.  Only two-wire ops can widen a factor, so only
+        they are walked; each drops the wires whose last op is behind it."""
+        last = self.last_op
+        factor: dict[int, set[int]] = {}
         widest = 1
         for i, op in enumerate(self.ops):
-            joined = factor[op.wires[0]] | factor[op.wires[-1]]
-            widest = max(widest, len(joined))
-            for w in joined:
-                factor[w] = joined
-            joined.difference_update(w for w in op.wires if self.last_op[w] == i)
+            if len(op.wires) == 2:
+                a, b = op.wires
+                joined = {w for w in factor.get(a, {a}) | factor.get(b, {b})
+                          if last[w] >= i}
+                widest = max(widest, len(joined))
+                for w in joined:
+                    factor[w] = joined
         return widest
 
     @cached_property
@@ -193,46 +203,51 @@ def compile_program(circuit: TimedCircuit, device: DeviceModel | None,
     eps = noise.flip_angle_eps
     phys = physical_of_wire if physical_of_wire is not None else list(range(nw))
 
+    # Sort keys (time, phase, emission index); the index is unique, so the
+    # ops themselves are never compared.
     entries: list[tuple[int, int, int, Op]] = []
-    seq = 0
 
-    def push(time: int, order: int, op: Op) -> None:
-        nonlocal seq
-        entries.append((time, order, seq, op))
-        seq += 1
+    def push(time: int, order: int, *ops: Op) -> None:
+        for op in ops:
+            entries.append((time, order, len(entries), op))
 
-    events = sorted(circuit.events, key=lambda e: (e.start, e.qubits))
-    for ev in events:
+    # Equal gates share their ops.
+    p_dep = ({"dep1": device.p_dep_1q, "dep2": device.p_dep_2q}
+             if noise.depolarizing and device is not None else {})
+    gate_ops: dict[tuple, tuple[Op, ...]] = {}
+    for ev in sorted(circuit.events, key=lambda e: (e.start, e.qubits)):
         if ev.kind is GateKind.DELAY:
             continue
-        if ev.kind is GateKind.CNOT:
-            push(ev.start, 1, Op("cnot", ev.qubits))
-            if noise.depolarizing and device is not None and device.p_dep_2q > 0:
-                push(ev.start, 1, Op("dep2", ev.qubits, p=device.p_dep_2q))
-        else:
-            push(ev.start, 1, Op("u1", ev.qubits, matrix=_gate_matrix(ev, eps)))
-            if noise.depolarizing and device is not None and device.p_dep_1q > 0:
-                push(ev.start, 1, Op("dep1", ev.qubits, p=device.p_dep_1q))
+        key = (ev.kind, ev.qubits, ev.phase)
+        if key not in gate_ops:
+            if ev.kind is GateKind.CNOT:
+                gate, channel = Op("cnot", ev.qubits), "dep2"
+            else:
+                gate, channel = Op("u1", ev.qubits, matrix=_gate_matrix(ev, eps)), "dep1"
+            p = p_dep.get(channel, 0.0)
+            gate_ops[key] = (gate, Op(channel, ev.qubits, p=p)) if p > 0 else (gate,)
+        push(ev.start, 1, *gate_ops[key])
 
     idles = detect_gaps(circuit, include_edges=True)
+    detuning = noise.detuning and noise.detuning_sigma > 0
     detuned: list[int] = []
     if device is not None:
         for w in range(nw):
             q = phys[w]
-            t1, t2 = device.t1[q], device.t2[q]
-            wire_detuned = False
+            params: dict[int, tuple[float, float]] = {}     # by idle length
             for g0, g1 in idles[w]:
                 t = (g1 - g0) * dt
                 if noise.decoherence:
-                    p_ad, p_z = idle_params(t1, t2, t)
+                    if g1 - g0 not in params:
+                        params[g1 - g0] = idle_params(device.t1[q], device.t2[q], t)
+                    p_ad, p_z = params[g1 - g0]
                     if p_ad > 0:
                         push(g1, 0, Op("damp", (w,), p=p_ad))
                     if p_z > 0:
                         push(g1, 0, Op("deph", (w,), p=p_z))
-                if noise.detuning and noise.detuning_sigma > 0:
+                if detuning:
                     push(g1, 0, Op("detune", (w,), t=t))
-                    wire_detuned = True
-            if wire_detuned:
+            if detuning and idles[w]:
                 detuned.append(w)
 
         if noise.zz and noise.zz_rate > 0 and device.graph is not None:
@@ -244,13 +259,14 @@ def compile_program(circuit: TimedCircuit, device: DeviceModel | None,
                         angle = noise.zz_rate * (o1 - o0) * dt
                         push(o1, 0, Op("zz", (wa, wb), phase=np.exp(1j * angle)))
 
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
+    entries.sort()
     ops = [op for _, _, _, op in entries]
     last2 = {w: i for i, op in enumerate(ops) if len(op.wires) == 2 for w in op.wires}
     slot = [min(i, last2.get(op.wires[0], i)) if len(op.wires) == 1 else i
             for i, op in enumerate(ops)]
-    ops = tuple(ops[i] for i in sorted(range(len(ops)), key=lambda i: (slot[i], i)))
-    n_uniform = sum(1 for op in ops if op.draws_uniform)
+    # sorted is stable: ops of one slot keep their order.
+    ops = tuple(ops[i] for i in sorted(range(len(ops)), key=slot.__getitem__))
+    n_uniform = sum(op.draws_uniform for op in ops)
     return Program(nw, ops, tuple(detuned), n_uniform)
 
 
@@ -293,20 +309,20 @@ def _shot_streams(master_seed: int, oracle_key: int, lo: int, hi: int,
 
 
 def _pauli_branches(u: np.ndarray, p: float, k: int) -> np.ndarray:
-    """Per-wire Pauli index (0-3) of a k-wire depolarizing channel for each
-    shot, shape (k, shots): identity on every wire when ``u < 1 - p``, else
-    one of the 4**k - 1 other Pauli strings, equally likely."""
+    """Per-wire Pauli index (1-3, or 0 for identity on that wire) of a k-wire
+    depolarizing channel for shots whose uniform ``u`` is at least ``1 - p``,
+    shape (k, len(u)): one of the 4**k - 1 non-identity Pauli strings,
+    equally likely.  Shots below ``1 - p`` take the identity string."""
     m = 4 ** k - 1
-    branch = np.zeros(len(u), dtype=np.int64)
-    hot = u >= 1.0 - p
-    branch[hot] = 1 + np.minimum(((u[hot] - (1.0 - p)) / (p / m)).astype(np.int64), m - 1)
+    branch = 1 + np.minimum(((u - (1.0 - p)) / (p / m)).astype(np.int64), m - 1)
     return np.array([(branch >> 2 * (k - 1 - i)) & 3 for i in range(k)])
 
 
 def _apply(op: Op, state: np.ndarray, wires: list[int], draw: np.ndarray | None = None) -> None:
     """Apply one op in place to a batch of states over ``wires`` (the first
     the most significant bit).  ``draw`` holds each shot's uniform for a
-    channel op, or its detuning for a detune op."""
+    channel op, or its detuning for a detune op.  A channel op without a
+    draw takes its identity branch (for damp: no jump) on every shot."""
     d = state.shape[1]
     sws = [d >> (wires.index(w) + 1) for w in op.wires]
     sw = sws[0]
@@ -314,16 +330,23 @@ def _apply(op: Op, state: np.ndarray, wires: list[int], draw: np.ndarray | None 
         ker.apply_1q(state, d // (2 * sw), sw, op.matrix)
     elif op.kind == "cnot":
         ker.cnot(state, *sws)
-    elif op.kind in ("dep1", "dep2"):
-        for sw, paulis in zip(sws, _pauli_branches(draw, op.p, len(sws))):
+    elif op.kind in ("dep1", "dep2") and draw is not None:
+        hot = np.nonzero(draw >= 1.0 - op.p)[0]
+        for sw, paulis in zip(sws, _pauli_branches(draw[hot], op.p, len(sws))):
             for j in (1, 2, 3):
-                ker.apply_1q_rows(state, np.nonzero(paulis == j)[0], d // (2 * sw), sw,
-                                  PAULIS_1Q[j])
-    elif op.kind == "deph":
+                rows = hot[paulis == j]
+                if len(rows):
+                    ker.apply_1q_rows(state, rows, d // (2 * sw), sw, PAULIS_1Q[j])
+    elif op.kind == "deph" and draw is not None:
         ker.apply_1q_rows(state, np.nonzero(draw < op.p)[0], d // (2 * sw), sw, PAULIS_1Q[3])
     elif op.kind == "damp":
-        pop = ker.pop1(state, sw)
-        ker.ampdamp(state, sw, op.p, pop, draw < op.p * pop)
+        # A shot jumps when u < p * pop1 / norm2, so only shots with u < p can.
+        jumps = ()
+        if draw is not None:
+            rows = np.nonzero(draw < op.p)[0]
+            sub = state[rows]
+            jumps = rows[draw[rows] * ker.norm2(sub) < op.p * ker.pop1(sub, sw)]
+        ker.ampdamp(state, sw, op.p, jumps)
     elif op.kind == "detune":
         ker.phase_bit_pershot(state, sw, np.exp(1j * draw * op.t))
     elif op.kind == "zz":
@@ -341,13 +364,25 @@ def _evolve(program: Program, uniforms: np.ndarray, deltas: dict[int, np.ndarray
     the per-shot detuning of its wire from ``deltas``.  Right after its
     last op, wire w is measured with ``uniforms[:, n_uniform_ops + w]`` and
     leaves its factor; a wire no op touches reads 0.
+
+    The batch is screened once: the smallest and largest uniform of each
+    channel column decide whether any shot can leave that channel's
+    identity branch (for damp: can jump); a channel op no shot can branch
+    on gets no draw.  Damp leaves factors unnormalized (quantum jumps with
+    unnormalized states: the no-jump step is the fixed diagonal K0, a jump
+    test a ratio of norms); measurement divides the kept half by its
+    weight, so it leaves factors of norm 1.  With ``assertions``, each
+    shot's squared norm after an op is checked against those the op may
+    leave, and each factor a measurement leaves against 1.
     """
     nw = program.num_wires
     shots = len(uniforms)
     ket0 = np.zeros((shots, 2), dtype=complex)
     ket0[:, 0] = 1.0
     factor = {w: [ket0.copy(), [w]] for w in range(nw)}
-    columns = iter(uniforms.T)
+    block = uniforms[:, :program.n_uniform_ops]
+    lows, highs = block.min(axis=0), block.max(axis=0)
+    column = 0
     outcomes = np.zeros(shots, dtype=np.int64)
     for i, op in enumerate(program.ops):
         f, g = factor[op.wires[0]], factor[op.wires[-1]]
@@ -356,21 +391,37 @@ def _evolve(program: Program, uniforms: np.ndarray, deltas: dict[int, np.ndarray
             f[1] += g[1]
             for w in g[1]:
                 factor[w] = f
-        draw = next(columns) if op.draws_uniform else None
+        draw = None
         if op.kind == "detune":
             draw = deltas[op.wires[0]]
+        elif op.draws_uniform:
+            # dep1/dep2 branch when u >= 1 - p; deph branches and damp can
+            # jump only when u < p.
+            if (highs[column] >= 1.0 - op.p if op.kind in ("dep1", "dep2")
+                    else lows[column] < op.p):
+                draw = uniforms[:, column]
+            column += 1
+        if assertions:
+            # Squared norms a shot may hold after the op: damp leaves n - p n1
+            # (no jump) or n1 (jump), every other op leaves n.
+            allowed = [ker.norm2(f[0])]
+            if op.kind == "damp":
+                n1 = ker.pop1(f[0], f[0].shape[1] >> (f[1].index(op.wires[0]) + 1))
+                allowed = [allowed[0] - op.p * n1, n1]
         _apply(op, f[0], f[1], draw)
         if assertions:
-            norms = ker.norm2(f[0])
-            if not np.allclose(norms, 1.0, atol=1e-6):
-                raise AssertionError(f"norm drift after {op.kind}: "
-                                     f"max |1-n| = {np.abs(1 - norms).max():.2e}")
+            after = ker.norm2(f[0])
+            if not np.any([np.isclose(after, n, rtol=1e-6, atol=0) for n in allowed],
+                          axis=0).all():
+                raise AssertionError(f"norm drift after op {i} ({op.kind})")
         for w in op.wires:
             if program.last_op[w] == i:
                 bits, f[0] = ker.measure(f[0], f[0].shape[1] >> (f[1].index(w) + 1),
                                          uniforms[:, program.n_uniform_ops + w])
                 f[1].remove(w)
                 outcomes |= bits << (nw - 1 - w)
+                if assertions and not np.allclose(ker.norm2(f[0]), 1.0, atol=1e-6):
+                    raise AssertionError(f"measuring wire {w} left a factor of norm != 1")
     return outcomes
 
 

@@ -252,14 +252,26 @@ def _layout(tmp_path, text):
     return argv + ["file:" + str(path)], path.name
 
 
+def _manifest_line(tmp_path, line):
+    out = tmp_path / "run"
+    cmd_simulate(ExperimentConfig(n_min=2, n_max=3, layout="chain", shots=10), out)
+    with open(out / "manifest.txt", "a") as fh:
+        fh.write(line + "\n")
+    return ["--out", str(out), "analyze", "--n-min", "2", "--n-max", "3",
+            "--layout", "chain"], "manifest.txt"
+
+
 @pytest.mark.parametrize("case", [
     _ingest_without_oracle,
     _garbage_counts,
     _missing_profile,
     lambda tmp_path: _layout(tmp_path, None),
     lambda tmp_path: _layout(tmp_path, "# ssbv graph v1\nnum_physical 5\n"),
+    lambda tmp_path: _manifest_line(tmp_path, "counts sha256=00"),
+    lambda tmp_path: _manifest_line(tmp_path, "duration n=two seconds=1"),
 ], ids=["ingest-no-oracle", "analyze-garbage-counts", "analyze-missing-profile",
-        "simulate-missing-layout", "simulate-cut-layout"])
+        "simulate-missing-layout", "simulate-cut-layout",
+        "analyze-counts-entry-without-file", "analyze-bad-duration-entry"])
 def test_unreadable_inputs_exit_2_naming_the_file(tmp_path, capsys, case):
     argv, name = case(tmp_path)
     capsys.readouterr()
@@ -267,6 +279,15 @@ def test_unreadable_inputs_exit_2_naming_the_file(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and name in err
     assert "Traceback" not in err
+
+
+def test_all_oracles_above_the_cap_exit_2_before_any_work(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "simulate", "--oracles", "all",
+                 "--n-min", "13", "--n-max", "13"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "n_max=13" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("blacklist", ["a", "99"])

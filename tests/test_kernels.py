@@ -106,7 +106,8 @@ def test_phase_zz(batch, data):
 @SETTINGS
 @given(batches(), st.data())
 def test_pop1(batch, data):
-    nw, state, _ = batch
+    nw, state, rng = batch
+    state *= rng.uniform(0.1, 2.0, (len(state), 1))     # unnormalized rows
     w = data.draw(st.integers(0, nw - 1))
     want = np.abs(state) ** 2 @ bit_diag(w, nw)
     got = ker.pop1(state, 1 << (nw - 1 - w))
@@ -117,6 +118,7 @@ def test_pop1(batch, data):
 @SETTINGS
 @given(batch=batches(), data=st.data())
 def test_ampdamp(with_jumps, batch, data):
+    # Unnormalized: jump rows take K1 / sqrt(p), every other row K0.
     nw, state, rng = batch
     w = data.draw(st.integers(0, nw - 1))
     p = data.draw(st.floats(0.01, 0.99))
@@ -125,11 +127,9 @@ def test_ampdamp(with_jumps, batch, data):
         jump[rng.integers(len(state))] = True
     k0 = embed(np.array([[1.0, 0.0], [0.0, np.sqrt(1 - p)]]), w, nw)
     k1 = embed(np.array([[0.0, np.sqrt(p)], [0.0, 0.0]]), w, nw)
-    want = np.where(jump[:, None], state @ k1.T, state @ k0.T)
-    want /= np.linalg.norm(want, axis=1, keepdims=True)
-    sw = 1 << (nw - 1 - w)
-    ker.ampdamp(state, sw, p, ker.pop1(state, sw), jump)
-    np.testing.assert_allclose(state, want, rtol=0, atol=1e-10)
+    want = np.where(jump[:, None], state @ k1.T / np.sqrt(p), state @ k0.T)
+    ker.ampdamp(state, 1 << (nw - 1 - w), p, np.nonzero(jump)[0])
+    np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
 
 
 @SETTINGS

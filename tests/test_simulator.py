@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssbv import _kernels as ker
 from ssbv.circuit import Bitstring, GateEvent, GateKind, TimedCircuit
 from ssbv.decoupling import schedule_dd, sequence_from_name, ur_phases
 from ssbv.noise import DeviceModel, NoiseConfig, load_profile
 from ssbv.oracles import (OracleSpec, ReadoutMap, all_oracles,
                           bv_logical_circuit)
 from ssbv.routing import chain_graph, embed_oracle, heavy_hex_27, route_bv
-from ssbv.simulator import (GH_NODES_DEFAULT, SimulatorCapError, TrajectoryPlan,
+from ssbv.simulator import (GH_NODES_DEFAULT, Op, Program, SimulatorCapError,
+                            TrajectoryPlan,
                             _detuning_average, _exact_run, _grid_runs,
                             _shot_streams, _sparse_grid,
                             check_reduction_equivalence,
@@ -404,8 +406,11 @@ def test_seed_determinism_and_batch_invariance():
     a = simulate_shots(circ, device, noise, TrajectoryPlan(2000, 11), spec, rmap)
     b = simulate_shots(circ, device, noise, TrajectoryPlan(2000, 11, batch_size=77),
                        spec, rmap)
+    # One shot per batch: the screen sees each shot's own uniforms only.
+    one = simulate_shots(circ, device, noise, TrajectoryPlan(2000, 11, batch_size=1),
+                         spec, rmap)
     c = simulate_shots(circ, device, noise, TrajectoryPlan(2000, 12), spec, rmap)
-    assert a.counts == b.counts
+    assert a.counts == b.counts == one.counts
     assert a.counts != c.counts
 
 
@@ -472,6 +477,80 @@ def test_assertion_mode_full_noise_routed_dd():
                              spec, routed.readout, phys)
               for checked in (True, False)]
     assert tables[0].counts == tables[1].counts
+
+
+def test_assertion_mode_catches_a_kernel_that_changes_norms():
+    device = MONTREAL.device(chain_graph(3))
+    spec = OracleSpec.representative(2, 1)
+    circ, rmap = bv_circuit(spec, device)
+    apply_1q = ker.apply_1q
+
+    def drifting(state, *args):
+        apply_1q(state, *args)
+        state *= 1.001
+
+    with patch.object(ker, "apply_1q", drifting):
+        simulate_shots(circ, device, NoiseConfig(), TrajectoryPlan(50, 1), spec, rmap)
+        with pytest.raises(AssertionError, match=r"norm drift after op \d+ \(u1\)"):
+            simulate_shots(circ, device, NoiseConfig(),
+                           TrajectoryPlan(50, 1, assertions=True), spec, rmap)
+
+
+# Counts of the representative oracles n = 4, k = 0..4, routed on
+# heavy-hex-27 with UR14 under montreal noise, 300 shots, seed 7.  A change
+# to the draws or to any branch decision changes these tables.
+GOLDEN_N4 = [
+    {'0000': 266, '0001': 6, '0010': 7, '0100': 14, '1000': 6, '1010': 1},
+    {'0000': 15, '1000': 265, '1001': 8, '1010': 5, '1011': 1, '1100': 6},
+    {'0000': 3, '0100': 8, '0110': 1, '1000': 14, '1100': 260, '1101': 7, '1110': 6,
+     '1111': 1},
+    {'0000': 2, '0110': 9, '1000': 1, '1010': 13, '1100': 11, '1110': 256, '1111': 8},
+    {'0011': 1, '0111': 12, '1000': 3, '1001': 1, '1011': 10, '1100': 3, '1101': 6,
+     '1110': 11, '1111': 253},
+]
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_golden_tables_routed_ur14(k):
+    spec, routed, circ, device, phys = routed_ur14(4, k)
+    table = simulate_shots(circ, device, MONTREAL.noise(), TrajectoryPlan(300, 7), spec,
+                           routed.readout, phys)
+    assert table.counts == GOLDEN_N4[k]
+
+
+def width_by_every_op(program):
+    """Program.width's definition, walked over every op: a two-wire op joins
+    the factors of its wires, and a wire leaves its factor after its last op."""
+    factor = {w: {w} for w in range(program.num_wires)}
+    widest = 1
+    for i, op in enumerate(program.ops):
+        joined = factor[op.wires[0]] | factor[op.wires[-1]]
+        widest = max(widest, len(joined))
+        for w in joined:
+            factor[w] = joined
+        joined.difference_update(w for w in op.wires if program.last_op[w] == i)
+    return widest
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda nw: st.tuples(
+    st.just(nw),
+    st.lists(st.one_of(st.tuples(st.integers(0, nw - 1)),
+                       st.lists(st.integers(0, nw - 1), min_size=2, max_size=2,
+                                unique=True).map(tuple)),
+             max_size=40))))
+def test_width_matches_the_every_op_walk(stream):
+    nw, wires = stream
+    ops = tuple(Op("u1" if len(w) == 1 else "zz", w) for w in wires)
+    program = Program(nw, ops, (), 0)
+    assert program.width == width_by_every_op(program)
+
+
+def test_width_matches_the_every_op_walk_on_the_zz_chain():
+    spec, routed, circ, device, phys = ur4_chain(5)
+    noise = replace(MONTREAL.noise(), zz_rate=2.5e5)
+    program = compile_program(circ, device, noise, phys)
+    assert program.width == width_by_every_op(program) == 6
 
 
 def test_widest_factor_is_two_on_the_paper_grid():
