@@ -19,6 +19,9 @@ from .oracles import ShotTable, classical_success_prob
 # mean TTS per size and of the worst-case exponent.
 TTS_CI_SIGMA = 5.0
 LAMBDA_CI_SIGMA = 2.0
+# Bootstrap resamples per block: a block holds O(RESAMPLE_BLOCK x tables)
+# counts and TTS values, and its fits O(RESAMPLE_BLOCK x sizes^2) sums.
+RESAMPLE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -116,19 +119,68 @@ def mean_tts(per_oracle_tts, n: int) -> TTSPoint:
     return TTSPoint(n, mean, mean, mean, len(values))
 
 
-def _resample_tts(n: int, successes: list[tuple[int, int]], model: DurationModel,
-                  config: AnalysisConfig, rng: np.random.Generator) -> float | None:
-    """Mean TTS of one resample of a size's oracle set, or None if a table
-    draws zero successes.  Each table's success count is redrawn, in table
-    order, as binomial(shots, successes / shots) (the success marginal of a
-    multinomial redraw of its counts); drawing stops at the first zero."""
-    vals = []
-    for s, shots in successes:
-        p_star = int(rng.binomial(shots, s / shots)) / shots
-        if p_star == 0:
-            return None
-        vals.append(tts_quantum(n, p_star, model, config.p_d))
-    return float(np.mean(vals))
+def _draw_counts(shots: np.ndarray, p: np.ndarray, bounds: list[tuple[int, int]],
+                 rows: int, rng: np.random.Generator) -> np.ndarray:
+    """``rows`` resamples of every table's success count, shape (rows, tables).
+
+    Stream-identical to the loop "for each resample, for each group of
+    ``bounds``, for each table: count ~ binomial(shots, p)", in which a
+    group's draws stop at its first zero (its later tables stay 0, undrawn;
+    later groups still draw).  Rows without a zero come from one array call,
+    which draws the same values in the same order.  At the first row with a
+    zero the generator is rewound, the rows before it are drawn again as a
+    block and that row table by table; the next call takes twice the rows
+    this one kept."""
+    out = np.zeros((rows, len(p)), np.int64)
+    done = 0
+    size = rows
+    while done < rows:
+        size = min(size, rows - done)
+        state = rng.bit_generator.state
+        block = rng.binomial(shots, p, size=(size, len(p)))
+        zero = (block == 0).any(axis=1)
+        kept = int(zero.argmax()) if zero.any() else size
+        out[done:done + kept] = block[:kept]
+        if kept < size:
+            rng.bit_generator.state = state
+            rng.binomial(shots, p, size=(kept, len(p)))
+            row = out[done + kept]
+            for a, z in bounds:
+                for j in range(a, z):
+                    row[j] = rng.binomial(shots[j], p[j])
+                    if not row[j]:
+                        break
+            kept += 1
+        done += kept
+        size = 2 * kept
+    return out
+
+
+def _resample_tts(ns: list[int], successes: list[list[tuple[int, int]]],
+                  model: DurationModel, config: AnalysisConfig,
+                  rng: np.random.Generator):
+    """Yield each size's mean resampled TTS, one (resamples, sizes) array per
+    block of at most RESAMPLE_BLOCK of the B resamples; +inf where a size's
+    resample drew zero successes.  Success counts are redrawn as
+    binomial(shots, successes / shots), the success marginal of a
+    multinomial redraw (``_draw_counts``); R comes from ``repetitions`` once
+    per distinct rate, so every value is the one ``tts_quantum`` gives."""
+    sizes = [len(group) for group in successes]
+    hits, shots = np.array([pair for group in successes for pair in group]).T
+    p = hits / shots
+    ends = np.cumsum(sizes).tolist()
+    bounds = list(zip([0] + ends[:-1], ends))
+    run_times = np.repeat([model.run_time(n) for n in ns], sizes)
+    for start in range(0, config.bootstrap_b, RESAMPLE_BLOCK):
+        rows = min(RESAMPLE_BLOCK, config.bootstrap_b - start)
+        rates, inverse = np.unique(_draw_counts(shots, p, bounds, rows, rng) / shots,
+                                   return_inverse=True)
+        reps = np.array([repetitions(r, config.p_d)[0] for r in rates.tolist()])
+        tts = reps[inverse.reshape(rows, -1)]
+        tts *= run_times
+        means = np.stack([tts[:, a:z].mean(axis=1) for a, z in bounds], axis=1)
+        del inverse, tts  # not held while the caller works on the block
+        yield means
 
 
 def bootstrap_tts(tables: list[ShotTable], model: DurationModel,
@@ -151,11 +203,11 @@ def bootstrap_tts(tables: list[ShotTable], model: DurationModel,
     if any(s == 0 for s, _ in successes):
         return terminated_point(n, len(tables)), np.empty(0)
 
-    samples = [tts for tts in (_resample_tts(n, successes, model, config, rng)
-                               for _ in range(config.bootstrap_b)) if tts is not None]
-    if not samples:
+    arr = np.concatenate([block[:, 0] for block in
+                          _resample_tts([n], [successes], model, config, rng)])
+    arr = arr[np.isfinite(arr)]
+    if not arr.size:
         return terminated_point(n, len(tables)), np.empty(0)
-    arr = np.array(samples)
     mean = float(arr.mean())
     sigma = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
     width = TTS_CI_SIGMA * sigma
@@ -175,30 +227,60 @@ class FitResult:
     window_table: dict[int, float]
 
 
+def _window_slopes(ns: np.ndarray, log_tts: np.ndarray, u: int | None,
+                   n_min: int) -> np.ndarray:
+    """OLS slopes (curves, sizes) of log2 TTS on n over every window [l, u].
+
+    ``log_tts`` holds one curve per row over the ascending sizes ``ns``, not
+    finite where it has no point.  A curve's points are its sizes in
+    [n_min, u], u its largest unless given; on curves of >= 3 points a
+    window starts at each point l <= u - 2 with >= 2 points in [l, u], and
+    the slope is NaN elsewhere.  Sums are centred and run left to right, so
+    an absent size adds an exact zero: a curve's slopes depend on nothing
+    but its own points."""
+    have = np.isfinite(log_tts) & (ns >= n_min)
+    if u is not None:
+        have &= ns <= u
+    top = np.where(have, ns, 0).max(axis=1, keepdims=True) if u is None else u
+    w = (have[:, None, :] & (ns >= ns[:, None])).astype(float)  # curve, l, n
+    x = ns.astype(float)
+    y = np.where(have, log_tts, 0.0)[:, None, :]
+
+    def total(a: np.ndarray) -> np.ndarray:
+        return np.add.accumulate(a, axis=2)[..., -1:].copy()
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        count = total(w)
+        dx = x - total(w * x) / count
+        dx *= w
+        dy = y - total(w * y) / count
+        del w  # one (curves, sizes, sizes) array fewer while the sums run
+        dy *= dx
+        slopes = (total(dy) / total(np.square(dx, out=dx)))[..., 0]
+    starts = (have & (ns <= top - 2) & (count[..., 0] >= 2)
+              & (have.sum(axis=1) >= 3)[:, None])
+    return np.where(starts, slopes, np.nan)
+
+
 def worst_case_lambda(points: list[TTSPoint], u: int | None = None,
                       config: AnalysisConfig | None = None) -> FitResult:
     """Most conservative exponent consistent with the data.
 
     Fits log2 TTS over every window [l, u] with l in [n_min, u-2] and
-    takes the maximum slope; u defaults to the largest finite size.
+    takes the maximum slope (ties: the smallest l); u defaults to the
+    largest finite size.  The fit is ``_window_slopes`` on one curve.
     """
     config = config or AnalysisConfig()
     finite = sorted((p for p in points if p.finite), key=lambda p: p.n)
-    finite = [p for p in finite if p.n >= config.n_min]
-    if u is not None:
-        finite = [p for p in finite if p.n <= u]
+    finite = [p for p in finite if p.n >= config.n_min and (u is None or p.n <= u)]
     if len(finite) < 3:
         raise ValueError("need at least 3 finite points in range")
     if u is None:
         u = finite[-1].n
-    ns = np.array([p.n for p in finite], dtype=float)
-    log_tts = np.log2([p.tts_mean for p in finite])
-    table: dict[int, float] = {}
-    for l in [int(n) for n in ns if n <= u - 2]:
-        sel = (ns >= l) & (ns <= u)
-        if sel.sum() < 2:
-            continue
-        table[l] = float(np.polyfit(ns[sel], log_tts[sel], 1)[0])
+    ns = np.array([p.n for p in finite])
+    slopes = _window_slopes(ns, np.log2([[p.tts_mean for p in finite]]), u,
+                            config.n_min)
+    table = {int(l): float(s) for l, s in zip(ns, slopes[0]) if not math.isnan(s)}
     if not table:
         raise ValueError(f"no fit window with >= 2 points ends at u={u}")
     best_l = max(table, key=lambda l: (table[l], -l))
@@ -212,37 +294,39 @@ def local_lambda(points: list[TTSPoint], h_max: int,
     return worst_case_lambda(points, u=h_max, config=config)
 
 
+def _bootstrap_lambdas(tables_by_n: dict[int, list[ShotTable]], model: DurationModel,
+                       config: AnalysisConfig, rng: np.random.Generator,
+                       u: int | None) -> np.ndarray:
+    """Worst-case exponent of each resample that has one, in resample order:
+    sizes whose resample drew a zero drop out, mirroring curve termination,
+    and each block is fitted at once, row by row as ``worst_case_lambda``."""
+    ns = sorted(tables_by_n)
+    successes = [[(t.success_count(), t.total_shots) for t in tables_by_n[n]]
+                 for n in ns]
+    lams = []
+    for means in _resample_tts(ns, successes, model, config, rng):
+        slopes = _window_slopes(np.array(ns), np.log2(means), u, config.n_min)
+        fitted = ~np.isnan(slopes).all(axis=1)
+        lams.append(np.fmax.reduce(slopes[fitted], axis=1))
+    return np.concatenate(lams)
+
+
 def bootstrap_lambda(tables_by_n: dict[int, list[ShotTable]], model: DurationModel,
                      config: AnalysisConfig, rng: np.random.Generator,
                      u: int | None = None) -> FitResult:
     """Worst-case exponent with a bootstrap confidence interval.
 
-    Every resample redraws every success count, rebuilds the TTS curve
-    (sizes whose resample hits zero successes drop out, mirroring curve
-    termination), and refits; the result is the resample mean with
+    Every resample rebuilds the TTS curve and refits
+    (``_bootstrap_lambdas``); the result is the resample mean with
     +-LAMBDA_CI_SIGMA bounds and the raw-data window table.
     """
     raw_points = [mean_tts([tts_quantum(n, t.success_prob(), model, config.p_d)
                             for t in tables], n)
                   for n, tables in sorted(tables_by_n.items())]
     raw = worst_case_lambda(raw_points, u=u, config=config)
-
-    successes = {n: [(t.success_count(), t.total_shots) for t in tables]
-                 for n, tables in sorted(tables_by_n.items())}
-    lams = []
-    for _ in range(config.bootstrap_b):
-        pts = []
-        for n, table_successes in successes.items():
-            tts = _resample_tts(n, table_successes, model, config, rng)
-            if tts is not None:
-                pts.append(TTSPoint(n, tts, tts, tts, len(table_successes)))
-        try:
-            lams.append(worst_case_lambda(pts, u=u, config=config).exponent)
-        except ValueError:
-            continue
-    if not lams:
+    arr = _bootstrap_lambdas(tables_by_n, model, config, rng, u)
+    if not arr.size:
         return raw
-    arr = np.array(lams)
     mean = float(arr.mean())
     sigma = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
     width = LAMBDA_CI_SIGMA * sigma

@@ -82,6 +82,7 @@ class ExperimentConfig:
             raise ConfigError("shots must be positive")
         try:
             sequence_from_name(self.dd)
+            self.analysis_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

@@ -199,6 +199,9 @@ def _free_placement_search(adj: dict[int, set[int]], k: int,
 
     for start in starts:
         dfs(start, [start], {start})
+    # dfs reaches itself through its closure cell; unbinding it breaks that
+    # cycle, so the search is freed without the cyclic garbage collector.
+    del dfs
     if best[0] is None:
         return None
     walk = best[-1]

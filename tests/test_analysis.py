@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ssbv.analysis import (AnalysisConfig, TTSPoint, bootstrap_lambda,
-                           bootstrap_tts, classical_duration_model,
+from ssbv import analysis
+from ssbv.analysis import (LAMBDA_CI_SIGMA, AnalysisConfig, FitResult, TTSPoint,
+                           bootstrap_lambda, bootstrap_tts, classical_duration_model,
                            classical_points, local_lambda, mean_tts,
                            repetitions, speedup_ratio, success_matrix,
                            success_prob, tts_classical, tts_quantum,
@@ -275,3 +276,143 @@ def test_tts_monotone_decreasing_in_success():
     grid = np.linspace(0.05, 1.0, 40)
     tts = [tts_quantum(8, p, MONTREAL_MODEL) for p in grid]
     assert all(a >= b for a, b in zip(tts, tts[1:]))
+
+
+# Stream identity: the block bootstrap against the sequential loop it
+# replaced, written out below as the reference.
+
+def loop_resample_tts(n, successes, model, config, rng):
+    """Reference: one resample of one size, table by table; None at a zero."""
+    vals = []
+    for s, shots in successes:
+        p_star = int(rng.binomial(shots, s / shots)) / shots
+        if p_star == 0:
+            return None
+        vals.append(tts_quantum(n, p_star, model, config.p_d))
+    return float(np.mean(vals))
+
+
+def loop_bootstrap_tts(tables, model, config, rng):
+    successes = [(t.success_count(), t.total_shots) for t in tables]
+    if any(s == 0 for s, _ in successes):
+        return np.empty(0)
+    samples = [loop_resample_tts(tables[0].n, successes, model, config, rng)
+               for _ in range(config.bootstrap_b)]
+    return np.array([s for s in samples if s is not None])
+
+
+def loop_bootstrap_lambda(tables_by_n, model, config, rng, u=None):
+    """Reference: resample by resample, size by size, one fit per resample."""
+    raw_points = [mean_tts([tts_quantum(n, t.success_prob(), model, config.p_d)
+                            for t in tables], n)
+                  for n, tables in sorted(tables_by_n.items())]
+    raw = worst_case_lambda(raw_points, u=u, config=config)
+    successes = {n: [(t.success_count(), t.total_shots) for t in tables]
+                 for n, tables in sorted(tables_by_n.items())}
+    lams = []
+    for _ in range(config.bootstrap_b):
+        pts = []
+        for n, table_successes in successes.items():
+            tts = loop_resample_tts(n, table_successes, model, config, rng)
+            if tts is not None:
+                pts.append(TTSPoint(n, tts, tts, tts, len(table_successes)))
+        try:
+            lams.append(worst_case_lambda(pts, u=u, config=config).exponent)
+        except ValueError:
+            continue
+    if not lams:
+        return np.empty(0), raw
+    arr = np.array(lams)
+    mean = float(arr.mean())
+    width = LAMBDA_CI_SIGMA * (float(arr.std(ddof=1)) if len(arr) > 1 else 0.0)
+    return arr, FitResult(mean, mean - width, mean + width, raw.window,
+                          raw.window_table)
+
+
+def rng_state(rng):
+    """The generator's state with its arrays as lists, comparable by ==."""
+    def plain(v):
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        return v.tolist() if isinstance(v, np.ndarray) else v
+    return plain(rng.bit_generator.state)
+
+
+def size_tables(n, successes, shots):
+    """One table per success count; oracle k = index + 1 of n."""
+    out = []
+    for k, s in enumerate(successes, start=1):
+        spec = OracleSpec.representative(n, min(k, n))
+        counts = {spec.b.to01(): s, "0" * n: shots - s}
+        out.append(ShotTable(spec, {b: c for b, c in counts.items() if c}, shots))
+    return out
+
+
+def ordinary(n):
+    return size_tables(n, [int(180 - 9 * n - 3 * k) for k in range(n + 1)], 200)
+
+
+STREAM_CASES = {
+    # every size 3-12, up to 13 tables, none likely to draw a zero
+    "ordinary": ({n: ordinary(n) for n in range(3, 13)}, None),
+    # 1-2 successes mid-group: draws stop inside the group
+    "stop_mid_group": ({n: size_tables(n, [15, 1, 12, 2] + [10] * (n - 3), 20)
+                        for n in range(3, 9)}, None),
+    # only size 5 draws zeros; sizes 6-9 of the same resample still draw
+    "zero_then_later_sizes": ({n: ordinary(n) if n != 5 else
+                               size_tables(5, [40, 1, 35, 2, 30, 50], 60)
+                               for n in range(3, 10)}, None),
+    # a 0-success table at size 7 terminates it and consumes no draw
+    "zero_success_table": ({n: ordinary(n) if n != 7 else
+                            size_tables(7, [90, 80, 0, 70, 60, 50, 40, 30], 200)
+                            for n in range(3, 10)}, None),
+    # p = 1 tables
+    "certain": ({n: size_tables(n, [100, 100, 97, 100], 100) for n in range(3, 9)},
+                None),
+    # the fit's u given: sizes above it are drawn but not fitted
+    "u_given": ({n: size_tables(n, [30, 2, 25, 1, 20], 30) for n in range(3, 12)}, 9),
+}
+
+
+def case_rng(case):
+    return np.random.Generator(np.random.Philox(key=sorted(STREAM_CASES).index(case)))
+
+
+@pytest.mark.parametrize("block", [None, 1, "all"])
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_block_bootstrap_is_stream_identical_to_the_loop(case, block, monkeypatch):
+    tables_by_n, u = STREAM_CASES[case]
+    config = AnalysisConfig(bootstrap_b=60)
+    if block is not None:
+        monkeypatch.setattr(analysis, "RESAMPLE_BLOCK",
+                            config.bootstrap_b if block == "all" else block)
+    rng, ref = case_rng(case), case_rng(case)
+    for n in sorted(tables_by_n):
+        _, samples = bootstrap_tts(tables_by_n[n], MONTREAL_MODEL, config, rng)
+        want = loop_bootstrap_tts(tables_by_n[n], MONTREAL_MODEL, config, ref)
+        assert samples.tolist() == want.tolist()
+        assert rng_state(rng) == rng_state(ref)
+    state = rng.bit_generator.state
+    lams = analysis._bootstrap_lambdas(tables_by_n, MONTREAL_MODEL, config, rng, u)
+    want_lams, want_fit = loop_bootstrap_lambda(tables_by_n, MONTREAL_MODEL,
+                                                config, ref, u)
+    assert lams.tolist() == want_lams.tolist()
+    assert rng_state(rng) == rng_state(ref)
+    rng.bit_generator.state = state
+    assert bootstrap_lambda(tables_by_n, MONTREAL_MODEL, config, rng, u) == want_fit
+    assert rng_state(rng) == rng_state(ref)
+
+
+def test_stream_cases_draw_zeros_where_they_say():
+    """Sizes whose resamples drew a zero (kept < B) in the reference loop."""
+    config = AnalysisConfig(bootstrap_b=60)
+    short = {"ordinary": [], "certain": [], "stop_mid_group": list(range(3, 9)),
+             "zero_then_later_sizes": [5], "zero_success_table": [7],
+             "u_given": list(range(3, 12))}
+    for case, (tables_by_n, u) in STREAM_CASES.items():
+        ref = case_rng(case)
+        kept = {n: len(loop_bootstrap_tts(tables, MONTREAL_MODEL, config, ref))
+                for n, tables in sorted(tables_by_n.items())}
+        assert [n for n, k in kept.items() if k < config.bootstrap_b] == short[case]
+        lams, _ = loop_bootstrap_lambda(tables_by_n, MONTREAL_MODEL, config, ref, u)
+        assert len(lams) > config.bootstrap_b // 2, case

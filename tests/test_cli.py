@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -296,3 +297,49 @@ def test_bad_blacklist_exits_2(tmp_path, capsys, blacklist):
                  "--n-max", "3", "--layout", "chain", "--blacklist", blacklist]) == 2
     assert f"blacklist {blacklist!r}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("field", ["p_d 1.5", "bootstrap_b 1"])
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_invalid_analysis_fields_exit_2_before_any_work(tmp_path, capsys, command,
+                                                        field):
+    out = tmp_path / "run"
+    grid = ["--n-min", "2", "--n-max", "3", "--layout", "chain", "--shots", "10"]
+    if command == "analyze":
+        assert main(["--out", str(out), "simulate", *grid]) == 0
+
+    def listing():
+        return sorted(p.name for p in out.rglob("*")) if out.exists() else None
+
+    before = listing()
+    config = tmp_path / "bad.cfg"
+    config.write_text(field + "\n")
+    capsys.readouterr()
+    assert main(["--out", str(out), "--config", str(config), command, *grid]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field.split()[0] in err
+    assert "Traceback" not in err
+    assert listing() == before
+
+
+# report.txt digests of two README-style runs, so that a change to the
+# analysis must leave reports byte-identical; the second run holds a
+# 0-success table and 1-success tables, so its bootstrap draws zeros.
+GOLDEN_REPORTS = [
+    (["--n-min", "3", "--n-max", "6", "--profile", "montreal", "--layout",
+      "heavy-hex-27", "--dd", "ur14", "--collection", "reduced", "--shots", "160",
+      "--seed", "7"],
+     "6253787138080860de0f863830b28ac3df45f6669df2b73518c08f9e8f37d2bf"),
+    (["--n-min", "3", "--n-max", "12", "--dd", "none", "--collection", "reduced",
+      "--shots", "20", "--seed", "5"],
+     "331cbea39ee7733d3fcbedad86743481269d0a678416f044fa1fc4095410c00b"),
+]
+
+
+@pytest.mark.parametrize("flags,digest", GOLDEN_REPORTS, ids=["n3-6", "zero-draws"])
+def test_golden_reports(tmp_path, capsys, flags, digest):
+    out = str(tmp_path / "run")
+    assert main(["--out", out, "simulate", *flags]) == 0
+    assert main(["--out", out, "analyze", *flags]) == 0
+    with open(os.path.join(out, "report.txt"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest

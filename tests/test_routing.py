@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import numpy as np
@@ -307,3 +308,17 @@ def test_layout_registry(tmp_path):
     assert layout_from_name(f"file:{path}") == chain_graph(5)
     with pytest.raises(ValueError):
         layout_from_name("torus")
+
+
+def test_embedding_search_leaves_no_reference_cycle():
+    spec = OracleSpec.representative(10, 7)
+    gc.collect()
+    gc.disable()
+    try:
+        got = embed_oracle(spec, heavy_hex_27())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    # the embedding the search found before its cycle was broken
+    assert got == Embedding((1, 4, 7, 10), frozenset({0, 1, 4, 6}),
+                            {0: 0, 1: 2, 2: 4, 3: 7, 4: 6, 5: 10, 6: 12})

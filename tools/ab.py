@@ -15,13 +15,15 @@ sides.  The JSON written to ``--out`` holds, per workload and end-to-end
 metric, every value, the median and the quartiles from
 ``statistics.quantiles(values, n=4)`` of each side, the relative change of
 the medians, and the number of pairs the change won; plus each side's
-digests and failed-operation counts.  Each metric also gets the
+digests and failed-operation counts, and ``outputs_identical``: every run
+of both sides printed one and the same digest.  Each metric also gets the
 acceptance verdict: ``within_bound`` when the change median is no worse
 than the base median by more than the metric's ``bound`` (relative), and
 ``claim_met`` when the change won at least 9 in 10 of the pairs and its
 median is better than the base median by more than the base IQR.  One
 summary line per workload names the metrics outside their bound and those
-whose claim is met.  Exit code 1 when a run fails its own output checks.
+whose claim is met, and says whether the outputs were identical.  Exit
+code 1 when a run fails its own output checks.
 """
 from __future__ import annotations
 
@@ -150,6 +152,9 @@ def main(argv=None) -> int:
                  "attempted": {s: [r["attempted"] for r in rs]
                                for s, rs in sides.items()},
                  "metrics": {}}
+        entry["outputs_identical"] = (len(entry["digests"]["base"]) == 1 and
+                                      entry["digests"]["base"] ==
+                                      entry["digests"]["change"])
         ok &= all(r["exit"] == 0 for rs in sides.values() for r in rs)
         for name, m in metrics.items():
             base = [r["metrics"][name]["value"] for r in sides["base"]]
@@ -172,7 +177,8 @@ def main(argv=None) -> int:
         outside = [k for k, v in verdicts.items() if v["within_bound"] is False]
         claimed = [k for k, v in verdicts.items() if v["claim_met"]]
         print(f"{workload}: outside bound: {', '.join(outside) or 'none'}; "
-              f"claim met: {', '.join(claimed) or 'none'}; failed runs "
+              f"claim met: {', '.join(claimed) or 'none'}; outputs identical: "
+              f"{'yes' if entry['outputs_identical'] else 'no'}; failed runs "
               f"{sum(map(bool, entry['failed']['base']))} base, "
               f"{sum(map(bool, entry['failed']['change']))} change")
     with open(args.out, "w") as fh:
