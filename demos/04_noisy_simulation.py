@@ -1,9 +1,9 @@
 """Noisy simulation on the exact and trajectory backends.
 
-The same compiled operation stream drives a dense density-operator
-backend (small registers, ground truth) and a trajectory backend over
-batched per-wire statevector factors (Kraus branch sampling, exact in
-distribution).
+The same compiled operation stream drives an exact backend over per-wire
+density factors (ground truth, detuning averaged on Gauss-Hermite rules)
+and a trajectory backend over batched per-wire statevector factors (Kraus
+branch sampling, exact in distribution).
 """
 import numpy as np
 

@@ -494,8 +494,9 @@ def verify_routed(routed: RoutedCircuit, spec: OracleSpec,
     """True iff the routed circuit outputs b with certainty when noiseless.
 
     Always runs the X-basis sign propagation over the CNOT algebra; for
-    small instances additionally cross-checks with a dense statevector
-    simulation of the full event stream.
+    n <= ``exact_limit`` it also cross-checks with ``noiseless_output``, the
+    exact backend on per-wire density factors run over the full event
+    stream.
     """
     signs = _signs_after_cnots(routed)
     for lq in range(spec.n):

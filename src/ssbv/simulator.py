@@ -14,15 +14,23 @@ branches on is skipped, and damp tests for a jump only the shots that can
 jump.  States are kept unnormalized (quantum jumps with unnormalized
 states, Dalibard, Castin and Molmer, PRL 68, 580, 1992): damp applies the
 fixed no-jump diagonal, a jump is a ratio of norms, and only measurement
-renormalizes.  The exact backend
-applies the same stream to a density operator held as a 2n-axis tensor
-(one axis per row bit, then one per column bit).  Each distinct op is
-lowered once to a superoperator ``sum_K K (x) conj(K)`` whose Kraus
-operators come from ``noise`` (one Kraus operator for gates and ZZ);
-superoperators are multiplied together per wire and per wire pair before
-they reach the density operator, and the quasi-static detuning is averaged
-by a Smolyak sparse grid of Gauss-Hermite rules whose level rises until
-three successive levels agree.
+renormalizes.
+
+The exact backend walks the same stream on per-wire density factors: each
+factor is a tensor with a branch axis, one Gauss-Hermite node axis per
+open wire (a single node for a wire without detuning), then row bits and
+column bits.  Each distinct op is lowered once to a
+superoperator ``sum_K K (x) conj(K)`` whose Kraus operators come from
+``noise`` (one Kraus operator for gates and ZZ); a detune op is a stack of
+per-node diagonals.  One-wire superoperators are multiplied per wire until
+a two-wire op or the wire's end needs them, a two-wire op merges the
+factors of its wires, and right after its last op a wire leaves its
+factor: a data wire is read through its readout POVM onto a branch bit,
+any other wire is traced out, and its node axis is averaged.  After a
+merge or a wire's leaving, the branches whose node-weighted trace is below
+1e-15 of their factor's are dropped.  Each detuned wire takes the smallest
+rule that matches the Gaussian characteristic function over its total
+detuned idle time.
 
 Conventions: wire 0 is the most significant bit of serialized bitstrings;
 gate errors follow their gate, idle decoherence is applied at the end of
@@ -39,7 +47,6 @@ identical tables.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,7 +60,6 @@ from .noise import (NOISELESS, PAULIS_1Q, DeviceModel, NoiseConfig,
                     amplitude_damping, dephasing, depolarizing, idle_params)
 from .oracles import OracleSpec, ReadoutMap, ShotTable
 
-EXACT_MAX_WIRES = 7
 # Most wires one factor of the trajectory executor may hold.
 TRAJECTORY_MAX_WIRES = 21
 # Bytes of widest factor and random streams per batch of trajectory shots.
@@ -61,10 +67,10 @@ TRAJECTORY_MAX_WIRES = 21
 BATCH_BYTES = 32 << 20
 # Largest 1-D Gauss-Hermite rule the detuning average may use.
 GH_NODES_DEFAULT = 21
-# Most distinct density-operator runs one simulate_exact call may make.
-EXACT_MAX_RUNS = 21 ** 3
-# Largest change in any basis-state probability, in each of the last two
-# steps between sparse-grid levels, that the detuning average accepts.
+# Most complex entries one factor of the exact backend may hold (branches x
+# detuning node points x 4^wires), and most branches of its distribution.
+EXACT_MAX_ENTRIES = 1 << 22
+# Largest error of a detuning rule on the Gaussian characteristic function.
 EXACT_QUADRATURE_TOL = 1e-9
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -106,23 +112,28 @@ class Program:
         return {w: i for i, op in enumerate(self.ops) for w in op.wires}
 
     @cached_property
-    def width(self) -> int:
-        """Most wires one factor of the trajectory executor holds: a two-wire
-        op joins the factors of its wires, and a wire leaves its factor
-        after its last op.  Only two-wire ops can widen a factor, so only
-        they are walked; each drops the wires whose last op is behind it."""
+    def factors(self) -> tuple[frozenset[int], ...]:
+        """Wires of the factor each two-wire op acts on, in op order: a
+        two-wire op joins the factors of its wires, and a wire leaves its
+        factor after its last op.  Only two-wire ops can widen a factor, so
+        only they are walked, each dropping the wires whose last op is behind it."""
         last = self.last_op
-        factor: dict[int, set[int]] = {}
-        widest = 1
+        factor: dict[int, frozenset[int]] = {}
+        out = []
         for i, op in enumerate(self.ops):
             if len(op.wires) == 2:
                 a, b = op.wires
-                joined = {w for w in factor.get(a, {a}) | factor.get(b, {b})
-                          if last[w] >= i}
-                widest = max(widest, len(joined))
+                joined = frozenset(w for w in factor.get(a, {a}) | factor.get(b, {b})
+                                   if last[w] >= i)
+                out.append(joined)
                 for w in joined:
                     factor[w] = joined
-        return widest
+        return tuple(out)
+
+    @cached_property
+    def width(self) -> int:
+        """Most wires one factor holds (both executors factor alike)."""
+        return max(map(len, self.factors), default=1)
 
     @cached_property
     def superops(self) -> tuple[np.ndarray | None, ...]:
@@ -487,21 +498,12 @@ def simulate_shots(circuit: TimedCircuit, device: DeviceModel | None,
 
 def noiseless_output(circuit: TimedCircuit, readout: ReadoutMap) -> dict[str, float]:
     """Exact noiseless output distribution over the data bits."""
-    nw = circuit.num_qubits
-    state = np.zeros((1, 1 << nw), dtype=complex)
-    state[0, 0] = 1.0
-    for op in compile_program(circuit, None, NOISELESS).ops:
-        _apply(op, state, list(range(nw)))
-    probs = np.abs(state[0]) ** 2
-    index, inverse = np.unique(readout.data_index(np.arange(1 << nw), nw),
-                               return_inverse=True)
-    mass = np.bincount(inverse, weights=np.where(probs > 1e-300, probs, 0.0))
-    return {readout.key(i): float(m) for i, m in zip(index, mass) if m > 0}
+    return simulate_exact(circuit, None, NOISELESS, readout)
 
 
-# -- exact density-operator backend ----------------------------------------------
+# -- exact backend: per-wire density factors --------------------------------------
 
-def _kraus_operators(op: Op, delta: float = 0.0) -> tuple[np.ndarray, ...]:
+def _kraus_operators(op: Op) -> tuple[np.ndarray, ...]:
     """Kraus operators of one op on its wires, the first wire most significant."""
     if op.kind == "u1":
         return (op.matrix,)
@@ -509,8 +511,6 @@ def _kraus_operators(op: Op, delta: float = 0.0) -> tuple[np.ndarray, ...]:
         return (_CNOT,)
     if op.kind == "zz":
         return (np.diag([1.0, op.phase, op.phase, 1.0]),)
-    if op.kind == "detune":
-        return (np.diag([1.0, np.exp(1j * delta * op.t)]),)
     if op.kind == "damp":
         return amplitude_damping(op.p).operators
     if op.kind == "deph":
@@ -528,209 +528,207 @@ def _superop(kraus: tuple[np.ndarray, ...]) -> np.ndarray:
     return np.einsum("nij,nkl->ikjl", stack, stack.conj()).reshape(d * d, d * d)
 
 
-def _apply_superop(rho: np.ndarray, sop: np.ndarray, wires: tuple[int, ...]
-                   ) -> np.ndarray:
-    """Apply a (4^k, 4^k) superoperator to the row and column axes of the k
-    ``wires``."""
-    nw = rho.ndim // 2
-    k = len(wires)
-    axes = list(wires) + [nw + w for w in wires]
-    out = np.tensordot(sop.reshape((2,) * (4 * k)), rho,
-                       axes=(range(2 * k, 4 * k), axes))
-    return np.moveaxis(out, range(2 * k), axes)
+def _detuning_rules(program: Program, sigma: float, gh_nodes: int
+                    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Detunings and weights of each detuned wire's Gauss-Hermite rule: the
+    smallest, of at most ``gh_nodes`` nodes, whose mean of cos(delta a)
+    matches exp(-sigma^2 a^2 / 2) within EXACT_QUADRATURE_TOL at every a in
+    [0, T_w] (T_w: the wire's total detuned idle time), checked at 8 points
+    per radian of the rule's fastest cosine.  The detuning puts phases
+    exp(i delta a) with |a| <= T_w on density-matrix entries; DD echoes keep
+    |a| well below T_w, so under DD the rule is conservative.  Raises
+    SimulatorCapError when a wire needs more than ``gh_nodes`` nodes."""
+    total: dict[int, float] = {}
+    for op in program.ops:
+        if op.kind == "detune":
+            total[op.wires[0]] = total.get(op.wires[0], 0.0) + op.t
+    todo = sorted(total, key=total.get)
+    rules = {}
+    for size in range(1, gh_nodes + 1):
+        if not todo:
+            break
+        x, weight = np.polynomial.hermite.hermgauss(size)
+        x, weight = math.sqrt(2.0) * x, weight / math.sqrt(math.pi)
+        top = sigma * total[todo[-1]]
+        s = np.linspace(0.0, top, 2 + int(8 * top * max(1.0, x[-1])))
+        bad = np.abs(np.cos(np.outer(s, x)) @ weight - np.exp(-s * s / 2)) > EXACT_QUADRATURE_TOL
+        reach = s[bad.argmax()] if bad.any() else math.inf
+        while todo and sigma * total[todo[0]] < reach:
+            rules[todo.pop(0)] = (sigma * x, weight)
+    if todo:
+        raise SimulatorCapError(
+            f"detuning of wire {todo[0]} (sigma*T = {sigma * total[todo[0]]:.3g}) needs "
+            f"a Gauss-Hermite rule of more than gh_nodes={gh_nodes} nodes")
+    return rules
 
 
-_I4 = np.eye(4)
+# einsum letters of a factor's axes, by the wire's place in the factor; the
+# entry cap keeps a factor below 13 wires.
+_NODES, _ROWS, _COLS = "ABCDEFGHIJKLM", "abcdefghijklm", "nopqrstuvwxyz"
 
 
-def _pair_superop(sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
-    """One-wire 4x4 superoperators on wires a and b as one 16x16 on the
-    pair (a, b)."""
-    return np.einsum("acAC,bdBD->abcdABCD", sa.reshape(2, 2, 2, 2),
-                     sb.reshape(2, 2, 2, 2)).reshape(16, 16)
+def _letters(wires: list[int]) -> dict[int, tuple[str, str, str]]:
+    """Each wire's (node, row, column) letters."""
+    return {w: (_NODES[i], _ROWS[i], _COLS[i]) for i, w in enumerate(wires)}
 
 
-def _exact_run(program: Program, deltas: dict[int, float]) -> np.ndarray:
-    """Evolve the density operator for one fixed detuning realization.
+def _axes(branch: str, wires: list[int], letters) -> str:
+    """Subscripts of a factor: branch, node axes, row bits, column bits."""
+    return branch + "".join(letters[w][k] for k in range(3) for w in wires)
 
-    Superoperators are multiplied together before rho sees them; ops on
-    disjoint wires commute, so only each wire's order matters.  Successive
-    one-wire ops of a wire make one pending 4x4.  A two-wire op absorbs the
-    pending 4x4s of its wires and stays pending as a 16x16 until a
-    two-wire op on another pair touches one of its wires or the stream
-    ends; the next two-wire op on the same ordered pair multiplies into it.
-    So rho takes one pass per run of two-wire ops on one ordered pair, plus
-    one per wire left with a pending 4x4 and no pending pair at the end."""
-    nw = program.num_wires
-    rho = np.zeros((2,) * (2 * nw), dtype=complex)
-    rho[(0,) * (2 * nw)] = 1.0
-    one: dict[int, np.ndarray] = {}
-    two: dict[tuple[int, int], np.ndarray] = {}
-    for op, sop in zip(program.ops, program.superops):
-        if sop is None:     # detune: diag(1, e^{iδt}) as a superoperator
-            phase = np.exp(1j * deltas.get(op.wires[0], 0.0) * op.t)
-            sop = np.diag([1.0, phase.conjugate(), phase, 1.0])
+
+def _check_entries(entries: int, what: str) -> None:
+    if entries > EXACT_MAX_ENTRIES:
+        raise SimulatorCapError(f"{what} of {entries} entries exceeds exact-backend "
+                                f"cap EXACT_MAX_ENTRIES={EXACT_MAX_ENTRIES}")
+
+
+@dataclass
+class _Factor:
+    """Density tensor of one factor, axes (branch, one node axis per open
+    wire, row bits, column bits), and each branch's data index so far."""
+
+    t: np.ndarray
+    wires: list[int]
+    labels: np.ndarray
+
+    def merge(self, other: _Factor, rules) -> _Factor:
+        """Outer product of two factors (branches multiply), then pruned."""
+        _check_entries(self.t.size * other.t.size, "factor")
+        wires = self.wires + other.wires
+        ab = _letters(wires)
+        t = np.einsum(f"{_axes('Z', self.wires, ab)},{_axes('Y', other.wires, ab)}"
+                      f"->ZY{_axes('', wires, ab)}", self.t, other.t)
+        out = _Factor(t.reshape((-1,) + t.shape[2:]), wires,
+                      (self.labels[:, None] | other.labels[None, :]).ravel())
+        out.prune(rules)
+        return out
+
+    def apply(self, sop: np.ndarray, wires: tuple[int, ...]) -> None:
+        """Apply a (4^k, 4^k) superoperator on k wires, or a stack of
+        one-wire ones along the wire's node axis."""
+        ab = _letters(self.wires)
+        axes = _axes("Z", self.wires, ab)
+        old = "".join(ab[w][1] for w in wires) + "".join(ab[w][2] for w in wires)
+        new = "NOPQ"[:len(old)]
+        node = ab[wires[0]][0] if sop.ndim == 3 else ""
+        self.t = np.einsum(f"{node}{new}{old},{axes}->{axes.translate(str.maketrans(old, new))}",
+                           sop.reshape(sop.shape[:-2] + (2,) * (2 * len(old))), self.t)
+
+    def close(self, w: int, povm: np.ndarray, bits: np.ndarray, rules) -> None:
+        """Take wire w out: contract its row and column axes with ``povm``
+        (outcome, row*2 + column), or a stack of them along its node axis,
+        and average its node axis with its rule's weights.  Each branch splits
+        into one per outcome, its data index OR'd with that outcome's
+        ``bits``; then the factor is pruned."""
+        ab = _letters(self.wires)
+        node, row, col = ab[w]
+        axes = _axes("Z", self.wires, ab)
+        _check_entries(self.t.size * len(bits) // (4 * len(rules[w][0])), "factor")
+        t = np.einsum(f"{axes},{node if povm.ndim == 3 else ''}Y{row}{col},{node}->ZY"
+                      + "".join(ch for ch in axes[1:] if ch not in (node, row, col)),
+                      self.t, povm.reshape(povm.shape[:-1] + (2, 2)), rules[w][1])
+        self.t = t.reshape((-1,) + t.shape[2:])
+        self.labels = (self.labels[:, None] | bits[None, :]).ravel()
+        self.wires.remove(w)
+        self.prune(rules)
+
+    def prune(self, rules) -> None:
+        """Drop the branches whose node-weighted trace is below 1e-15 of the
+        factor's."""
+        ab = {w: (n, r, r) for w, (n, r, _) in _letters(self.wires).items()}
+        traces = np.einsum(",".join([_axes("Z", self.wires, ab)]
+                                    + [n for n, _, _ in ab.values()]) + "->Z",
+                           self.t, *(rules[w][1] for w in self.wires)).real
+        keep = traces >= 1e-15 * traces.sum()
+        if not keep.all():
+            self.t, self.labels = self.t[keep], self.labels[keep]
+
+
+def _exact_distribution(program: Program, rules, readout: ReadoutMap, rates
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Data indices and probabilities of the output of ``program`` read
+    through ``readout``, each wire's detuning averaged on its rule in
+    ``rules`` (wire -> detunings, weights; one node at zero detuning for a
+    wire without one), on per-wire density factors (see the module
+    docstring).  A factor no wire is left in is a distribution over its
+    data bits; the output is their product with the data bits no op
+    touches.  Raises SimulatorCapError before the first op when one
+    factor's node and wire axes would exceed EXACT_MAX_ENTRIES, and before
+    each allocation its branches would take past it.
+    """
+    rules = {w: rules.get(w, (np.zeros(1), np.ones(1))) for w in range(program.num_wires)}
+    _check_entries(max([math.prod(4 * len(rules[w][0]) for w in wires)
+                        for wires in program.factors + tuple({w} for w in rules)]), "factor")
+    p01, p10 = rates if rates is not None else (np.zeros(readout.n), np.zeros(readout.n))
+    povm = {}       # data wire -> (POVM, data bits of its outcomes)
+    out = _Factor(np.ones(1, dtype=complex), [], np.zeros(1, dtype=np.int64))
+    for lq, w in enumerate(readout.wire_of_logical):
+        read = (np.array([[1 - p01[lq], 0.0, 0.0, p10[lq]], [p01[lq], 0.0, 0.0, 1 - p10[lq]]]),
+                np.array([0, 1 << (readout.n - 1 - lq)], dtype=np.int64))
+        if w in program.last_op:
+            povm[w] = read
+        else:           # absent or untouched: reads |0>
+            out = out.merge(_Factor(read[0][:, 0].astype(complex), [], read[1]), rules)
+
+    def fresh(w: int) -> _Factor:     # |0><0| at every node
+        t = np.zeros((1, len(rules[w][0]), 2, 2), dtype=complex)
+        t[:, :, 0, 0] = 1.0
+        return _Factor(t, [w], np.zeros(1, dtype=np.int64))
+
+    factor: dict[int, _Factor] = {}
+    pending: dict[int, np.ndarray] = {}
+    for i, (op, sop) in enumerate(zip(program.ops, program.superops)):
+        if op.kind == "detune":     # per node: diag(exp(i delta t (row - column)))
+            sop = np.exp(1j * np.outer(rules[op.wires[0]][0] * op.t, [0, -1, 1, 0])
+                         )[:, :, None] * np.eye(4)
         if len(op.wires) == 1:
             w = op.wires[0]
-            one[w] = sop @ one[w] if w in one else sop
-            continue
-        pair = op.wires
-        for other in [q for q in two if q != pair and set(q) & set(pair)]:
-            rho = _apply_superop(rho, two.pop(other), other)
-        if pair[0] in one or pair[1] in one:
-            sop = sop @ _pair_superop(one.pop(pair[0], _I4), one.pop(pair[1], _I4))
-        two[pair] = sop @ two[pair] if pair in two else sop
-    for pair, sop in two.items():
-        if pair[0] in one or pair[1] in one:
-            sop = _pair_superop(one.pop(pair[0], _I4), one.pop(pair[1], _I4)) @ sop
-        rho = _apply_superop(rho, sop, pair)
-    for w, sop in one.items():
-        rho = _apply_superop(rho, sop, (w,))
-    return rho.reshape(1 << nw, 1 << nw)
-
-
-def _confuse_distribution(dist: np.ndarray, n: int, rates) -> np.ndarray:
-    """Apply per-bit readout confusion to a 2^n distribution vector."""
-    p01, p10 = rates
-    tensor = dist.reshape((2,) * n)
-    for bit in range(n):
-        m = np.array([[1 - p01[bit], p10[bit]], [p01[bit], 1 - p10[bit]]])
-        tensor = np.moveaxis(np.tensordot(m, tensor, axes=([1], [bit])), 0, bit)
-    return tensor.reshape(-1)
-
-
-def _gh_rule(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``level``-node Gauss-Hermite rule for a standard normal, as
-    hermgauss nodes (scaled by sqrt(2)*sigma at use) and weights summing to 1.
-    Every odd rule puts its middle node at exactly 0."""
-    x, w = np.polynomial.hermite.hermgauss(level)
-    return x, w / math.sqrt(math.pi)
-
-
-def _sparse_grid(dim: int, level: int) -> dict[tuple[float, ...], float]:
-    """Smolyak rule of ``level`` in ``dim`` dimensions by the combination
-    technique (Gerstner and Griebel, 1998): the sum over level tuples with
-    level <= |l| <= level+dim-1 of (-1)**(level+dim-1-|l|) *
-    C(dim-1, level+dim-1-|l|) times the tensor product of the 1-D rules of
-    levels l.  Maps each distinct node (hermgauss coordinates) to its summed
-    weight."""
-    top = level + dim - 1
-    grid: dict[tuple[float, ...], float] = {}
-    for levels in itertools.product(range(1, level + 1), repeat=dim):
-        if not level <= sum(levels) <= top:
-            continue
-        coef = (-1) ** (top - sum(levels)) * math.comb(dim - 1, top - sum(levels))
-        rules = [_gh_rule(l) for l in levels]
-        for picks in itertools.product(*(range(len(x)) for x, _ in rules)):
-            node = tuple(float(x[i]) for (x, _), i in zip(rules, picks))
-            weight = coef * math.prod(float(w[i]) for (_, w), i in zip(rules, picks))
-            grid[node] = grid.get(node, 0.0) + weight
-    return grid
-
-
-def _grid_runs(dim: int, level: int) -> int:
-    """Distinct nodes of the sparse grids of levels 1..level, counted without
-    building them.  In each dimension a node takes either the 0 shared by
-    the odd rules or one of the 2*((k+1)//2) nonzero nodes of the rule of
-    level k+1 (rules of different sizes share no other node), and the grids
-    up to ``level`` hold exactly the nodes whose k sum to at most level-1."""
-    ways = [1] + [0] * (level - 1)     # ways[s]: prefixes whose k sum to s
-    for _ in range(dim):
-        ways = [ways[s] + sum(2 * ((k + 1) // 2) * ways[s - k]
-                              for k in range(1, s + 1))
-                for s in range(level)]
-    return sum(ways)
-
-
-def _detuning_average(program: Program, sigma: float, gh_nodes: int) -> np.ndarray:
-    """Basis-state probabilities averaged over Gaussian detuning of every
-    detuned wire, on sparse grids of rising level.
-
-    Level L combines 1-D rules of up to L nodes.  The top level is fixed
-    before the first run: L <= gh_nodes, and at most EXACT_MAX_RUNS
-    distinct nodes over levels 1..L.  Each node is run once; the average
-    returns level L once the last two changes, L-2 to L-1 and L-1 to L, are
-    both within EXACT_QUADRATURE_TOL (so L >= 3: one small change can be a
-    coincidence of two wrong levels), and otherwise raises SimulatorCapError.
-    """
-    wires = program.detuned_wires
-    top = 1
-    while (top + 1 <= gh_nodes
-           and _grid_runs(len(wires), top + 1) <= EXACT_MAX_RUNS):
-        top += 1
-    if top < 3:
-        raise SimulatorCapError(
-            f"detuning average over {len(wires)} wires needs a level-3 sparse grid "
-            f"of 3-node rules and {_grid_runs(len(wires), 3)} runs; gh_nodes="
-            f"{gh_nodes} and the exact-backend cap of {EXACT_MAX_RUNS} runs "
-            f"allow only level {top}")
-
-    diagonals: dict[tuple[float, ...], np.ndarray] = {}
-
-    def average(level: int) -> np.ndarray:
-        probs = np.zeros(1 << program.num_wires)
-        for node, weight in _sparse_grid(len(wires), level).items():
-            if node not in diagonals:
-                deltas = {w: math.sqrt(2.0) * sigma * x for w, x in zip(wires, node)}
-                diagonals[node] = np.real(np.diag(_exact_run(program, deltas)))
-            probs += weight * diagonals[node]
-        return probs
-
-    previous, change = average(1), math.inf
-    for level in range(2, top + 1):
-        probs = average(level)
-        last, change = change, float(np.abs(probs - previous).max())
-        error = max(last, change)
-        if error <= EXACT_QUADRATURE_TOL:
-            return probs
-        previous = probs
-    raise SimulatorCapError(
-        f"detuning average over {len(wires)} wires: levels {top - 2} to {top} "
-        f"({len(diagonals)} runs) still change a probability by {error:.2e} "
-        f"> {EXACT_QUADRATURE_TOL:g}; gh_nodes={gh_nodes} and the exact-backend "
-        f"cap of {EXACT_MAX_RUNS} runs allow no higher level")
+            pending[w] = sop @ pending[w] if w in pending else sop
+        else:
+            f, g = (factor.get(w) or fresh(w) for w in op.wires)
+            if g is not f:
+                f = f.merge(g, rules)
+            for w in f.wires:
+                factor[w] = f
+            for w in op.wires:
+                if w in pending:
+                    f.apply(pending.pop(w), (w,))
+            f.apply(sop, op.wires)
+        for w in op.wires:
+            if program.last_op[w] == i:
+                f = factor.pop(w, None) or fresh(w)
+                end, bits = povm.get(w, (np.array([[1.0, 0, 0, 1]]),     # trace
+                                         np.zeros(1, dtype=np.int64)))
+                if w in pending:
+                    end = end @ pending.pop(w)
+                f.close(w, end, bits, rules)
+                if not f.wires:
+                    out = out.merge(f, rules)
+    return out.labels, out.t.real
 
 
 def simulate_exact(circuit: TimedCircuit, device: DeviceModel | None,
                    noise: NoiseConfig, readout: ReadoutMap | None = None,
                    physical_of_wire=None,
                    gh_nodes: int = GH_NODES_DEFAULT) -> dict[str, float]:
-    """Exact output distribution over data bitstrings (density operator).
-
-    Quasi-static detuning is averaged on Smolyak sparse grids of
-    Gauss-Hermite rules over the detuned wires, raising the level until
-    three successive levels agree: both of the last two changes are within
-    EXACT_QUADRATURE_TOL in every basis-state probability.  ``gh_nodes``
-    bounds the largest 1-D rule (a level-L grid uses rules of up to L
-    nodes) and EXACT_MAX_RUNS the distinct density-operator runs;
-    SimulatorCapError is raised before the first run when these allow no
-    level above 2, and after the last allowed level when it has not
-    converged.
-    """
+    """Exact output distribution over data bitstrings, on per-wire density
+    factors, each wire's detuning averaged on its rule from
+    ``_detuning_rules`` (``gh_nodes``: the largest rule allowed).  Only
+    negative rounding residue is clipped: the result is not renormalized,
+    and a mass more than 1e-9 from 1 raises RuntimeError."""
     nw = circuit.num_qubits
-    if nw > EXACT_MAX_WIRES:
-        raise SimulatorCapError(
-            f"{nw} wires exceeds exact-backend cap {EXACT_MAX_WIRES}")
     if readout is None:
         readout = ReadoutMap.identity(nw - 1 if nw > 1 else nw)
     phys = physical_of_wire if physical_of_wire is not None else list(range(nw))
     program = compile_program(circuit, device, noise, phys)
-
-    if program.detuned_wires and noise.detuning_sigma > 0:
-        probs = _detuning_average(program, noise.detuning_sigma, gh_nodes)
-    else:
-        probs = np.real(np.diag(_exact_run(program, {})))
+    rules = _detuning_rules(program, noise.detuning_sigma, gh_nodes)
+    labels, probs = _exact_distribution(program, rules, readout,
+                                        _readout_rates(readout, device, noise, phys))
     probs = np.maximum(probs, 0.0)
-    probs /= probs.sum()
-
-    n = readout.n
-    data = np.bincount(readout.data_index(np.arange(1 << nw), nw), weights=probs,
-                       minlength=1 << n)
-    rates = _readout_rates(readout, device, noise, phys)
-    if rates is not None:
-        data = _confuse_distribution(data, n, rates)
-
-    return {readout.key(i): float(data[i]) for i in np.nonzero(data > 1e-300)[0]}
+    if abs(probs.sum() - 1.0) > 1e-9:
+        raise RuntimeError(f"exact distribution has mass {probs.sum()!r}, not 1")
+    return {readout.key(i): float(p) for i, p in zip(labels, probs) if p > 1e-300}
 
 
 def total_variation_distance(p: dict[str, float], q: dict[str, float]) -> float:

@@ -1,5 +1,6 @@
-"""Exact backend against a dense np.kron Kraus reference on random programs,
-and the lowering and fusion counts of its superoperators."""
+"""Exact backend (per-wire density factors) against a dense np.kron Kraus
+reference on random programs, the lowering and pass counts of its
+superoperators, and the kernels it must not call."""
 import itertools
 import math
 from dataclasses import replace
@@ -9,9 +10,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssbv.simulator import (Op, Program, _apply_superop, _exact_run,
-                            _kraus_operators, compile_program)
-from test_simulator import MONTREAL, ur4_chain
+from ssbv import _kernels
+from ssbv.noise import NOISELESS
+from ssbv.oracles import ReadoutMap
+from ssbv.simulator import (Op, Program, _exact_distribution, _Factor,
+                            _kraus_operators, compile_program, noiseless_output,
+                            simulate_exact)
+from test_simulator import MONTREAL, routed_ur14, ur4_chain
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -153,7 +158,7 @@ def programs(draw):
         stream += segment
     stream = tuple(stream[:nw + 24])
     detuned = tuple(sorted({op.wires[0] for op in stream if op.kind == "detune"}))
-    # Some detuned wires get no node and run at zero detuning.
+    # Some detuned wires run at zero detuning.
     deltas = {w: rng.uniform(-1e6, 1e6) for w in detuned if draw(st.booleans())}
     n_uniform = sum(op.kind in ("dep1", "dep2", "deph", "damp") for op in stream)
     return Program(nw, stream, detuned, n_uniform), deltas
@@ -162,9 +167,18 @@ def programs(draw):
 @SETTINGS
 @given(programs())
 def test_exact_run_matches_dense_kraus_reference(case):
+    # Every wire is a data wire, so the output is the distribution over all
+    # wires; each detuning is pinned as a 1-node rule.
     program, deltas = case
-    got = _exact_run(program, deltas)
-    np.testing.assert_allclose(got, reference_run(program, deltas), rtol=0, atol=1e-12)
+    nw = program.num_wires
+    rules = {w: (np.array([deltas.get(w, 0.0)]), np.ones(1))
+             for w in program.detuned_wires}
+    labels, probs = _exact_distribution(program, rules, ReadoutMap.identity(nw), None)
+    got = np.zeros(1 << nw)
+    got[labels] = probs
+    want = np.real(np.diag(reference_run(program, deltas)))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert abs(probs.sum() - 1.0) <= 1e-9
 
 
 def lowering_key(op):
@@ -178,9 +192,9 @@ def test_superops_lower_each_distinct_op_once():
     assert program.num_wires == 7
     calls = []
 
-    def counting(op, delta=0.0):
+    def counting(op):
         calls.append(lowering_key(op))
-        return _kraus_operators(op, delta)
+        return _kraus_operators(op)
 
     with patch("ssbv.simulator._kraus_operators", counting):
         superops = program.superops
@@ -196,18 +210,48 @@ def test_superops_lower_each_distinct_op_once():
 
 def test_exact_run_fuses_into_two_wire_passes():
     # 242 ops on the 7-wire UR4 chain, 20 of them two-wire: 10 cnot/dep2
-    # pairs on 10 ordered wire pairs.  Unfused that is 242 rho passes;
-    # fusing one-wire ops only, 34.  Now one pass per cnot/dep2 pair and one
-    # per wire whose last one-wire ops follow no pending pair: 10 + 5.
-    _, _, circ, device, phys = ur4_chain(6)
+    # pairs on 10 ordered wire pairs.  One-wire ops are multiplied per wire
+    # and reach a factor only before a two-wire op or at the wire's end.
+    # Here every wire's one-wire ops between two-wire ops come before its
+    # first one, and those after its last fold into its close.  So the
+    # density tensors take 20 two-wire passes, 7 one-wire passes, 7 closes
+    # and 7 merges (6 as the chain joins one factor, 1 into the output):
+    # 41 passes, not 242.
+    _, routed, circ, device, phys = ur4_chain(6)
     program = compile_program(circ, device, replace(MONTREAL.noise(), detuning=False),
                               phys)
+    program.superops
     passes = []
 
-    def counting(rho, sop, wires):
-        passes.append(wires)
-        return _apply_superop(rho, sop, wires)
+    def counting(name):
+        method = getattr(_Factor, name)
 
-    with patch("ssbv.simulator._apply_superop", counting):
-        _exact_run(program, {})
-    assert len(passes) == 15
+        def count(self, *args):
+            passes.append(name)
+            return method(self, *args)
+        return count
+
+    with patch.multiple(_Factor, **{name: counting(name)
+                                    for name in ("apply", "merge", "close")}):
+        _exact_distribution(program, {}, routed.readout, None)
+    assert sum(op.kind in ("cnot", "dep2") for op in program.ops) == 20
+    assert sorted(passes) == ["apply"] * 27 + ["close"] * 7 + ["merge"] * 7
+
+
+def test_exact_backend_calls_no_kernel():
+    # The bench's kernel metrics are trajectory-only: its kernel observer
+    # reads a statevector batch, never a density tensor.
+    spec, routed, circ, device, phys = routed_ur14(5, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact backend called a kernel")
+
+    names = [n for n in dir(_kernels) if callable(getattr(_kernels, n))
+             and getattr(getattr(_kernels, n), "__module__", None) == _kernels.__name__]
+    assert {"apply_1q", "cnot", "ampdamp", "measure"} <= set(names)
+    with patch.multiple(_kernels, **{n: refuse for n in names}):
+        full = simulate_exact(circ, device, MONTREAL.noise(), routed.readout, phys)
+        clean = noiseless_output(circ, routed.readout)
+    assert clean == simulate_exact(circ, None, NOISELESS, routed.readout)
+    assert clean[spec.b.to01()] >= 1 - 1e-9
+    assert abs(sum(full.values()) - 1.0) <= 1e-9

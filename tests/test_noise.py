@@ -150,7 +150,7 @@ def test_free_evolution_x_expectation_is_cosine():
     # <X> = cos(delta*t), i.e. P(0) = cos^2(delta*t/2)
     from ssbv.circuit import GateEvent, GateKind, TimedCircuit
     from ssbv.oracles import ReadoutMap
-    from ssbv.simulator import _exact_run, compile_program, simulate_exact
+    from ssbv.simulator import _exact_distribution, compile_program, simulate_exact
 
     device = DeviceModel.homogeneous(
         1, t1_us=math.inf, t2_us=math.inf, ro_error=0.0, dur_1q=10,
@@ -163,10 +163,11 @@ def test_free_evolution_x_expectation_is_cosine():
     t = idle * float(device.dt)
     noise = NoiseConfig(detuning_sigma=delta)
 
-    # pinned delta: closed form cos(delta*t)
+    # pinned delta, a 1-node rule: closed form cos(delta*t)
     program = compile_program(circ, device, noise)
-    rho = _exact_run(program, {0: delta})
-    p0 = float(np.real(rho[0, 0]))
+    labels, probs = _exact_distribution(program, {0: (np.array([delta]), np.ones(1))},
+                                        ReadoutMap((0,)), None)
+    p0 = float(probs[list(labels).index(0)])
     assert 2 * p0 - 1 == pytest.approx(math.cos(delta * t), abs=1e-9)
 
     # Gaussian ensemble: averaged coherence exp(-(sigma t)^2 / 2)

@@ -1,8 +1,7 @@
 import itertools
 import math
-import time
 from dataclasses import replace
-from unittest.mock import patch
+from unittest.mock import DEFAULT, patch
 
 import numpy as np
 import pytest
@@ -16,10 +15,10 @@ from ssbv.noise import DeviceModel, NoiseConfig, load_profile
 from ssbv.oracles import (OracleSpec, ReadoutMap, all_oracles,
                           bv_logical_circuit)
 from ssbv.routing import chain_graph, embed_oracle, heavy_hex_27, route_bv
-from ssbv.simulator import (GH_NODES_DEFAULT, Op, Program, SimulatorCapError,
-                            TrajectoryPlan,
-                            _detuning_average, _exact_run, _grid_runs,
-                            _shot_streams, _sparse_grid,
+from ssbv.routing import verify_routed
+from ssbv.simulator import (Op, Program, SimulatorCapError, TrajectoryPlan,
+                            _detuning_rules, _exact_distribution, _Factor,
+                            _shot_streams,
                             check_reduction_equivalence,
                             compile_program, noiseless_output, simulate_exact,
                             simulate_shots, total_variation_distance)
@@ -122,7 +121,6 @@ def test_bv2_amplitude_damping_matches_hand_kraus_evolution():
     q = 0.03
     ops = []
     # order: X(anc), damp data wires, H layer, CNOT+damp rounds, H layer
-    from ssbv.simulator import Op, Program, _exact_run
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     ops.append(Op("u1", (2,), matrix=x))
@@ -136,9 +134,9 @@ def test_bv2_amplitude_damping_matches_hand_kraus_evolution():
             ops.append(Op("damp", (w,), p=q))
     for w in (0, 1, 2):
         ops.append(Op("u1", (w,), matrix=h))
-    rho = _exact_run(Program(3, tuple(ops), (), 0), {})
-    probs = np.real(np.diag(rho)).reshape(2, 2, 2).sum(axis=2)
-    got = {f"{a}{b}": probs[a, b] for a in (0, 1) for b in (0, 1)}
+    labels, probs = _exact_distribution(Program(3, tuple(ops), (), 0), {},
+                                        ReadoutMap((0, 1)), None)
+    got = {f"{i:02b}": p for i, p in zip(labels, probs)}
     want = hand_bv2_amplitude_damping(q, q)
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -264,118 +262,150 @@ def test_asymmetric_readout_agrees_across_backends(noise, channels):
 
 
 def test_exact_detuning_average_is_capped():
-    # Five detuned wires: level 2 moves the average by 2.5e-9 from level 1,
-    # so gh_nodes=3 (top level 3, 61 runs) refuses through the tolerance; the
-    # default gh_nodes reaches level 4 (241 runs) well within EXACT_MAX_RUNS.
+    # Five detuned wires whose rules need 1, 4, 4, 5 and 5 nodes: gh_nodes=4
+    # refuses, naming a 5-node wire; the default runs and keeps mass 1.
     spec, routed, circ, device, phys = ur4_chain(4)
     noise = MONTREAL.noise()
-    assert len(compile_program(circ, device, noise, phys).detuned_wires) == 5
-    start = time.perf_counter()
-    with pytest.raises(SimulatorCapError, match="still change a probability"):
-        simulate_exact(circ, device, noise, routed.readout, phys, gh_nodes=3)
-    assert time.perf_counter() - start < 1.0
+    program = compile_program(circ, device, noise, phys)
+    assert len(program.detuned_wires) == 5
+    rules = _detuning_rules(program, noise.detuning_sigma, 21)
+    assert sorted(len(x) for x, _ in rules.values()) == [1, 4, 4, 5, 5]
+    with pytest.raises(SimulatorCapError, match=r"wire [04] .*gh_nodes=4 "):
+        simulate_exact(circ, device, noise, routed.readout, phys, gh_nodes=4)
     dist = simulate_exact(circ, device, noise, routed.readout, phys)
-    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_exact_detuning_average_refuses_before_running():
-    spec, routed, circ, device, phys = ur4_chain(2)
-    program = compile_program(circ, device, MONTREAL.noise(), phys)
-    assert len(program.detuned_wires) == 2
-    calls = []
-
-    def run(program, deltas):
-        calls.append(deltas)
-        return _exact_run(program, deltas)
-
-    with patch("ssbv.simulator._exact_run", run):
-        with pytest.raises(SimulatorCapError, match="level-3"):
-            _detuning_average(program, 1e5, gh_nodes=2)
-        # Levels 1-2 take 5 runs and levels 1-3 take 13.
-        with patch("ssbv.simulator.EXACT_MAX_RUNS", 12):
-            with pytest.raises(SimulatorCapError, match="level-3"):
-                _detuning_average(program, 1e5, gh_nodes=21)
-    assert calls == []
-
-
-def test_detuning_average_needs_two_small_changes():
-    # Ramsey (H - idle - H) on one detuned wire with sigma*t = 2*pi/sqrt(3).
-    # The 3-node rule's nodes delta = 0, +-sqrt(3)*sigma give delta*t = 0,
-    # +-2*pi, so level 3 reads P(0) = 1, as does level 1's one node delta = 0,
-    # while the average is (1 + exp(-(sigma*t)^2 / 2)) / 2, about 0.5007.
+def ramsey(sigma_t):
+    """H - idle - H on one wire detuned by sigma_t / (idle time)."""
     device = plain_device(1)
     idle = 3000
     events = (GateEvent(GateKind.H, (0,), 0, 10),
               GateEvent(GateKind.H, (0,), 10 + idle, 10))
     circ = TimedCircuit(1, events, dt=device.dt)
+    return circ, device, NoiseConfig(detuning_sigma=sigma_t / (idle * float(device.dt)))
+
+
+def routed_no_dd(n, k):
+    graph = heavy_hex_27()
+    device = MONTREAL.device(graph)
+    spec = OracleSpec.representative(n, k)
+    routed = route_bv(spec, graph, embed_oracle(spec, graph), device)
+    phys = [None] * routed.circuit.num_qubits
+    for node, w in routed.wire_of_physical.items():
+        phys[w] = node
+    return spec, routed, routed.circuit, device, phys
+
+
+def test_exact_detuning_average_refuses_before_running():
+    # The Ramsey case below needs a 21-node rule; at 10x sigma, the no-DD
+    # (26, 26) oracle's wires need more than 61.  Both refuse before the
+    # first op.
+    circ, device, noise = ramsey(2 * math.pi / math.sqrt(3))
+    _, routed, wide, wide_device, phys = routed_no_dd(26, 26)
+    loud = replace(MONTREAL.noise(), detuning_sigma=10 * MONTREAL.noise().detuning_sigma)
+    program = compile_program(wide, wide_device, loud, phys)
+    with pytest.raises(SimulatorCapError, match="gh_nodes=61 "):
+        _detuning_rules(program, loud.detuning_sigma, 61)
+    calls = []
+    with patch("ssbv.simulator._exact_distribution", lambda *a: calls.append(a)):
+        with pytest.raises(SimulatorCapError,
+                           match=r"wire 0 \(sigma\*T = 3.63\).*gh_nodes=19 "):
+            simulate_exact(circ, device, noise, ReadoutMap((0,)), gh_nodes=19)
+        with pytest.raises(SimulatorCapError, match=r"wire \d+ .*gh_nodes=21 "):
+            simulate_exact(wide, wide_device, loud, routed.readout, phys)
+    assert calls == []
+
+
+def test_detuning_rule_sees_past_a_coincidence():
+    # Ramsey with sigma*t = 2*pi/sqrt(3).  The 3-node rule's nodes delta = 0,
+    # +-sqrt(3)*sigma give delta*t = 0, +-2*pi, so it reads P(0) = 1, while the
+    # average is (1 + exp(-(sigma*t)^2 / 2)) / 2, about 0.5007.  The rule is
+    # checked over every a in [0, t], so it is 21 nodes, not 3.
     sigma_t = 2 * math.pi / math.sqrt(3)
-    noise = NoiseConfig(detuning_sigma=sigma_t / (idle * float(device.dt)))
-    want = (1 + math.exp(-sigma_t ** 2 / 2)) / 2
-    # Levels 20 and 21 still move P(0) by 1.0e-8 and 1.7e-9: refused.
-    with pytest.raises(SimulatorCapError, match="still change a probability"):
-        simulate_exact(circ, device, noise, ReadoutMap((0,)))
-    dist = simulate_exact(circ, device, noise, ReadoutMap((0,)), gh_nodes=23)
-    assert dist["0"] == pytest.approx(want, abs=1e-9)
+    circ, device, noise = ramsey(sigma_t)
+    program = compile_program(circ, device, noise)
+    x, w = np.polynomial.hermite.hermgauss(3)
+    three = {0: (math.sqrt(2) * noise.detuning_sigma * x, w / math.sqrt(math.pi))}
+    labels, probs = _exact_distribution(program, three, ReadoutMap((0,)), None)
+    assert probs[list(labels).index(0)] == pytest.approx(1.0, abs=1e-12)
+    assert len(_detuning_rules(program, noise.detuning_sigma, 21)[0][0]) == 21
+    dist = simulate_exact(circ, device, noise, ReadoutMap((0,)), gh_nodes=21)
+    assert dist["0"] == pytest.approx((1 + math.exp(-sigma_t ** 2 / 2)) / 2, abs=1e-9)
 
 
-def gaussian_moment(power):
-    """E[z**power] for a standard normal z."""
-    return 0.0 if power % 2 else float(math.prod(range(power - 1, 0, -2)))
+# Nodes each detuned wire's rule needs under montreal noise.
+RULE_SIZES = {
+    "bench exact-reference run": (lambda: ur4_chain(2), [3, 3]),
+    "readme oracle (10, 4)": (lambda: routed_ur14(10, 4), [1, 1, 3, 4, 4]),
+    "(26, 26) ur14": (lambda: routed_ur14(26, 26), [14] * 5 + [15] * 13 + [16] * 9),
+    "(26, 26) no dd": (lambda: routed_no_dd(26, 26), [15] * 7 + [16] * 11 + [17] * 9),
+}
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
-@pytest.mark.parametrize("level", [1, 2, 3, 4])
-def test_sparse_grid_integrates_total_degree_polynomials(dim, level):
-    # A level-L Smolyak grid of Gauss-Hermite rules with l nodes is exact
-    # for every monomial of total degree <= 2L-1.
-    grid = _sparse_grid(dim, level)
-    z = math.sqrt(2.0) * np.array(list(grid), dtype=float).reshape(len(grid), dim)
-    w = np.array(list(grid.values()))
-    for powers in itertools.product(range(2 * level), repeat=dim):
-        if sum(powers) > 2 * level - 1:
-            continue
-        want = math.prod(gaussian_moment(p) for p in powers)
-        got = float(w @ np.prod(z ** np.array(powers), axis=1))
-        assert got == pytest.approx(want, abs=1e-10), powers
-    union = set()
-    for lower in range(1, level + 1):
-        union |= set(_sparse_grid(dim, lower))
-    assert len(union) == _grid_runs(dim, level)
-
-
-def tensor_grid_average(program, sigma, nodes):
-    """Reference: tensor-product Gauss-Hermite average of the basis-state
-    probabilities, nodes ** (#detuned wires) runs."""
-    x, w = np.polynomial.hermite.hermgauss(nodes)
-    w = w / math.sqrt(math.pi)
-    probs = np.zeros(1 << program.num_wires)
-    for combo in itertools.product(range(nodes), repeat=len(program.detuned_wires)):
-        deltas = {wire: math.sqrt(2.0) * sigma * x[i]
-                  for wire, i in zip(program.detuned_wires, combo)}
-        probs += math.prod(w[i] for i in combo) * np.real(
-            np.diag(_exact_run(program, deltas)))
-    return probs
+@pytest.mark.parametrize("case", list(RULE_SIZES))
+def test_detuning_rule_sizes(case):
+    make, nodes = RULE_SIZES[case]
+    _, _, circ, device, phys = make()
+    noise = MONTREAL.noise()
+    program = compile_program(circ, device, noise, phys)
+    rules = _detuning_rules(program, noise.detuning_sigma, 21)
+    assert sorted(len(x) for x, _ in rules.values()) == nodes
 
 
 @pytest.mark.parametrize("case", ["ur4 chain, 2 wires at 10x sigma",
                                   "bv3 k=1, 3 wires"])
-def test_sparse_grid_matches_tensor_grid(case):
+def test_detuning_rules_match_a_finer_rule(case):
+    # The chosen rules against a 40-node rule on every detuned wire.
     if case.startswith("ur4"):
-        _, _, circ, device, phys = ur4_chain(2)
+        _, routed, circ, device, phys = ur4_chain(2)
         noise = MONTREAL.noise()
         noise = replace(noise, detuning_sigma=10 * noise.detuning_sigma)
-        nodes = 9
+        readout = routed.readout
     else:
         device = MONTREAL.device(chain_graph(4))
-        circ, _ = bv_circuit(OracleSpec.representative(3, 1), device)
+        circ, readout = bv_circuit(OracleSpec.representative(3, 1), device)
         phys = None
         noise = MONTREAL.noise()
-        nodes = 7
     program = compile_program(circ, device, noise, phys)
     assert len(program.detuned_wires) == (2 if case.startswith("ur4") else 3)
-    got = _detuning_average(program, noise.detuning_sigma, GH_NODES_DEFAULT)
-    want = tensor_grid_average(program, noise.detuning_sigma, nodes)
-    assert np.abs(got - want).max() <= 1e-12
+    rules = _detuning_rules(program, noise.detuning_sigma, 40)
+    x, w = np.polynomial.hermite.hermgauss(40)
+    fine = {wire: (math.sqrt(2) * noise.detuning_sigma * x, w / math.sqrt(math.pi))
+            for wire in rules}
+    assert max(len(x) for x, _ in rules.values()) < 40
+    got, want = (dict(zip(*_exact_distribution(program, r, readout, None)))
+                 for r in (rules, fine))
+    assert set(got) == set(want)
+    assert max(abs(got[k] - want[k]) for k in got) <= 1e-8
+
+
+def test_simulate_exact_does_not_renormalize():
+    # A mass within 1e-9 of 1 comes back as it is, negative rounding residue
+    # is clipped to 0, and a mass further from 1 raises.
+    device = MONTREAL.device(chain_graph(3))
+    circ, rmap = bv_circuit(OracleSpec.representative(2, 1), device)
+    labels = np.array([0b01, 0b10])
+    for probs, want in (([1 + 5e-10, -1e-17], {"01": 1 + 5e-10}),
+                        ([1 + 2e-9, 0.0], None)):
+        with patch("ssbv.simulator._exact_distribution",
+                   lambda *a: (labels, np.array(probs))):
+            if want is None:
+                with pytest.raises(RuntimeError, match="mass"):
+                    simulate_exact(circ, device, NoiseConfig(), rmap)
+            else:
+                assert simulate_exact(circ, device, NoiseConfig(), rmap) == want
+
+
+@pytest.mark.parametrize("k, wires", [(26, 27), (13, 14), (0, 1)])
+def test_noiseless_output_reaches_27_wires(k, wires):
+    # (26, k) on heavy-hex-27 with UR14, reduced: the k marked data wires and
+    # the ancilla are present, the other bits read 0.  A dense statevector
+    # of 27 wires would take 2 GiB.
+    spec, routed, circ, device, phys = routed_ur14(26, k)
+    assert circ.num_qubits == wires
+    assert noiseless_output(circ, routed.readout)[spec.b.to01()] >= 1 - 1e-9
+    assert verify_routed(routed, spec, exact_limit=26)
 
 
 @pytest.mark.parametrize("case", ["ur4 chain 5 wires", "ur4 chain 7 wires",
@@ -597,11 +627,24 @@ def test_permutation_covariance_wire_relabeling():
 
 
 def test_backend_caps():
+    # Eight independent H wires: eight one-wire factors, 256 branches in all.
     device = plain_device(8)
     events = tuple(GateEvent(GateKind.H, (w,), 0, 10) for w in range(8))
     circ = TimedCircuit(8, events, dt=device.dt)
-    with pytest.raises(SimulatorCapError):
-        simulate_exact(circ, device, NoiseConfig(), ReadoutMap.identity(7))
+    dist = simulate_exact(circ, device, NoiseConfig(), ReadoutMap.identity(8))
+    assert len(dist) == 256
+    assert all(p == pytest.approx(1 / 256, abs=1e-15) for p in dist.values())
+    with patch("ssbv.simulator.EXACT_MAX_ENTRIES", 255):
+        with pytest.raises(SimulatorCapError, match="factor of 256 entries"):
+            simulate_exact(circ, device, NoiseConfig(), ReadoutMap.identity(8))
+    # A factor's node and wire axes are checked before the first op.
+    device = plain_device(2)
+    pair = TimedCircuit(2, (GateEvent(GateKind.CNOT, (0, 1), 0, 30),), dt=device.dt)
+    with patch("ssbv.simulator.EXACT_MAX_ENTRIES", 15), \
+            patch.multiple(_Factor, apply=DEFAULT, close=DEFAULT, merge=DEFAULT) as calls:
+        with pytest.raises(SimulatorCapError, match="factor of 16 entries"):
+            simulate_exact(pair, device, NoiseConfig(), ReadoutMap.identity(2))
+    assert not any(mock.called for mock in calls.values())
     # CNOTs down a 22-wire chain and back up: after the way down every wire
     # still has a CNOT to come, so one factor holds all 22 wires.
     down = [(w, w + 1) for w in range(21)]
