@@ -32,9 +32,10 @@ from .manifest import (append_entry, append_file_entry, read_manifest,
 from .noise import load_profile
 from .oracles import (ALL_ORACLES_CAP, OracleSpec, ShotTable, all_oracles, load_counts,
                       reduce_counts, representative_oracles, save_counts)
+from . import simulator
 from .routing import embed_oracle, layout_from_name, route_bv
 from .simulator import (TRAJECTORY_MAX_WIRES, SimulatorCapError, TrajectoryPlan,
-                        compile_program, simulate_shots)
+                        simulate_shots)
 
 BOOTSTRAP_TAG = 0xB007
 
@@ -207,43 +208,47 @@ def cmd_generate(config: ExperimentConfig, out_dir) -> str:
     return manifest
 
 
-def _duration_table(config: ExperimentConfig, graph, device, sequence, pulse
-                    ) -> dict[int, float]:
-    """t_r(n) in seconds from the full-weight (k=n) routed circuit."""
-    table = {}
+def _duration_table(config: ExperimentConfig, graph, device, sequence, pulse,
+                    known: dict[int, float]) -> dict[int, float]:
+    """t_r(n) in seconds from the full-weight (k=n) routed circuit: ``known``
+    for the sizes the caller has routed it at, routed here for the rest."""
+    table = dict(known)
     for n in range(config.n_min, config.n_max + 1):
-        spec = OracleSpec.representative(n, n)
-        _, circuit = _routed_for(config, spec, graph, device, sequence, pulse)
-        table[n] = device.seconds(circuit_duration(circuit))
+        if n not in table:
+            _, circuit = _routed_for(config, OracleSpec.representative(n, n), graph,
+                                     device, sequence, pulse)
+            table[n] = device.seconds(circuit_duration(circuit))
     return table
 
 
 def cmd_simulate(config: ExperimentConfig, out_dir) -> str:
     """Run the trajectory backend over the configured oracle grid.
 
-    Every circuit of the grid is routed and compiled, and its widest factor
-    checked against the trajectory cap, before anything is simulated or
-    written, so an infeasible grid fails fast and leaves no tables behind.
+    Each circuit of the grid is routed and compiled once, up front, and its
+    widest factor checked against the trajectory cap, so an infeasible grid
+    fails fast and leaves no tables; the job loop runs these programs.
     """
     graph, device, noise, sequence, pulse = _resolve(config)
     plan = TrajectoryPlan(config.shots, config.master_seed)
     reduced = config.collection == "reduced"
     sizes = [config.n_max] if reduced else range(config.n_min, config.n_max + 1)
-    jobs = []
+    jobs, known = [], {}
     for n in sizes:
         for spec in _oracles_for(config, n):
             routed, circuit = _routed_for(config, spec, graph, device,
                                           sequence, pulse)
+            if spec == OracleSpec.representative(n, n):
+                known[n] = device.seconds(circuit_duration(circuit))
             phys = [None] * circuit.num_qubits
             for node, w in routed.wire_of_physical.items():
                 phys[w] = node
-            width = compile_program(circuit, device, noise, phys).width
-            if width > TRAJECTORY_MAX_WIRES:
+            program = simulator.compile_program(circuit, device, noise, phys)
+            if program.width > TRAJECTORY_MAX_WIRES:
                 raise SimulatorCapError(
-                    f"{_table_name(spec)}: widest factor of {width} wires exceeds "
-                    f"trajectory cap {TRAJECTORY_MAX_WIRES}")
-            jobs.append((spec, routed, circuit, phys))
-    durations = _duration_table(config, graph, device, sequence, pulse)
+                    f"{_table_name(spec)}: widest factor of {program.width} wires "
+                    f"exceeds trajectory cap {TRAJECTORY_MAX_WIRES}")
+            jobs.append((spec, routed.readout, program, phys))
+    durations = _duration_table(config, graph, device, sequence, pulse, known)
 
     counts_dir = os.path.join(out_dir, "counts")
     os.makedirs(counts_dir, exist_ok=True)
@@ -262,9 +267,8 @@ def cmd_simulate(config: ExperimentConfig, out_dir) -> str:
                           b=table.oracle.b.to01(), shots=table.total_shots,
                           derived=int(derived))
 
-    for spec, routed, circuit, phys in jobs:
-        table = simulate_shots(circuit, device, noise, plan, spec,
-                               routed.readout, phys)
+    for spec, readout, program, phys in jobs:
+        table = simulate_shots(program, device, noise, plan, spec, readout, phys)
         write_table(table, derived=False)
         if reduced:
             for m in range(config.n_min, config.n_max):

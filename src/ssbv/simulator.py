@@ -50,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -75,13 +76,15 @@ EXACT_QUADRATURE_TOL = 1e-9
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+# Op kinds that draw one uniform per shot.
+_UNIFORM_KINDS = frozenset(("dep1", "dep2", "deph", "damp"))
 
 
 class SimulatorCapError(Exception):
     """Requested register exceeds the backend's qubit cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Op:
     """One primitive step of the compiled stream."""
 
@@ -91,10 +94,6 @@ class Op:
     t: float = 0.0            # idle duration in seconds (detune)
     phase: complex = 0.0      # fixed relative phase (zz)
     matrix: np.ndarray | None = None  # u1
-
-    @property
-    def draws_uniform(self) -> bool:
-        return self.kind in ("dep1", "dep2", "deph", "damp")
 
 
 @dataclass(frozen=True)
@@ -186,13 +185,8 @@ def _gate_matrix(ev: GateEvent, eps: float) -> np.ndarray | None:
 
 def _interval_overlaps(aa: list[tuple[int, int]], bb: list[tuple[int, int]]
                        ) -> list[tuple[int, int]]:
-    out = []
-    for a0, a1 in aa:
-        for b0, b1 in bb:
-            lo, hi = max(a0, b0), min(a1, b1)
-            if hi > lo:
-                out.append((lo, hi))
-    return sorted(out)
+    return sorted((max(a0, b0), min(a1, b1)) for a0, a1 in aa for b0, b1 in bb
+                  if min(a1, b1) > max(a0, b0))
 
 
 def compile_program(circuit: TimedCircuit, device: DeviceModel | None,
@@ -203,7 +197,8 @@ def compile_program(circuit: TimedCircuit, device: DeviceModel | None,
     ops carry phase 0 at their interval end and gates phase 1 at their
     start, so decoherence accrued before a gate is applied before it.  Then
     each wire's one-wire ops after its last two-wire op move up, in order,
-    to follow that op; they commute with every op on other wires.  Raises
+    to follow that op; they commute with every op on other wires.  Equal
+    gates share their ops, as do a wire's idles of equal length.  Raises
     ValueError for an invalid circuit.
     """
     bad = validate_circuit(circuit)
@@ -214,15 +209,10 @@ def compile_program(circuit: TimedCircuit, device: DeviceModel | None,
     eps = noise.flip_angle_eps
     phys = physical_of_wire if physical_of_wire is not None else list(range(nw))
 
-    # Sort keys (time, phase, emission index); the index is unique, so the
-    # ops themselves are never compared.
-    entries: list[tuple[int, int, int, Op]] = []
-
-    def push(time: int, order: int, *ops: Op) -> None:
-        for op in ops:
-            entries.append((time, order, len(entries), op))
-
-    # Equal gates share their ops.
+    # Sort keys (time, phase, emission index) of groups of ops on the same
+    # wires: a gate and its error, an idle's channels, or a ZZ phase.  The
+    # index is unique, so the groups themselves are never compared.
+    entries: list[tuple[int, int, int, tuple[Op, ...]]] = []
     p_dep = ({"dep1": device.p_dep_1q, "dep2": device.p_dep_2q}
              if noise.depolarizing and device is not None else {})
     gate_ops: dict[tuple, tuple[Op, ...]] = {}
@@ -237,29 +227,23 @@ def compile_program(circuit: TimedCircuit, device: DeviceModel | None,
                 gate, channel = Op("u1", ev.qubits, matrix=_gate_matrix(ev, eps)), "dep1"
             p = p_dep.get(channel, 0.0)
             gate_ops[key] = (gate, Op(channel, ev.qubits, p=p)) if p > 0 else (gate,)
-        push(ev.start, 1, *gate_ops[key])
+        entries.append((ev.start, 1, len(entries), gate_ops[key]))
 
     idles = detect_gaps(circuit, include_edges=True)
-    detuning = noise.detuning and noise.detuning_sigma > 0
-    detuned: list[int] = []
+    detuning = noise.detuning and noise.detuning_sigma > 0 and device is not None
     if device is not None:
         for w in range(nw):
-            q = phys[w]
-            params: dict[int, tuple[float, float]] = {}     # by idle length
+            idle_ops: dict[int, tuple[Op, ...]] = {}     # by idle length
             for g0, g1 in idles[w]:
-                t = (g1 - g0) * dt
-                if noise.decoherence:
-                    if g1 - g0 not in params:
-                        params[g1 - g0] = idle_params(device.t1[q], device.t2[q], t)
-                    p_ad, p_z = params[g1 - g0]
-                    if p_ad > 0:
-                        push(g1, 0, Op("damp", (w,), p=p_ad))
-                    if p_z > 0:
-                        push(g1, 0, Op("deph", (w,), p=p_z))
-                if detuning:
-                    push(g1, 0, Op("detune", (w,), t=t))
-            if detuning and idles[w]:
-                detuned.append(w)
+                if g1 - g0 not in idle_ops:
+                    t = (g1 - g0) * dt
+                    p_ad, p_z = (idle_params(device.t1[phys[w]], device.t2[phys[w]], t)
+                                 if noise.decoherence else (0.0, 0.0))
+                    idle_ops[g1 - g0] = (((Op("damp", (w,), p=p_ad),) if p_ad > 0 else ())
+                                         + ((Op("deph", (w,), p=p_z),) if p_z > 0 else ())
+                                         + ((Op("detune", (w,), t=t),) if detuning else ()))
+                if idle_ops[g1 - g0]:
+                    entries.append((g1, 0, len(entries), idle_ops[g1 - g0]))
 
         if noise.zz and noise.zz_rate > 0 and device.graph is not None:
             wire_of = {phys[w]: w for w in range(nw)}
@@ -268,17 +252,27 @@ def compile_program(circuit: TimedCircuit, device: DeviceModel | None,
                     wa, wb = wire_of[a], wire_of[b]
                     for o0, o1 in _interval_overlaps(idles[wa], idles[wb]):
                         angle = noise.zz_rate * (o1 - o0) * dt
-                        push(o1, 0, Op("zz", (wa, wb), phase=np.exp(1j * angle)))
+                        entries.append((o1, 0, len(entries),
+                                        (Op("zz", (wa, wb), phase=np.exp(1j * angle)),)))
 
     entries.sort()
-    ops = [op for _, _, _, op in entries]
-    last2 = {w: i for i, op in enumerate(ops) if len(op.wires) == 2 for w in op.wires}
-    slot = [min(i, last2.get(op.wires[0], i)) if len(op.wires) == 1 else i
-            for i, op in enumerate(ops)]
-    # sorted is stable: ops of one slot keep their order.
-    ops = tuple(ops[i] for i in sorted(range(len(ops)), key=slot.__getitem__))
-    n_uniform = sum(op.draws_uniform for op in ops)
-    return Program(nw, ops, tuple(detuned), n_uniform)
+    # One pass: a wire's one-wire groups after its last two-wire group go,
+    # in order, to tails[wire], the chunk that follows that group.
+    last2 = {w: i for i, (_, _, _, group) in enumerate(entries)
+             if len(group[0].wires) == 2 for w in group[0].wires}
+    chunks, tails = [], {}
+    for i, (_, _, _, group) in enumerate(entries):
+        wires = group[0].wires
+        if wires[0] in tails:       # no two-wire group on it is left
+            tails[wires[0]].extend(group)
+            continue
+        chunks.append(group)
+        if len(wires) == 2 and i in (last2[wires[0]], last2[wires[1]]):
+            chunks.append(tail := [])
+            tails.update((w, tail) for w in wires if last2[w] == i)
+    ops = tuple(chain.from_iterable(chunks))
+    return Program(nw, ops, tuple(w for w in range(nw) if detuning and idles[w]),
+                   sum(op.kind in _UNIFORM_KINDS for op in ops))
 
 
 # -- trajectory backend ---------------------------------------------------------
@@ -405,7 +399,7 @@ def _evolve(program: Program, uniforms: np.ndarray, deltas: dict[int, np.ndarray
         draw = None
         if op.kind == "detune":
             draw = deltas[op.wires[0]]
-        elif op.draws_uniform:
+        elif op.kind in _UNIFORM_KINDS:
             # dep1/dep2 branch when u >= 1 - p; deph branches and damp can
             # jump only when u < p.
             if (highs[column] >= 1.0 - op.p if op.kind in ("dep1", "dep2")
@@ -463,17 +457,19 @@ def _read_data(outcomes: np.ndarray, uniforms: np.ndarray, col0: int,
     return index
 
 
-def simulate_shots(circuit: TimedCircuit, device: DeviceModel | None,
+def simulate_shots(circuit: TimedCircuit | Program, device: DeviceModel | None,
                    noise: NoiseConfig, plan: TrajectoryPlan, oracle: OracleSpec,
                    readout: ReadoutMap | None = None,
                    physical_of_wire=None) -> ShotTable:
-    """Monte Carlo trajectory sampling; deterministic given the plan."""
-    nw = circuit.num_qubits
+    """Monte Carlo trajectory sampling; deterministic given the plan.  Takes
+    a timed circuit, or the Program compile_program built from it with the
+    same device, noise and physical_of_wire, which then runs as given."""
+    nw = circuit.num_wires if isinstance(circuit, Program) else circuit.num_qubits
     if readout is None:
         readout = ReadoutMap.identity(oracle.n)
     phys = physical_of_wire if physical_of_wire is not None else list(range(nw))
-
-    program = compile_program(circuit, device, noise, phys)
+    program = (circuit if isinstance(circuit, Program)
+               else compile_program(circuit, device, noise, phys))
     if program.width > TRAJECTORY_MAX_WIRES:
         raise SimulatorCapError(f"widest factor of {program.width} wires exceeds "
                                 f"trajectory cap {TRAJECTORY_MAX_WIRES}")

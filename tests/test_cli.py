@@ -3,13 +3,15 @@ import os
 
 import pytest
 
+from ssbv import experiment, simulator
 from ssbv.cli import _build_parser, main
 from ssbv.experiment import (ConfigError, ExperimentConfig, cmd_analyze,
                              cmd_generate, cmd_ingest, cmd_simulate,
                              config_from_text, config_to_text)
 from ssbv.manifest import read_manifest, verify_manifest
 from ssbv.noise import Profile, load_profile, profile_to_text
-from ssbv.oracles import OracleSpec, ShotTable, load_counts, save_counts
+from ssbv.oracles import (OracleSpec, ShotTable, load_counts, representative_oracles,
+                          save_counts)
 
 FAST = dict(n_min=2, n_max=4, layout="chain", profile="montreal",
             shots=200, master_seed=3, bootstrap_b=15)
@@ -133,6 +135,35 @@ def test_cli_exit_codes(tmp_path):
     assert main(["--out", out + "3", "simulate", "--n-min", "21", "--n-max",
                  "21", "--layout", "chain", "--shots", "10", "--collection",
                  "direct", "--profile", _xtalk_profile(tmp_path)]) == 4
+
+
+def test_simulate_compiles_and_routes_each_oracle_once(tmp_path, monkeypatch):
+    # The job loop runs the programs the preflight compiled, and the duration
+    # table reuses the (n_max, n_max) circuit the preflight routed.  Every
+    # compile is counted, through the simulator module or a by-name import.
+    cfg = ExperimentConfig(n_min=3, n_max=5, dd="ur14", collection="reduced", shots=16)
+    cmd_simulate(cfg, tmp_path / "plain")
+    calls = {"compile_program": 0, "route_bv": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    compile_program = counted(simulator.compile_program)
+    monkeypatch.setattr(simulator, "compile_program", compile_program)
+    monkeypatch.setattr(experiment, "compile_program", compile_program, raising=False)
+    monkeypatch.setattr(experiment, "route_bv", counted(experiment.route_bv))
+    cmd_simulate(cfg, tmp_path / "counted")
+    assert calls["compile_program"] == len(representative_oracles(cfg.n_max))
+    # The 6 oracles of n = 5, then the full-weight oracles of n = 3 and 4.
+    assert calls["route_bv"] == len(representative_oracles(cfg.n_max)) + 2
+    plain, counted_dir = tmp_path / "plain" / "counts", tmp_path / "counted" / "counts"
+    names = sorted(os.listdir(plain))
+    assert names == sorted(os.listdir(counted_dir)) and names
+    for name in names:
+        assert (plain / name).read_bytes() == (counted_dir / name).read_bytes()
 
 
 def test_cap_preflight_writes_nothing(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from dataclasses import replace
@@ -546,6 +547,59 @@ def test_golden_tables_routed_ur14(k):
     table = simulate_shots(circ, device, MONTREAL.noise(), TrajectoryPlan(300, 7), spec,
                            routed.readout, phys)
     assert table.counts == GOLDEN_N4[k]
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_simulate_shots_runs_a_compiled_program_as_given(k):
+    # The Program compile_program builds runs without a second compile and
+    # gives the circuit's table.
+    spec, routed, circ, device, phys = routed_ur14(4, k)
+    noise, plan = MONTREAL.noise(), TrajectoryPlan(300, 7)
+    program = compile_program(circ, device, noise, phys)
+    with patch("ssbv.simulator.compile_program", side_effect=AssertionError):
+        table = simulate_shots(program, device, noise, plan, spec, routed.readout, phys)
+    assert table == simulate_shots(circ, device, noise, plan, spec, routed.readout, phys)
+    assert table.counts == GOLDEN_N4[k]
+
+
+def stream_digest(program):
+    """sha256 over the program's wire count, detuned wires and uniform
+    count, then each op's kind, wires, p and t (float.hex), phase (float.hex
+    of both parts) and matrix bytes."""
+    h = hashlib.sha256(repr((program.num_wires, program.detuned_wires,
+                             program.n_uniform_ops)).encode())
+    for op in program.ops:
+        phase = complex(op.phase)
+        h.update(repr((op.kind, tuple(map(int, op.wires)), float(op.p).hex(),
+                       float(op.t).hex(), phase.real.hex(), phase.imag.hex())).encode())
+        if op.matrix is not None:
+            h.update(op.matrix.tobytes())
+    return h.hexdigest()
+
+
+# Compiled streams under montreal noise: the representative oracles routed on
+# heavy-hex-27 with UR14, and the 6-wire UR4 chain with ZZ crosstalk.  Any
+# change to the order of ops or to one op's fields changes these.
+STREAM_DIGESTS = {
+    (4, 0): "3e5380c6098ca830f6bb8b6ec26c85fd41a51ce155964aae3ba44690f75c9fd1",
+    (4, 1): "b2e165ef8247291e23dfe2372d1e82ca152f42f83488e7691208943f20fe6e14",
+    (4, 2): "5e509f32efd008dea500016d205e4a9ae543d2fd46584b02090df00f9dd7a17c",
+    (4, 3): "fc6064a67902bf2ba9a2746fad87b63b5f7d4e0567f895a5e3829220e3c5e9bd",
+    (4, 4): "3897071c04e6049b254e04e3e35d74312d490a5483692b9229e2cd14ee7b3ff0",
+    (10, 10): "769aad25760385d3aecb248adb7499ca838567de214533ff54663420bf682dc7",
+    "zz chain": "3d0bb74665f9dc6f8bd7aaff5291aa800de51ea8b7844346fd6cb062bfd19230",
+}
+
+
+@pytest.mark.parametrize("case", list(STREAM_DIGESTS), ids=str)
+def test_compiled_stream_is_pinned(case):
+    if case == "zz chain":
+        spec, routed, circ, device, phys = ur4_chain(5)
+        noise = replace(MONTREAL.noise(), zz_rate=2.5e5)
+    else:
+        spec, routed, circ, device, phys = routed_ur14(*case)
+        noise = MONTREAL.noise()
+    assert stream_digest(compile_program(circ, device, noise, phys)) == STREAM_DIGESTS[case]
 
 
 def width_by_every_op(program):
