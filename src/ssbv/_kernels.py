@@ -71,7 +71,8 @@ def cnot(state: np.ndarray, sc: int, st: int) -> None:
 
 
 def phase_bit_pershot(state: np.ndarray, sw: int, phases: np.ndarray) -> None:
-    """Multiply the bit-1 half of each shot by that shot's phase."""
+    """Multiply the bit-1 half of each shot by that shot's factor: a phase,
+    or an idle's no-jump damping times its detuning phase."""
     _wire_view(state, sw)[:, :, 1, :] *= phases[:, None, None]
 
 
@@ -91,17 +92,30 @@ def pop1(state: np.ndarray, sw: int) -> np.ndarray:
     return np.einsum("sab,sab->s", hot, hot)
 
 
+def _jump(v: np.ndarray, rows: np.ndarray) -> None:
+    v[rows, :, 0, :] = v[rows, :, 1, :]
+    v[rows, :, 1, :] = 0.0
+
+
+def damp_jump(state: np.ndarray, sw: int, jump_rows: np.ndarray) -> None:
+    """The jump branch of amplitude damping, ``K1 / sqrt(p)``, on the
+    ``jump_rows``: their bit-1 half moves onto the bit-0 half and the bit-1
+    half is zeroed.  A no-jump step that multiplies the bit-1 half after it
+    leaves these rows as they are."""
+    _jump(_wire_view(state, sw), jump_rows)
+
+
 def ampdamp(state: np.ndarray, sw: int, p: float, jump_rows: np.ndarray) -> None:
     """One amplitude-damping branch per shot, unnormalized.
 
-    The ``jump_rows`` take ``K1 / sqrt(p)``: their bit-1 half moves onto
-    the bit-0 half and the bit-1 half is zeroed.  Every row then takes the
-    no-jump ``K0 = diag(1, sqrt(1-p))``, which leaves a jump row as it is.
+    The ``jump_rows`` take ``K1 / sqrt(p)`` as in ``damp_jump`` (whose body
+    it shares, so a trace of the kernels counts each call once).  Every row
+    then takes the no-jump ``K0 = diag(1, sqrt(1-p))``, which leaves a jump
+    row as it is.
     """
     v = _wire_view(state, sw)
     if len(jump_rows):
-        v[jump_rows, :, 0, :] = v[jump_rows, :, 1, :]
-        v[jump_rows, :, 1, :] = 0.0
+        _jump(v, jump_rows)
     v[:, :, 1, :] *= math.sqrt(1.0 - p)
 
 

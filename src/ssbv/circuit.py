@@ -11,6 +11,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 TWO_PI = 2.0 * math.pi
 
@@ -128,9 +129,18 @@ class TimedCircuit:
         """Last event end in dt ticks (excludes readout)."""
         return max((ev.end for ev in self.events), default=0)
 
+    @cached_property
+    def _events_by_qubit(self) -> dict[int, list[GateEvent]]:
+        """Each qubit's events in (start, end) order, ties in event order:
+        one stable sort of every event, then split by qubit."""
+        out: dict[int, list[GateEvent]] = {}
+        for ev in sorted(self.events, key=lambda ev: (ev.start, ev.end)):
+            for q in ev.qubits:
+                out.setdefault(q, []).append(ev)
+        return out
+
     def events_on(self, qubit: int) -> list[GateEvent]:
-        return sorted((ev for ev in self.events if qubit in ev.qubits),
-                      key=lambda ev: (ev.start, ev.end))
+        return list(self._events_by_qubit.get(qubit, ()))
 
     def seconds(self, ticks: int) -> float:
         return float(self.dt) * ticks

@@ -267,8 +267,10 @@ def cmd_simulate(config: ExperimentConfig, out_dir) -> str:
                           b=table.oracle.b.to01(), shots=table.total_shots,
                           derived=int(derived))
 
-    for spec, readout, program, phys in jobs:
+    while jobs:         # each program is freed once its table is sampled
+        spec, readout, program, phys = jobs.pop(0)
         table = simulate_shots(program, device, noise, plan, spec, readout, phys)
+        del program
         write_table(table, derived=False)
         if reduced:
             for m in range(config.n_min, config.n_max):

@@ -8,13 +8,17 @@ channel application (exact in distribution) on batched per-wire factors:
 two-wire ops merge the factors of their wires, and each wire is measured
 and dropped right after its last op, so a BV circuit never holds more than
 two live wires.  Ops run through the in-place strided-view numpy kernels
-of ``_kernels``.  Each batch is screened once, by the smallest and largest
-uniform of each channel: a Pauli channel that no shot of the batch
-branches on is skipped, and damp tests for a jump only the shots that can
-jump.  States are kept unnormalized (quantum jumps with unnormalized
-states, Dalibard, Castin and Molmer, PRL 68, 580, 1992): damp applies the
-fixed no-jump diagonal, a jump is a ratio of norms, and only measurement
-renormalizes.
+of ``_kernels``, one step per op except that one wire's idle (its damp,
+deph and detune ops) is one step.  Each batch is screened once, in one
+expression over the smallest and largest uniform of every channel: a Pauli
+channel that no shot of the batch branches on is skipped, and damp tests
+for a jump only the shots that can jump.  States are kept unnormalized
+(quantum jumps with unnormalized states, Dalibard, Castin and Molmer, PRL
+68, 580, 1992): an idle step moves the jumping shots' bit-1 half onto the
+bit-0 half, then multiplies the bit-1 half once by the no-jump factor
+``sqrt(1 - p) exp(i delta t)``, each wire keeping the factors of its last
+two idle lengths in the batch; a jump is a ratio of norms, and only
+measurement renormalizes.
 
 The exact backend walks the same stream on per-wire density factors: each
 factor is a tensor with a branch axis, one Gauss-Hermite node axis per
@@ -63,8 +67,9 @@ from .oracles import OracleSpec, ReadoutMap, ShotTable
 
 # Most wires one factor of the trajectory executor may hold.
 TRAJECTORY_MAX_WIRES = 21
-# Bytes of widest factor and random streams per batch of trajectory shots.
-# Results do not depend on the batch size (batch invariance).
+# Bytes of widest factor, random streams and cached idle factors per batch
+# of trajectory shots.  Results do not depend on the batch size (batch
+# invariance).
 BATCH_BYTES = 32 << 20
 # Largest 1-D Gauss-Hermite rule the detuning average may use.
 GH_NODES_DEFAULT = 21
@@ -78,6 +83,8 @@ _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
 # Op kinds that draw one uniform per shot.
 _UNIFORM_KINDS = frozenset(("dep1", "dep2", "deph", "damp"))
+# Op kinds of one wire's idle, in the order compile_program emits them.
+_IDLE_ORDER = {"damp": 0, "deph": 1, "detune": 2}
 
 
 class SimulatorCapError(Exception):
@@ -152,6 +159,71 @@ class Program:
                 lowered[key] = _superop(_kraus_operators(op))
             out.append(lowered[key])
         return tuple(out)
+
+    @cached_property
+    def channels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each channel op's p, in uniform-column order, and whether it is
+        depolarizing (branches when u >= 1 - p) rather than deph or damp
+        (branches, or can jump, when u < p)."""
+        chan = [op for op in self.ops if op.kind in _UNIFORM_KINDS]
+        return (np.array([op.p for op in chan], dtype=float),
+                np.array([op.kind in ("dep1", "dep2") for op in chan], dtype=bool))
+
+    @cached_property
+    def steps(self) -> tuple[tuple[int, Op | _Idle, int, tuple[int, ...]], ...]:
+        """The trajectory executor's walk: (index of the step's first op,
+        the op or ``_Idle``, the uniform column of its first channel op or
+        -1, the wires whose last op the step holds, in op-wire order).  One
+        wire's idle, the run of its damp, deph and detune ops (each
+        optional, in that order), is one ``_Idle`` step, shared by the runs
+        of the same ops; every other op is a step of its own."""
+        ops, last = self.ops, self.last_op
+        ends = {i: tuple(w for w in ops[i].wires if last[w] == i) for i in set(last.values())}
+        # An idle op on the wire of the op before it, and later than it in
+        # _IDLE_ORDER, continues that op's step; every other op starts one.
+        starts, rank, wires = [], 3, None
+        for i, op in enumerate(ops):
+            r = _IDLE_ORDER.get(op.kind, 3)
+            if not (rank < r < 3 and op.wires == wires):
+                starts.append(i)
+            rank, wires = r, op.wires
+        starts.append(len(ops))
+        idles: dict[int, tuple[tuple[Op, ...], _Idle]] = {}    # by id of a run's first op
+        out, column = [], 0
+        for i, j in zip(starts, starts[1:]):
+            op = ops[i]
+            if op.kind in _IDLE_ORDER:
+                run = ops[i:j]
+                hit = idles.get(id(op))
+                if hit is None or hit[0] != run:
+                    hit = idles[id(op)] = (run, _Idle.of(run))
+                op = hit[1]
+                uses = (op.damp is not None) + (op.deph is not None)
+            else:
+                uses = op.kind in _UNIFORM_KINDS
+            out.append((i, op, column if uses else -1, ends.get(j - 1, ())))
+            column += uses
+        return tuple(out)
+
+
+@dataclass(frozen=True, slots=True)
+class _Idle:
+    """One wire's idle ops as one trajectory step; None where absent.  Its
+    deph op takes the uniform column after its damp op's."""
+
+    wires: tuple[int]
+    kind: str                           # the first op's kind
+    damp: Op | None
+    deph: Op | None
+    detune: Op | None
+    key: tuple[float, float]            # (damp p or 0, detune t or 0)
+
+    @classmethod
+    def of(cls, run: tuple[Op, ...]) -> _Idle:
+        parts = {op.kind: op for op in run}
+        damp, detune = parts.get("damp"), parts.get("detune")
+        return cls(run[0].wires, run[0].kind, damp, parts.get("deph"), detune,
+                   (damp.p if damp else 0.0, detune.t if detune else 0.0))
 
 
 @dataclass(frozen=True)
@@ -323,39 +395,62 @@ def _pauli_branches(u: np.ndarray, p: float, k: int) -> np.ndarray:
     return np.array([(branch >> 2 * (k - 1 - i)) & 3 for i in range(k)])
 
 
-def _apply(op: Op, state: np.ndarray, wires: list[int], draw: np.ndarray | None = None) -> None:
-    """Apply one op in place to a batch of states over ``wires`` (the first
-    the most significant bit).  ``draw`` holds each shot's uniform for a
-    channel op, or its detuning for a detune op.  A channel op without a
-    draw takes its identity branch (for damp: no jump) on every shot."""
+def _apply(op: Op, state: np.ndarray, wires: list[int], draw: np.ndarray | None) -> None:
+    """Apply a gate, a ZZ phase or a depolarizing op in place to a batch of
+    states over ``wires`` (the first the most significant bit).  ``draw``
+    holds each shot's uniform for a depolarizing op."""
     d = state.shape[1]
     sws = [d >> (wires.index(w) + 1) for w in op.wires]
-    sw = sws[0]
     if op.kind == "u1":
-        ker.apply_1q(state, d // (2 * sw), sw, op.matrix)
+        ker.apply_1q(state, d // (2 * sws[0]), sws[0], op.matrix)
     elif op.kind == "cnot":
         ker.cnot(state, *sws)
-    elif op.kind in ("dep1", "dep2") and draw is not None:
+    elif op.kind == "zz":
+        ker.phase_zz(state, *sws, op.phase)
+    else:                   # dep1 | dep2
         hot = np.nonzero(draw >= 1.0 - op.p)[0]
         for sw, paulis in zip(sws, _pauli_branches(draw[hot], op.p, len(sws))):
             for j in (1, 2, 3):
                 rows = hot[paulis == j]
                 if len(rows):
                     ker.apply_1q_rows(state, rows, d // (2 * sw), sw, PAULIS_1Q[j])
-    elif op.kind == "deph" and draw is not None:
-        ker.apply_1q_rows(state, np.nonzero(draw < op.p)[0], d // (2 * sw), sw, PAULIS_1Q[3])
-    elif op.kind == "damp":
+
+
+def _idle(idle: _Idle, col: int, state: np.ndarray, sw: int, uniforms: np.ndarray,
+          live: list[bool], delta: np.ndarray | None, recent: list) -> None:
+    """Apply one wire's idle in place as one step: the damp jump test, one
+    multiplication of the bit-1 half by the no-jump factor, then the deph
+    flips.  The factor is ``sqrt(1 - p) exp(i delta t)`` per shot when the
+    wire is detuned, looked up in or added to ``recent``, the wire's last two
+    (key, factor) pairs; otherwise ``ampdamp`` applies ``sqrt(1 - p)``."""
+    jumps = ()
+    if idle.damp is not None and live[col]:
         # A shot jumps when u < p * pop1 / norm2, so only shots with u < p can.
-        jumps = ()
-        if draw is not None:
-            rows = np.nonzero(draw < op.p)[0]
-            sub = state[rows]
-            jumps = rows[draw[rows] * ker.norm2(sub) < op.p * ker.pop1(sub, sw)]
-        ker.ampdamp(state, sw, op.p, jumps)
-    elif op.kind == "detune":
-        ker.phase_bit_pershot(state, sw, np.exp(1j * draw * op.t))
-    elif op.kind == "zz":
-        ker.phase_zz(state, *sws, op.phase)
+        p, u = idle.damp.p, uniforms[:, col]
+        rows = np.nonzero(u < p)[0]
+        sub = state[rows]
+        jumps = rows[u[rows] * ker.norm2(sub) < p * ker.pop1(sub, sw)]
+    if idle.detune is not None:
+        if len(jumps):
+            ker.damp_jump(state, sw, jumps)
+        if recent and recent[-1][0] == idle.key:
+            no_jump = recent[-1][1]
+        elif len(recent) == 2 and recent[0][0] == idle.key:
+            recent.reverse()
+            no_jump = recent[-1][1]
+        else:
+            no_jump = np.exp(1j * delta * idle.detune.t)
+            if idle.damp is not None:
+                no_jump *= math.sqrt(1.0 - idle.damp.p)
+            recent.append((idle.key, no_jump))
+            del recent[:-2]
+        ker.phase_bit_pershot(state, sw, no_jump)
+    elif idle.damp is not None:
+        ker.ampdamp(state, sw, idle.damp.p, jumps)
+    col += idle.damp is not None
+    if idle.deph is not None and live[col]:
+        ker.apply_1q_rows(state, np.nonzero(uniforms[:, col] < idle.deph.p)[0],
+                          state.shape[1] // (2 * sw), sw, PAULIS_1Q[3])
 
 
 def _evolve(program: Program, uniforms: np.ndarray, deltas: dict[int, np.ndarray],
@@ -365,20 +460,29 @@ def _evolve(program: Program, uniforms: np.ndarray, deltas: dict[int, np.ndarray
 
     Every wire starts as its own (shots, 2) factor in |0>.  A two-wire op
     on wires of two factors first merges them, by a per-shot outer product.
-    Channel ops take the uniform columns in stream order; a detune op reads
-    the per-shot detuning of its wire from ``deltas``.  Right after its
-    last op, wire w is measured with ``uniforms[:, n_uniform_ops + w]`` and
-    leaves its factor; a wire no op touches reads 0.
+    The walk visits ``Program.steps``: one step per op, except that one
+    wire's idle (its damp, deph and detune ops) is one step.  Channel ops
+    take the uniform columns in stream order; a detune op reads the
+    per-shot detuning of its wire from ``deltas``.  Right after the step
+    that holds its last op, wire w is measured with ``uniforms[:,
+    n_uniform_ops + w]`` and leaves its factor; a wire no op touches reads 0.
 
-    The batch is screened once: the smallest and largest uniform of each
-    channel column decide whether any shot can leave that channel's
-    identity branch (for damp: can jump); a channel op no shot can branch
-    on gets no draw.  Damp leaves factors unnormalized (quantum jumps with
-    unnormalized states: the no-jump step is the fixed diagonal K0, a jump
-    test a ratio of norms); measurement divides the kept half by its
-    weight, so it leaves factors of norm 1.  With ``assertions``, each
-    shot's squared norm after an op is checked against those the op may
-    leave, and each factor a measurement leaves against 1.
+    The batch is screened once, in one expression over every channel
+    column: its smallest and largest uniform decide whether any shot can
+    leave the channel's identity branch (for damp: can jump).  A
+    depolarizing or deph op no shot can branch on is skipped; damp then
+    tests no shot for a jump.  States stay unnormalized (quantum jumps with
+    unnormalized states): an idle step runs damp's jump test on the shots
+    with u < p, moving each jumping shot's bit-1 half onto its bit-0 half,
+    then multiplies the bit-1 half once by ``sqrt(1 - p) exp(i delta t)``
+    (just ``sqrt(1 - p)`` on a wire without detuning), then flips the
+    deph shots.  Each wire keeps the factors of its last two idle keys
+    (p, t) of the batch, which covers DD's two alternating spacings, and
+    drops them when it is measured.  Measurement divides the kept half by
+    its weight, so it leaves factors of norm 1.  With ``assertions``, each
+    shot's squared norm after a step is checked against those the step may
+    leave (an idle with damp: n - p n1 with no jump, n1 with one; any other
+    step: n), and each factor a measurement leaves against 1.
     """
     nw = program.num_wires
     shots = len(uniforms)
@@ -386,47 +490,48 @@ def _evolve(program: Program, uniforms: np.ndarray, deltas: dict[int, np.ndarray
     ket0[:, 0] = 1.0
     factor = {w: [ket0.copy(), [w]] for w in range(nw)}
     block = uniforms[:, :program.n_uniform_ops]
-    lows, highs = block.min(axis=0), block.max(axis=0)
-    column = 0
+    p, depolarizing = program.channels
+    # dep1/dep2 branch when u >= 1 - p; deph branches and damp can jump
+    # only when u < p.
+    live = np.where(depolarizing, block.max(axis=0) >= 1.0 - p,
+                    block.min(axis=0) < p).tolist()
+    recent: dict[int, list] = {}
     outcomes = np.zeros(shots, dtype=np.int64)
-    for i, op in enumerate(program.ops):
-        f, g = factor[op.wires[0]], factor[op.wires[-1]]
-        if g is not f:
+    for i, op, col, ends in program.steps:
+        f = factor[op.wires[0]]
+        if len(op.wires) == 2 and factor[op.wires[1]] is not f:
+            g = factor[op.wires[1]]
             f[0] = np.einsum("si,sj->sij", f[0], g[0]).reshape(shots, -1)
             f[1] += g[1]
             for w in g[1]:
                 factor[w] = f
-        draw = None
-        if op.kind == "detune":
-            draw = deltas[op.wires[0]]
-        elif op.kind in _UNIFORM_KINDS:
-            # dep1/dep2 branch when u >= 1 - p; deph branches and damp can
-            # jump only when u < p.
-            if (highs[column] >= 1.0 - op.p if op.kind in ("dep1", "dep2")
-                    else lows[column] < op.p):
-                draw = uniforms[:, column]
-            column += 1
-        if assertions:
-            # Squared norms a shot may hold after the op: damp leaves n - p n1
-            # (no jump) or n1 (jump), every other op leaves n.
-            allowed = [ker.norm2(f[0])]
-            if op.kind == "damp":
-                n1 = ker.pop1(f[0], f[0].shape[1] >> (f[1].index(op.wires[0]) + 1))
-                allowed = [allowed[0] - op.p * n1, n1]
-        _apply(op, f[0], f[1], draw)
-        if assertions:
-            after = ker.norm2(f[0])
-            if not np.any([np.isclose(after, n, rtol=1e-6, atol=0) for n in allowed],
-                          axis=0).all():
-                raise AssertionError(f"norm drift after op {i} ({op.kind})")
-        for w in op.wires:
-            if program.last_op[w] == i:
-                bits, f[0] = ker.measure(f[0], f[0].shape[1] >> (f[1].index(w) + 1),
-                                         uniforms[:, program.n_uniform_ops + w])
-                f[1].remove(w)
-                outcomes |= bits << (nw - 1 - w)
-                if assertions and not np.allclose(ker.norm2(f[0]), 1.0, atol=1e-6):
-                    raise AssertionError(f"measuring wire {w} left a factor of norm != 1")
+        state, wires = f
+        idle = type(op) is _Idle
+        if idle or col < 0 or live[col]:
+            sw = state.shape[1] >> (wires.index(op.wires[0]) + 1) if idle else 0
+            if assertions:
+                allowed = [ker.norm2(state)]
+                if idle and op.damp is not None:
+                    n1 = ker.pop1(state, sw)
+                    allowed = [allowed[0] - op.damp.p * n1, n1]
+            if idle:
+                _idle(op, col, state, sw, uniforms, live, deltas.get(op.wires[0]),
+                      recent.setdefault(op.wires[0], []))
+            else:
+                _apply(op, state, wires, uniforms[:, col] if col >= 0 else None)
+            if assertions:
+                after = ker.norm2(state)
+                if not np.any([np.isclose(after, n, rtol=1e-6, atol=0) for n in allowed],
+                              axis=0).all():
+                    raise AssertionError(f"norm drift after op {i} ({op.kind})")
+        for w in ends:
+            bits, f[0] = ker.measure(f[0], f[0].shape[1] >> (f[1].index(w) + 1),
+                                     uniforms[:, program.n_uniform_ops + w])
+            f[1].remove(w)
+            recent.pop(w, None)
+            outcomes |= bits << (nw - 1 - w)
+            if assertions and not np.allclose(ker.norm2(f[0]), 1.0, atol=1e-6):
+                raise AssertionError(f"measuring wire {w} left a factor of norm != 1")
     return outcomes
 
 
@@ -476,7 +581,9 @@ def simulate_shots(circuit: TimedCircuit | Program, device: DeviceModel | None,
     rates = _readout_rates(readout, device, noise, phys)
     n_uniforms = program.n_uniform_ops + nw + readout.n  # ops, measures, readout
     n_normals = len(program.detuned_wires)
-    per_shot = (16 << program.width) + 32 * _stream_blocks(n_uniforms, n_normals)
+    # Widest factor, random streams, and two idle factors per wire (_idle).
+    per_shot = ((16 << program.width) + 32 * _stream_blocks(n_uniforms, n_normals)
+                + 2 * 16 * nw)
     batch = plan.batch_size or max(1, BATCH_BYTES // per_shot)
     reads = []
     for lo in range(0, plan.shots, batch):

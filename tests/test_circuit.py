@@ -55,6 +55,44 @@ def test_validate_out_of_range():
     assert v is not None and v.kind == "qubit-out-of-range" and v.qubit == 3
 
 
+def scan_events_on(circuit, qubit):
+    """Each qubit's events by a scan of every event, sorted by (start, end)."""
+    return sorted((ev for ev in circuit.events if qubit in ev.qubits),
+                  key=lambda ev: (ev.start, ev.end))
+
+
+def test_events_on_index_matches_a_scan_of_every_event():
+    # Events starting together sort by end (the DELAY and H at 0 on qubit
+    # 1), and ties in (start, end) keep their event order (the two
+    # zero-length DELAYs on qubit 0).  Both qubits of a CNOT list it; qubit
+    # 3 has no event.  The shuffled copy reverses every tie.
+    handmade = TimedCircuit(4, (
+        GateEvent(GateKind.DELAY, (1,), 0, 50),
+        GateEvent(GateKind.H, (0,), 0, 10),
+        GateEvent(GateKind.CNOT, (2, 0), 10, 30),
+        GateEvent(GateKind.DELAY, (0,), 10, 0),
+        GateEvent(GateKind.X, (1,), 50, 10),
+        GateEvent(GateKind.DELAY, (0,), 10, 0),
+        GateEvent(GateKind.H, (2,), 0, 10),
+        GateEvent(GateKind.H, (1,), 0, 10),
+        GateEvent(GateKind.CNOT, (1, 2), 60, 30),
+        GateEvent(GateKind.PHASED_PI, (0,), 40, 10, phase=1.0),
+    ))
+    graph = heavy_hex_27()
+    device = load_profile("montreal").device(graph)
+    spec = OracleSpec.representative(5, 3)
+    routed = route_bv(spec, graph, embed_oracle(spec, graph), device)
+    dressed = schedule_dd(routed.circuit, sequence_from_name("ur14"), device.dur_dd_pulse)
+    shuffled = TimedCircuit(dressed.num_qubits, tuple(reversed(dressed.events)))
+    for circ in (handmade, routed.circuit, dressed, shuffled):
+        for q in range(circ.num_qubits):
+            got = circ.events_on(q)
+            assert [id(ev) for ev in got] == [id(ev) for ev in scan_events_on(circ, q)]
+    assert handmade.events_on(3) == []
+    assert [id(ev) for ev in handmade.events_on(0)] == [
+        id(handmade.events[i]) for i in (1, 3, 5, 2, 9)]
+
+
 def test_generated_bv6_is_valid():
     from ssbv.oracles import bv_logical_circuit
     circ, _ = bv_logical_circuit(OracleSpec.representative(6, 6))

@@ -150,3 +150,24 @@ def test_measure_and_norm2(batch):
     np.testing.assert_array_equal(bits, want_bits)
     np.testing.assert_allclose(collapsed, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(ker.norm2(state), probs.sum(axis=1), rtol=0, atol=1e-12)
+
+
+@SETTINGS
+@given(batch=batches(), data=st.data())
+def test_damp_jump(batch, data):
+    # The jump half of ampdamp alone: jump rows take K1 / sqrt(p), the
+    # other rows are left as they are.  ampdamp is this jump followed by the
+    # no-jump diagonal on every row.
+    nw, state, rng = batch
+    w = data.draw(st.integers(0, nw - 1))
+    p = data.draw(st.floats(0.01, 0.99))
+    jump = rng.random(len(state)) < 0.5
+    rows = np.nonzero(jump)[0]
+    k1 = embed(np.array([[0.0, 1.0], [0.0, 0.0]]), w, nw)
+    want = np.where(jump[:, None], state @ k1.T, state)
+    damped = state.copy()
+    ker.damp_jump(state, 1 << (nw - 1 - w), rows)
+    np.testing.assert_array_equal(state, want)
+    ker.ampdamp(damped, 1 << (nw - 1 - w), p, rows)
+    state *= np.where(bit_diag(w, nw) > 0, np.sqrt(1 - p), 1.0)
+    np.testing.assert_allclose(damped, state, rtol=0, atol=1e-15)

@@ -14,7 +14,7 @@ from ssbv.circuit import Bitstring, GateEvent, GateKind, TimedCircuit
 from ssbv.decoupling import schedule_dd, sequence_from_name, ur_phases
 from ssbv.noise import DeviceModel, NoiseConfig, load_profile
 from ssbv.oracles import (OracleSpec, ReadoutMap, all_oracles,
-                          bv_logical_circuit)
+                          bv_logical_circuit, representative_oracles)
 from ssbv.routing import chain_graph, embed_oracle, heavy_hex_27, route_bv
 from ssbv.routing import verify_routed
 from ssbv.simulator import (Op, Program, SimulatorCapError, TrajectoryPlan,
@@ -443,6 +443,15 @@ def test_seed_determinism_and_batch_invariance():
     c = simulate_shots(circ, device, noise, TrajectoryPlan(2000, 12), spec, rmap)
     assert a.counts == b.counts == one.counts
     assert a.counts != c.counts
+    # A UR4-dressed chain with detuning on: each wire's idle factors are
+    # cached per batch, and batches of 77 and of 1 cut across them.
+    spec, routed, circ, device, phys = ur4_chain(3)
+    noise = MONTREAL.noise()
+    assert {"damp", "deph", "detune"} <= {op.kind for op in
+                                          compile_program(circ, device, noise, phys).ops}
+    tables = [simulate_shots(circ, device, noise, TrajectoryPlan(400, 11, batch_size=b),
+                             spec, routed.readout, phys).counts for b in (None, 77, 1)]
+    assert tables[0] == tables[1] == tables[2]
 
 
 @pytest.mark.parametrize("n_uniforms, n_normals", [(7, 0), (7, 3), (5, 1)])
@@ -525,6 +534,76 @@ def test_assertion_mode_catches_a_kernel_that_changes_norms():
         with pytest.raises(AssertionError, match=r"norm drift after op \d+ \(u1\)"):
             simulate_shots(circ, device, NoiseConfig(),
                            TrajectoryPlan(50, 1, assertions=True), spec, rmap)
+
+
+def test_assertion_mode_catches_an_idle_step_that_changes_norms():
+    # The idle step's one multiplication is phase_bit_pershot on a detuned
+    # wire; its check is damp's, so the error names the idle's damp op.
+    spec, routed, circ, device, phys = ur4_chain(3)
+    noise = MONTREAL.noise()
+    phase_bit_pershot = ker.phase_bit_pershot
+
+    def drifting(state, *args):
+        phase_bit_pershot(state, *args)
+        state *= 1.001
+
+    with patch.object(ker, "phase_bit_pershot", drifting):
+        simulate_shots(circ, device, noise, TrajectoryPlan(50, 1), spec, routed.readout, phys)
+        with pytest.raises(AssertionError, match=r"norm drift after op \d+ \(damp\)"):
+            simulate_shots(circ, device, noise, TrajectoryPlan(50, 1, assertions=True),
+                           spec, routed.readout, phys)
+
+
+@pytest.mark.parametrize("detuning", [True, False])
+def test_idle_step_makes_one_kernel_call_per_idle(detuning):
+    # Each idle (damp, deph, detune) multiplies once: by sqrt(1 - p) exp(i
+    # delta t) through phase_bit_pershot on a detuned wire, else by
+    # sqrt(1 - p) through ampdamp.
+    spec, routed, circ, device, phys = ur4_chain(3)
+    noise = replace(MONTREAL.noise(), detuning=detuning)
+    program = compile_program(circ, device, noise, phys)
+    idles = sum(op.kind == "damp" for op in program.ops)
+    assert idles == sum(op.kind == "deph" for op in program.ops) > 0
+    assert sum(op.kind == "detune" for op in program.ops) == (idles if detuning else 0)
+    with patch.object(ker, "ampdamp", wraps=ker.ampdamp) as ampdamp, \
+            patch.object(ker, "phase_bit_pershot", wraps=ker.phase_bit_pershot) as phase:
+        simulate_shots(program, device, noise, TrajectoryPlan(200, 3), spec,
+                       routed.readout, phys)
+    assert ampdamp.call_count + phase.call_count == idles
+    assert phase.call_count == (idles if detuning else 0)
+
+
+# sha256 of the count tables of the representative oracles n = 8, routed on
+# heavy-hex-27 with UR14 under montreal and cairo noise, each with its
+# detuning sigma scaled by 1, 10 and 50, 3000 shots, seed 11.  Detuning
+# phases enter every idle, so any change to how they are applied shows here.
+DETUNING_DIGEST = "b7390ef8e2d6fd6fb2e084bcc38e873e5a00071a103f7cfdf223746418ff658d"
+
+
+def test_detuning_heavy_tables_are_pinned():
+    graph = heavy_hex_27()
+    h = hashlib.sha256()
+    for name in ("montreal", "cairo"):
+        profile = load_profile(name)
+        device = profile.device(graph)
+        jobs = []
+        for spec in representative_oracles(8):
+            routed = route_bv(spec, graph, embed_oracle(spec, graph), device)
+            circ = schedule_dd(routed.circuit, sequence_from_name("ur14"),
+                               device.dur_dd_pulse)
+            phys = [None] * circ.num_qubits
+            for node, w in routed.wire_of_physical.items():
+                phys[w] = node
+            jobs.append((spec, routed.readout, circ, phys))
+        for scale in (1, 10, 50):
+            noise = profile.noise()
+            noise = replace(noise, detuning_sigma=scale * noise.detuning_sigma)
+            for spec, readout, circ, phys in jobs:
+                table = simulate_shots(circ, device, noise, TrajectoryPlan(3000, 11), spec,
+                                       readout, phys)
+                h.update(repr((name, scale, spec.b.to01(),
+                               sorted(table.counts.items()))).encode())
+    assert h.hexdigest() == DETUNING_DIGEST
 
 
 # Counts of the representative oracles n = 4, k = 0..4, routed on
@@ -628,6 +707,28 @@ def test_width_matches_the_every_op_walk(stream):
     ops = tuple(Op("u1" if len(w) == 1 else "zz", w) for w in wires)
     program = Program(nw, ops, (), 0)
     assert program.width == width_by_every_op(program)
+
+
+def test_steps_make_one_step_per_idle():
+    # A run of damp, deph, detune on one wire, in that order, is one step;
+    # a second idle on the same wire, an idle on another wire and ops out
+    # of that order start new steps.  Columns count the channel ops.
+    damp, deph = Op("damp", (0,), p=0.1), Op("deph", (0,), p=0.2)
+    detune = Op("detune", (0,), t=1e-7)
+    ops = (damp, deph, detune, Op("detune", (0,), t=2e-7), Op("dep1", (0,), p=0.01),
+           Op("deph", (1,), p=0.3), Op("damp", (1,), p=0.4), Op("cnot", (0, 1)),
+           damp, deph, detune, Op("u1", (1,), matrix=np.eye(2)))
+    program = Program(2, ops, (0,), 7)
+    steps = program.steps
+    assert [(i, col, ends) for i, _, col, ends in steps] == [
+        (0, 0, ()), (3, -1, ()), (4, 2, ()), (5, 3, ()), (6, 4, ()), (7, -1, ()),
+        (8, 5, (0,)), (11, -1, (1,))]
+    first, again = steps[0][1], steps[6][1]
+    assert first is again
+    assert (first.damp, first.deph, first.detune, first.key) == (damp, deph, detune, (0.1, 1e-7))
+    assert (steps[1][1].damp, steps[1][1].key) == (None, (0.0, 2e-7))
+    assert steps[4][1].kind == "damp" and steps[4][1].detune is None
+    assert steps[2][1] is ops[4] and steps[7][1] is ops[11]
 
 
 def test_width_matches_the_every_op_walk_on_the_zz_chain():
