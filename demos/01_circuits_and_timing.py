@@ -28,8 +28,8 @@ print(circuit_to_text(circuit))
 
 # Single-run times follow t_r(n) = slope*n + intercept; exact per-n values
 # can override the linear law at small sizes.
-montreal_like = DurationModel.from_slope_intercept(0.40e-6, 5.28e-6)
-cairo_like = DurationModel.from_slope_intercept(0.27e-6, 0.77e-6)
+montreal_like = DurationModel(0.40e-6, 5.28e-6)
+cairo_like = DurationModel(0.27e-6, 0.77e-6)
 print("n    t_r montreal-like    t_r cairo-like")
 for n in (0, 5, 10, 20, 26):
     print(f"{n:2d}   {run_time(n, montreal_like)*1e6:8.2f} us"

@@ -71,7 +71,7 @@ def tts_quantum(n: int, p_s: float, model: DurationModel,
 
 def classical_duration_model(a: float = 1e-6) -> DurationModel:
     """Classical per-query time a*n seconds (cost of adding n bits)."""
-    return DurationModel.from_slope_intercept(a, 0.0)
+    return DurationModel(a, 0.0)
 
 
 def tts_classical(n: int, classical_model: DurationModel | None = None,

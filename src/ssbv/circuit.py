@@ -184,17 +184,16 @@ def circuit_duration(circuit: TimedCircuit) -> int:
 
 @dataclass(frozen=True)
 class DurationModel:
-    """Single-run time t_r(n) = c*tau_2q*n + tau_0, with an optional exact
-    per-n table overriding the linear law at small sizes."""
+    """Single-run time t_r(n) = slope*n + tau_0 in seconds, with an
+    optional exact per-n table overriding the linear law at small sizes."""
 
-    c: float
-    tau_2q: float
+    slope: float
     tau_0: float
     exact_table: dict[int, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.c * self.tau_2q <= 0:
-            raise ValueError("slope c*tau_2q must be positive")
+        if self.slope <= 0:
+            raise ValueError("slope must be positive")
         if self.tau_0 < 0:
             raise ValueError("tau_0 must be nonnegative")
         if self.exact_table:
@@ -202,15 +201,6 @@ class DurationModel:
             for (n0, t0), (n1, t1) in zip(items, items[1:]):
                 if t1 <= t0:
                     raise ValueError(f"exact_table not strictly increasing at n={n1}")
-
-    @classmethod
-    def from_slope_intercept(cls, slope: float, intercept: float,
-                             exact_table: dict[int, float] | None = None) -> DurationModel:
-        return cls(c=1.0, tau_2q=slope, tau_0=intercept, exact_table=exact_table)
-
-    @property
-    def slope(self) -> float:
-        return self.c * self.tau_2q
 
     def run_time(self, n: int) -> float:
         if n < 0:

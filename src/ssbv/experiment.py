@@ -354,8 +354,7 @@ def _load_tables(out_dir) -> tuple[dict[int, list[ShotTable]], dict[int, float]]
 def _analysis_duration_model(config: ExperimentConfig,
                              durations: dict[int, float]) -> DurationModel:
     base = _load_profile(config).device(num_qubits=2).duration_model
-    return DurationModel(base.c, base.tau_2q, base.tau_0,
-                         exact_table=durations or None)
+    return replace(base, exact_table=durations or None)
 
 
 def cmd_analyze(config: ExperimentConfig, out_dir) -> AnalysisResult:

@@ -236,8 +236,7 @@ class Profile:
                num_qubits: int | None = None) -> DeviceModel:
         v = self.values
         n = graph.num_physical if graph is not None else (num_qubits or 27)
-        model = DurationModel.from_slope_intercept(
-            v["tts_slope_us"] * 1e-6, v["tts_intercept_us"] * 1e-6)
+        model = DurationModel(v["tts_slope_us"] * 1e-6, v["tts_intercept_us"] * 1e-6)
         return DeviceModel.homogeneous(
             n, t1_us=v["t1_us"], t2_us=v["t2_us"], ro_error=v["readout_error"],
             dur_1q=v["duration_1q_dt"], dur_2q=v["duration_2q_dt"],

@@ -1,32 +1,34 @@
 """Two execution backends over one compiled operation stream.
 
 ``compile_program`` lowers a timed circuit plus device/noise models into an
-ordered list of primitive operations (unitaries, Kraus channels, coherent
-phases), each wire's one-wire ops after its last two-wire op moved up to
-follow that op.  The trajectory backend samples one Kraus branch per
-channel application (exact in distribution) on batched per-wire factors:
-two-wire ops merge the factors of their wires, and each wire is measured
-and dropped right after its last op, so a BV circuit never holds more than
-two live wires.  Ops run through the in-place strided-view numpy kernels
-of ``_kernels``, one step per op except that one wire's idle (its damp,
-deph and detune ops) is one step.  Each batch is screened once, in one
-expression over the smallest and largest uniform of every channel: a Pauli
-channel that no shot of the batch branches on is skipped, and damp tests
-for a jump only the shots that can jump.  States are kept unnormalized
-(quantum jumps with unnormalized states, Dalibard, Castin and Molmer, PRL
-68, 580, 1992): an idle step moves the jumping shots' bit-1 half onto the
-bit-0 half, then multiplies the bit-1 half once by the no-jump factor
-``sqrt(1 - p) exp(i delta t)``, each wire keeping the factors of its last
-two idle lengths in the batch; a jump is a ratio of norms, and only
-measurement renormalizes.
+ordered list of primitive operations (unitaries, depolarizing channels, ZZ
+phases, and one ``idle`` op per idle interval: damping, then dephasing,
+then the detuning phase of a detuned wire), each wire's one-wire ops after
+its last two-wire op moved up to follow that op.  The trajectory backend
+samples one Kraus branch per channel application (exact in distribution)
+on batched per-wire factors: two-wire ops merge the factors of their
+wires, and each wire is measured and dropped right after its last op, so a
+BV circuit never holds more than two live wires.  Ops run one step each
+through the in-place strided-view numpy kernels of ``_kernels``.  Each
+batch is screened once, in one expression over the smallest and largest
+uniform of every channel: a Pauli channel that no shot of the batch
+branches on is skipped, and damping tests for a jump only the shots that
+can jump.  States are kept unnormalized (quantum jumps with unnormalized
+states, Dalibard, Castin and Molmer, PRL 68, 580, 1992): an idle moves the
+jumping shots' bit-1 half onto the bit-0 half, then multiplies the bit-1
+half once by the no-jump factor ``sqrt(1 - p) exp(i delta t)``, each wire
+keeping the factors of its last two idle ops in the batch; a jump is a
+ratio of norms, and only measurement renormalizes.
 
 The exact backend walks the same stream on per-wire density factors: each
 factor is a tensor with a branch axis, one Gauss-Hermite node axis per
 open wire (a single node for a wire without detuning), then row bits and
 column bits.  Each distinct op is lowered once to a
 superoperator ``sum_K K (x) conj(K)`` whose Kraus operators come from
-``noise`` (one Kraus operator for gates and ZZ); a detune op is a stack of
-per-node diagonals.  One-wire superoperators are multiplied per wire until
+``noise`` (one Kraus operator for gates and ZZ; an idle's are the products
+of its dephasing and damping ones); on a detuned wire an idle's
+superoperator is then left-multiplied by a stack of per-node diagonals.
+One-wire superoperators are multiplied per wire until
 a two-wire op or the wire's end needs them, a two-wire op merges the
 factors of its wires, and right after its last op a wire leaves its
 factor: a data wire is read through its readout POVM onto a branch bit,
@@ -81,10 +83,6 @@ EXACT_QUADRATURE_TOL = 1e-9
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
-# Op kinds that draw one uniform per shot.
-_UNIFORM_KINDS = frozenset(("dep1", "dep2", "deph", "damp"))
-# Op kinds of one wire's idle, in the order compile_program emits them.
-_IDLE_ORDER = {"damp": 0, "deph": 1, "detune": 2}
 
 
 class SimulatorCapError(Exception):
@@ -93,14 +91,29 @@ class SimulatorCapError(Exception):
 
 @dataclass(frozen=True, slots=True)
 class Op:
-    """One primitive step of the compiled stream."""
+    """One primitive step of the compiled stream: a gate, a depolarizing
+    channel after a gate, a ZZ phase, or one wire's idle, which damps with
+    probability p, then dephases with probability q, then takes its
+    detuning phase for t seconds when its wire is detuned."""
 
-    kind: str                 # u1 | cnot | dep1 | dep2 | deph | damp | detune | zz
+    kind: str                 # u1 | cnot | dep1 | dep2 | idle | zz
     wires: tuple[int, ...]
-    p: float = 0.0            # channel probability (dep1/dep2/deph/damp)
-    t: float = 0.0            # idle duration in seconds (detune)
+    p: float = 0.0            # dep1/dep2 probability; idle damping probability
+    q: float = 0.0            # idle dephasing probability
+    t: float = 0.0            # idle duration in seconds
     phase: complex = 0.0      # fixed relative phase (zz)
     matrix: np.ndarray | None = None  # u1
+
+    @property
+    def draws(self) -> tuple[float, ...]:
+        """Probabilities of the channels that draw one uniform per shot, in
+        column order: a dep1 or dep2 draws for p; an idle for p if p > 0,
+        then for q if q > 0; any other op draws nothing."""
+        if self.kind != "idle":
+            return (self.p,) if self.kind in ("dep1", "dep2") else ()
+        if self.p > 0:
+            return (self.p, self.q) if self.q > 0 else (self.p,)
+        return (self.q,) if self.q > 0 else ()
 
 
 @dataclass(frozen=True)
@@ -110,7 +123,6 @@ class Program:
     num_wires: int
     ops: tuple[Op, ...]
     detuned_wires: tuple[int, ...]
-    n_uniform_ops: int
 
     @cached_property
     def last_op(self) -> dict[int, int]:
@@ -142,18 +154,16 @@ class Program:
         return max(map(len, self.factors), default=1)
 
     @cached_property
-    def superops(self) -> tuple[np.ndarray | None, ...]:
+    def superops(self) -> tuple[np.ndarray, ...]:
         """Each op's exact-backend superoperator as a (4^k, 4^k) matrix on
-        its k wires; None for detune ops, whose phase depends on the
-        detuning node.  Ops equal in (kind, wire count, p, phase, matrix)
-        share one superoperator, lowered once per program."""
+        its k wires; an idle's is its damping then its dephasing, without
+        the detuning phase, which depends on the detuning node.  Ops equal
+        in (kind, wire count, p, q, phase, matrix) share one superoperator,
+        lowered once per program."""
         lowered: dict[tuple, np.ndarray] = {}
         out = []
         for op in self.ops:
-            if op.kind == "detune":
-                out.append(None)
-                continue
-            key = (op.kind, len(op.wires), op.p, op.phase,
+            key = (op.kind, len(op.wires), op.p, op.q, op.phase,
                    None if op.matrix is None else op.matrix.tobytes())
             if key not in lowered:
                 lowered[key] = _superop(_kraus_operators(op))
@@ -162,68 +172,30 @@ class Program:
 
     @cached_property
     def channels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each channel op's p, in uniform-column order, and whether it is
-        depolarizing (branches when u >= 1 - p) rather than deph or damp
-        (branches, or can jump, when u < p)."""
-        chan = [op for op in self.ops if op.kind in _UNIFORM_KINDS]
-        return (np.array([op.p for op in chan], dtype=float),
-                np.array([op.kind in ("dep1", "dep2") for op in chan], dtype=bool))
+        """The p of each uniform column's channel (``Op.draws``), and
+        whether it is depolarizing (branches when u >= 1 - p) rather than an
+        idle's damping or dephasing (can jump, or branches, when u < p)."""
+        return (np.array([x for op in self.ops for x in op.draws], dtype=float),
+                np.array([op.kind != "idle" for op in self.ops for _ in op.draws],
+                         dtype=bool))
 
     @cached_property
-    def steps(self) -> tuple[tuple[int, Op | _Idle, int, tuple[int, ...]], ...]:
-        """The trajectory executor's walk: (index of the step's first op,
-        the op or ``_Idle``, the uniform column of its first channel op or
-        -1, the wires whose last op the step holds, in op-wire order).  One
-        wire's idle, the run of its damp, deph and detune ops (each
-        optional, in that order), is one ``_Idle`` step, shared by the runs
-        of the same ops; every other op is a step of its own."""
-        ops, last = self.ops, self.last_op
-        ends = {i: tuple(w for w in ops[i].wires if last[w] == i) for i in set(last.values())}
-        # An idle op on the wire of the op before it, and later than it in
-        # _IDLE_ORDER, continues that op's step; every other op starts one.
-        starts, rank, wires = [], 3, None
-        for i, op in enumerate(ops):
-            r = _IDLE_ORDER.get(op.kind, 3)
-            if not (rank < r < 3 and op.wires == wires):
-                starts.append(i)
-            rank, wires = r, op.wires
-        starts.append(len(ops))
-        idles: dict[int, tuple[tuple[Op, ...], _Idle]] = {}    # by id of a run's first op
-        out, column = [], 0
-        for i, j in zip(starts, starts[1:]):
-            op = ops[i]
-            if op.kind in _IDLE_ORDER:
-                run = ops[i:j]
-                hit = idles.get(id(op))
-                if hit is None or hit[0] != run:
-                    hit = idles[id(op)] = (run, _Idle.of(run))
-                op = hit[1]
-                uses = (op.damp is not None) + (op.deph is not None)
-            else:
-                uses = op.kind in _UNIFORM_KINDS
-            out.append((i, op, column if uses else -1, ends.get(j - 1, ())))
+    def n_uniform_ops(self) -> int:
+        """Uniform columns the channels draw per shot."""
+        return len(self.channels[0])
+
+    @cached_property
+    def steps(self) -> tuple[tuple[Op, int, tuple[int, ...]], ...]:
+        """The trajectory executor's walk, one step per op: (the op, the
+        uniform column of its first channel or -1 when it draws none, the
+        wires whose last op it is, in op-wire order)."""
+        last, column, out = self.last_op, 0, []
+        for i, op in enumerate(self.ops):
+            uses = len(op.draws)
+            out.append((op, column if uses else -1,
+                        tuple(w for w in op.wires if last[w] == i)))
             column += uses
         return tuple(out)
-
-
-@dataclass(frozen=True, slots=True)
-class _Idle:
-    """One wire's idle ops as one trajectory step; None where absent.  Its
-    deph op takes the uniform column after its damp op's."""
-
-    wires: tuple[int]
-    kind: str                           # the first op's kind
-    damp: Op | None
-    deph: Op | None
-    detune: Op | None
-    key: tuple[float, float]            # (damp p or 0, detune t or 0)
-
-    @classmethod
-    def of(cls, run: tuple[Op, ...]) -> _Idle:
-        parts = {op.kind: op for op in run}
-        damp, detune = parts.get("damp"), parts.get("detune")
-        return cls(run[0].wires, run[0].kind, damp, parts.get("deph"), detune,
-                   (damp.p if damp else 0.0, detune.t if detune else 0.0))
 
 
 @dataclass(frozen=True)
@@ -282,7 +254,7 @@ def compile_program(circuit: TimedCircuit, device: DeviceModel | None,
     phys = physical_of_wire if physical_of_wire is not None else list(range(nw))
 
     # Sort keys (time, phase, emission index) of groups of ops on the same
-    # wires: a gate and its error, an idle's channels, or a ZZ phase.  The
+    # wires: a gate and its error, an idle, or a ZZ phase.  The
     # index is unique, so the groups themselves are never compared.
     entries: list[tuple[int, int, int, tuple[Op, ...]]] = []
     p_dep = ({"dep1": device.p_dep_1q, "dep2": device.p_dep_2q}
@@ -311,9 +283,8 @@ def compile_program(circuit: TimedCircuit, device: DeviceModel | None,
                     t = (g1 - g0) * dt
                     p_ad, p_z = (idle_params(device.t1[phys[w]], device.t2[phys[w]], t)
                                  if noise.decoherence else (0.0, 0.0))
-                    idle_ops[g1 - g0] = (((Op("damp", (w,), p=p_ad),) if p_ad > 0 else ())
-                                         + ((Op("deph", (w,), p=p_z),) if p_z > 0 else ())
-                                         + ((Op("detune", (w,), t=t),) if detuning else ()))
+                    idle_ops[g1 - g0] = ((Op("idle", (w,), p=p_ad, q=p_z, t=t),)
+                                         if p_ad > 0 or p_z > 0 or detuning else ())
                 if idle_ops[g1 - g0]:
                     entries.append((g1, 0, len(entries), idle_ops[g1 - g0]))
 
@@ -343,8 +314,7 @@ def compile_program(circuit: TimedCircuit, device: DeviceModel | None,
             chunks.append(tail := [])
             tails.update((w, tail) for w in wires if last2[w] == i)
     ops = tuple(chain.from_iterable(chunks))
-    return Program(nw, ops, tuple(w for w in range(nw) if detuning and idles[w]),
-                   sum(op.kind in _UNIFORM_KINDS for op in ops))
+    return Program(nw, ops, tuple(w for w in range(nw) if detuning and idles[w]))
 
 
 # -- trajectory backend ---------------------------------------------------------
@@ -416,40 +386,41 @@ def _apply(op: Op, state: np.ndarray, wires: list[int], draw: np.ndarray | None)
                     ker.apply_1q_rows(state, rows, d // (2 * sw), sw, PAULIS_1Q[j])
 
 
-def _idle(idle: _Idle, col: int, state: np.ndarray, sw: int, uniforms: np.ndarray,
+def _idle(op: Op, col: int, state: np.ndarray, sw: int, uniforms: np.ndarray,
           live: list[bool], delta: np.ndarray | None, recent: list) -> None:
-    """Apply one wire's idle in place as one step: the damp jump test, one
-    multiplication of the bit-1 half by the no-jump factor, then the deph
-    flips.  The factor is ``sqrt(1 - p) exp(i delta t)`` per shot when the
-    wire is detuned, looked up in or added to ``recent``, the wire's last two
-    (key, factor) pairs; otherwise ``ampdamp`` applies ``sqrt(1 - p)``."""
+    """Apply one wire's idle op in place: the damping jump test, one
+    multiplication of the bit-1 half by the no-jump factor, then the
+    dephasing flips.  The factor is ``sqrt(1 - p) exp(i delta t)`` per shot
+    when the wire is detuned (``delta`` given), looked up in or added to
+    ``recent``, the wire's last two (op, factor) pairs; otherwise
+    ``ampdamp`` applies ``sqrt(1 - p)``."""
     jumps = ()
-    if idle.damp is not None and live[col]:
+    if op.p > 0 and live[col]:
         # A shot jumps when u < p * pop1 / norm2, so only shots with u < p can.
-        p, u = idle.damp.p, uniforms[:, col]
-        rows = np.nonzero(u < p)[0]
+        u = uniforms[:, col]
+        rows = np.nonzero(u < op.p)[0]
         sub = state[rows]
-        jumps = rows[u[rows] * ker.norm2(sub) < p * ker.pop1(sub, sw)]
-    if idle.detune is not None:
+        jumps = rows[u[rows] * ker.norm2(sub) < op.p * ker.pop1(sub, sw)]
+    if delta is not None:
         if len(jumps):
             ker.damp_jump(state, sw, jumps)
-        if recent and recent[-1][0] == idle.key:
+        if recent and recent[-1][0] is op:
             no_jump = recent[-1][1]
-        elif len(recent) == 2 and recent[0][0] == idle.key:
+        elif len(recent) == 2 and recent[0][0] is op:
             recent.reverse()
             no_jump = recent[-1][1]
         else:
-            no_jump = np.exp(1j * delta * idle.detune.t)
-            if idle.damp is not None:
-                no_jump *= math.sqrt(1.0 - idle.damp.p)
-            recent.append((idle.key, no_jump))
+            no_jump = np.exp(1j * delta * op.t)
+            if op.p > 0:
+                no_jump *= math.sqrt(1.0 - op.p)
+            recent.append((op, no_jump))
             del recent[:-2]
         ker.phase_bit_pershot(state, sw, no_jump)
-    elif idle.damp is not None:
-        ker.ampdamp(state, sw, idle.damp.p, jumps)
-    col += idle.damp is not None
-    if idle.deph is not None and live[col]:
-        ker.apply_1q_rows(state, np.nonzero(uniforms[:, col] < idle.deph.p)[0],
+    elif op.p > 0:
+        ker.ampdamp(state, sw, op.p, jumps)
+    col += op.p > 0
+    if op.q > 0 and live[col]:
+        ker.apply_1q_rows(state, np.nonzero(uniforms[:, col] < op.q)[0],
                           state.shape[1] // (2 * sw), sw, PAULIS_1Q[3])
 
 
@@ -460,29 +431,29 @@ def _evolve(program: Program, uniforms: np.ndarray, deltas: dict[int, np.ndarray
 
     Every wire starts as its own (shots, 2) factor in |0>.  A two-wire op
     on wires of two factors first merges them, by a per-shot outer product.
-    The walk visits ``Program.steps``: one step per op, except that one
-    wire's idle (its damp, deph and detune ops) is one step.  Channel ops
-    take the uniform columns in stream order; a detune op reads the
-    per-shot detuning of its wire from ``deltas``.  Right after the step
-    that holds its last op, wire w is measured with ``uniforms[:,
-    n_uniform_ops + w]`` and leaves its factor; a wire no op touches reads 0.
+    The walk visits ``Program.steps``, one step per op.  Channels take the
+    uniform columns in stream order (``Op.draws``); an idle on a detuned
+    wire reads the per-shot detuning of its wire from ``deltas``.  Right
+    after its last op, wire w is measured with ``uniforms[:, n_uniform_ops +
+    w]`` and leaves its factor; a wire no op touches reads 0.
 
     The batch is screened once, in one expression over every channel
     column: its smallest and largest uniform decide whether any shot can
-    leave the channel's identity branch (for damp: can jump).  A
-    depolarizing or deph op no shot can branch on is skipped; damp then
-    tests no shot for a jump.  States stay unnormalized (quantum jumps with
-    unnormalized states): an idle step runs damp's jump test on the shots
-    with u < p, moving each jumping shot's bit-1 half onto its bit-0 half,
-    then multiplies the bit-1 half once by ``sqrt(1 - p) exp(i delta t)``
-    (just ``sqrt(1 - p)`` on a wire without detuning), then flips the
-    deph shots.  Each wire keeps the factors of its last two idle keys
-    (p, t) of the batch, which covers DD's two alternating spacings, and
-    drops them when it is measured.  Measurement divides the kept half by
-    its weight, so it leaves factors of norm 1.  With ``assertions``, each
-    shot's squared norm after a step is checked against those the step may
-    leave (an idle with damp: n - p n1 with no jump, n1 with one; any other
-    step: n), and each factor a measurement leaves against 1.
+    leave the channel's identity branch (for damping: can jump).  A
+    depolarizing op no shot can branch on is skipped, as is an idle's
+    dephasing; its damping then tests no shot for a jump.  States stay
+    unnormalized (quantum jumps with unnormalized states): an idle runs the
+    jump test on the shots with u < p, moving each jumping shot's bit-1
+    half onto its bit-0 half, then multiplies the bit-1 half once by
+    ``sqrt(1 - p) exp(i delta t)`` (just ``sqrt(1 - p)`` on a wire without
+    detuning), then flips the dephasing shots.  Each wire keeps the factors
+    of its last two idle ops of the batch, which covers DD's two
+    alternating spacings, and drops them when it is measured.  Measurement
+    divides the kept half by its weight, so it leaves factors of norm 1.
+    With ``assertions``, each shot's squared norm after an op is checked
+    against those the op may leave (an idle that damps: n - p n1 with no
+    jump, n1 with one; any other op: n), and each factor a measurement
+    leaves against 1.
     """
     nw = program.num_wires
     shots = len(uniforms)
@@ -491,13 +462,13 @@ def _evolve(program: Program, uniforms: np.ndarray, deltas: dict[int, np.ndarray
     factor = {w: [ket0.copy(), [w]] for w in range(nw)}
     block = uniforms[:, :program.n_uniform_ops]
     p, depolarizing = program.channels
-    # dep1/dep2 branch when u >= 1 - p; deph branches and damp can jump
-    # only when u < p.
+    # dep1/dep2 branch when u >= 1 - p; an idle can jump, or dephases, only
+    # when u < p.
     live = np.where(depolarizing, block.max(axis=0) >= 1.0 - p,
                     block.min(axis=0) < p).tolist()
     recent: dict[int, list] = {}
     outcomes = np.zeros(shots, dtype=np.int64)
-    for i, op, col, ends in program.steps:
+    for i, (op, col, ends) in enumerate(program.steps):
         f = factor[op.wires[0]]
         if len(op.wires) == 2 and factor[op.wires[1]] is not f:
             g = factor[op.wires[1]]
@@ -506,14 +477,14 @@ def _evolve(program: Program, uniforms: np.ndarray, deltas: dict[int, np.ndarray
             for w in g[1]:
                 factor[w] = f
         state, wires = f
-        idle = type(op) is _Idle
+        idle = op.kind == "idle"
         if idle or col < 0 or live[col]:
             sw = state.shape[1] >> (wires.index(op.wires[0]) + 1) if idle else 0
             if assertions:
                 allowed = [ker.norm2(state)]
-                if idle and op.damp is not None:
+                if idle and op.p > 0:
                     n1 = ker.pop1(state, sw)
-                    allowed = [allowed[0] - op.damp.p * n1, n1]
+                    allowed = [allowed[0] - op.p * n1, n1]
             if idle:
                 _idle(op, col, state, sw, uniforms, live, deltas.get(op.wires[0]),
                       recent.setdefault(op.wires[0], []))
@@ -614,10 +585,9 @@ def _kraus_operators(op: Op) -> tuple[np.ndarray, ...]:
         return (_CNOT,)
     if op.kind == "zz":
         return (np.diag([1.0, op.phase, op.phase, 1.0]),)
-    if op.kind == "damp":
-        return amplitude_damping(op.p).operators
-    if op.kind == "deph":
-        return dephasing(op.p).operators
+    if op.kind == "idle":       # damping, then dephasing
+        damp, deph = amplitude_damping(op.p).operators, dephasing(op.q).operators
+        return tuple(z @ a for a in damp for z in deph)
     if op.kind in ("dep1", "dep2"):
         return depolarizing(op.p, len(op.wires)).operators
     raise ValueError(f"unknown op kind {op.kind!r}")
@@ -643,7 +613,7 @@ def _detuning_rules(program: Program, sigma: float, gh_nodes: int
     SimulatorCapError when a wire needs more than ``gh_nodes`` nodes."""
     total: dict[int, float] = {}
     for op in program.ops:
-        if op.kind == "detune":
+        if op.kind == "idle" and op.wires[0] in program.detuned_wires:
             total[op.wires[0]] = total.get(op.wires[0], 0.0) + op.t
     todo = sorted(total, key=total.get)
     rules = {}
@@ -782,9 +752,10 @@ def _exact_distribution(program: Program, rules, readout: ReadoutMap, rates
     factor: dict[int, _Factor] = {}
     pending: dict[int, np.ndarray] = {}
     for i, (op, sop) in enumerate(zip(program.ops, program.superops)):
-        if op.kind == "detune":     # per node: diag(exp(i delta t (row - column)))
+        if op.kind == "idle" and op.wires[0] in program.detuned_wires:
+            # per node: diag(exp(i delta t (row - column))) after the channels
             sop = np.exp(1j * np.outer(rules[op.wires[0]][0] * op.t, [0, -1, 1, 0])
-                         )[:, :, None] * np.eye(4)
+                         )[:, :, None] * sop
         if len(op.wires) == 1:
             w = op.wires[0]
             pending[w] = sop @ pending[w] if w in pending else sop

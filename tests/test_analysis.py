@@ -13,7 +13,7 @@ from ssbv.analysis import (LAMBDA_CI_SIGMA, AnalysisConfig, FitResult, TTSPoint,
 from ssbv.circuit import Bitstring, DurationModel
 from ssbv.oracles import OracleSpec, ShotTable
 
-MONTREAL_MODEL = DurationModel.from_slope_intercept(0.40e-6, 5.28e-6)
+MONTREAL_MODEL = DurationModel(0.40e-6, 5.28e-6)
 
 
 def make_points(ns, tts):
@@ -217,7 +217,7 @@ def test_local_lambda_monotone_on_convex_curve():
 def test_bootstrap_lambda_covers_truth():
     rng = np.random.default_rng(12)
     lam0, shots = 0.6, 32_000
-    model = DurationModel.from_slope_intercept(1e-6, 0.0)
+    model = DurationModel(1e-6, 0.0)
     tables_by_n = {}
     for n in range(3, 15):
         target = 2.0 ** (lam0 * n) * 10e-6
@@ -244,7 +244,7 @@ def test_speedup_ratio_examples():
     # from the small-n deviation of R_C)
     mid = list(range(8, 25))
     classical = classical_points(mid)
-    linear = DurationModel.from_slope_intercept(0.4e-6, 0.0)
+    linear = DurationModel(0.4e-6, 0.0)
     ideal = make_points(mid, [linear.run_time(n) for n in mid])
     curve = speedup_ratio(ideal, classical)
     assert curve.fitted_exponent == pytest.approx(1.0, abs=2e-3)

@@ -130,30 +130,30 @@ def test_duration_invariant_under_event_reorder():
 
 
 def test_run_time_intercept_only():
-    model = DurationModel.from_slope_intercept(0.40e-6, 5.28e-6)
+    model = DurationModel(0.40e-6, 5.28e-6)
     assert run_time(0, model) == pytest.approx(5.28e-6)
 
 
 def test_run_time_montreal_like_n10():
-    model = DurationModel.from_slope_intercept(0.40e-6, 5.28e-6)
+    model = DurationModel(0.40e-6, 5.28e-6)
     assert run_time(10, model) == pytest.approx(9.28e-6, rel=1e-12)
 
 
 def test_run_time_cairo_like_n20():
     # independent evaluation of the linear law: 0.27*20 + 0.77 = 6.17 us
-    model = DurationModel.from_slope_intercept(0.27e-6, 0.77e-6)
+    model = DurationModel(0.27e-6, 0.77e-6)
     assert run_time(20, model) == pytest.approx(6.17e-6, rel=1e-12)
 
 
 def test_run_time_rejects_negative_n():
-    model = DurationModel.from_slope_intercept(1e-6, 0.0)
+    model = DurationModel(1e-6, 0.0)
     with pytest.raises(ValueError):
         run_time(-1, model)
 
 
 def test_run_time_exact_table_and_slope_beyond():
     table = {0: 1e-6, 1: 1.5e-6, 2: 2.5e-6}
-    model = DurationModel.from_slope_intercept(0.4e-6, 5.28e-6, exact_table=table)
+    model = DurationModel(0.4e-6, 5.28e-6, exact_table=table)
     assert run_time(1, model) == 1.5e-6
     for n in range(3, 12):
         inc = run_time(n + 1, model) - run_time(n, model)
@@ -162,7 +162,7 @@ def test_run_time_exact_table_and_slope_beyond():
 
 def test_exact_table_must_increase():
     with pytest.raises(ValueError):
-        DurationModel.from_slope_intercept(1e-6, 0, exact_table={1: 2e-6, 2: 1e-6})
+        DurationModel(1e-6, 0, exact_table={1: 2e-6, 2: 1e-6})
 
 
 def test_default_dt_is_exact_rational():

@@ -56,10 +56,14 @@ def reference_kraus(op, nw, deltas):
                 + embed(np.diag([0.0, 1.0]), c, nw) @ embed(X, t, nw)]
     if op.kind == "zz":
         return [embed2(np.diag([1.0, op.phase, op.phase, 1.0]), *op.wires, nw)]
-    if op.kind == "detune":
-        w = op.wires[0]
-        phase = np.exp(1j * deltas.get(w, 0.0) * op.t)
-        return [embed(np.diag([1.0, phase]), w, nw)]
+    if op.kind == "idle":
+        # damping with p, then dephasing with q, then the detuning phase
+        # (none on a wire that is not detuned, or detuned by zero)
+        k0 = np.array([[1, 0], [0, math.sqrt(1 - p)]], dtype=complex)
+        k1 = np.array([[0, math.sqrt(p)], [0, 0]], dtype=complex)
+        z = (math.sqrt(1 - op.q) * I2, math.sqrt(op.q) * Z)
+        detune = np.diag([1.0, np.exp(1j * deltas.get(op.wires[0], 0.0) * op.t)])
+        return [embed(detune @ zk @ ak, op.wires[0], nw) for ak in (k0, k1) for zk in z]
     if op.kind == "dep1":
         return [math.sqrt(1 - p) * np.eye(1 << nw)] + \
             [math.sqrt(p / 3) * embed(pm, op.wires[0], nw) for pm in PAULIS[1:]]
@@ -68,12 +72,7 @@ def reference_kraus(op, nw, deltas):
         return [math.sqrt(1 - p) * np.eye(1 << nw)] + \
             [math.sqrt(p / 15) * embed(PAULIS[i], wa, nw) @ embed(PAULIS[j], wb, nw)
              for i, j in itertools.product(range(4), range(4)) if (i, j) != (0, 0)]
-    if op.kind == "deph":
-        return [math.sqrt(1 - p) * np.eye(1 << nw),
-                math.sqrt(p) * embed(Z, op.wires[0], nw)]
-    k0 = np.array([[1, 0], [0, math.sqrt(1 - p)]], dtype=complex)
-    k1 = np.array([[0, math.sqrt(p)], [0, 0]], dtype=complex)
-    return [embed(k0, op.wires[0], nw), embed(k1, op.wires[0], nw)]
+    raise ValueError(f"unknown op kind {op.kind!r}")
 
 
 def reference_run(program, deltas):
@@ -90,7 +89,7 @@ def random_unitary(rng):
     return q
 
 
-ONE_WIRE = ("u1", "dep1", "deph", "damp", "detune")
+ONE_WIRE = ("u1", "dep1", "idle")
 TWO_WIRE = ("cnot", "dep2", "zz")
 
 
@@ -100,12 +99,12 @@ def templates(draw, kinds, rng):
     kind = draw(st.sampled_from(kinds))
     if kind == "u1":
         return Op(kind, (), matrix=random_unitary(rng))
-    if kind in ("dep1", "dep2", "damp"):
+    if kind in ("dep1", "dep2"):
         return Op(kind, (), p=draw(st.floats(0.0, 1.0)))
-    if kind == "deph":
-        return Op(kind, (), p=draw(st.floats(0.0, 0.5)))
-    if kind == "detune":
-        return Op(kind, (), t=rng.uniform(0.0, 1e-5))
+    if kind == "idle":      # damping and dephasing each either off or random
+        return Op(kind, (), p=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+                  q=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.5))),
+                  t=rng.uniform(0.0, 1e-5))
     if kind == "zz":
         return Op(kind, (), phase=np.exp(1j * rng.uniform(-math.pi, math.pi)))
     return Op(kind, ())
@@ -157,11 +156,10 @@ def programs(draw):
     for segment in draw(st.lists(segments(nw, pool1, pool2), min_size=1, max_size=8)):
         stream += segment
     stream = tuple(stream[:nw + 24])
-    detuned = tuple(sorted({op.wires[0] for op in stream if op.kind == "detune"}))
+    detuned = tuple(w for w in range(nw) if draw(st.booleans()))
     # Some detuned wires run at zero detuning.
     deltas = {w: rng.uniform(-1e6, 1e6) for w in detuned if draw(st.booleans())}
-    n_uniform = sum(op.kind in ("dep1", "dep2", "deph", "damp") for op in stream)
-    return Program(nw, stream, detuned, n_uniform), deltas
+    return Program(nw, stream, detuned), deltas
 
 
 @SETTINGS
@@ -182,7 +180,7 @@ def test_exact_run_matches_dense_kraus_reference(case):
 
 
 def lowering_key(op):
-    return (op.kind, len(op.wires), op.p, op.phase,
+    return (op.kind, len(op.wires), op.p, op.q, op.phase,
             None if op.matrix is None else op.matrix.tobytes())
 
 
@@ -198,18 +196,16 @@ def test_superops_lower_each_distinct_op_once():
 
     with patch("ssbv.simulator._kraus_operators", counting):
         superops = program.superops
-    keys = {lowering_key(op) for op in program.ops if op.kind != "detune"}
+    keys = {lowering_key(op) for op in program.ops}
     assert sorted(calls, key=repr) == sorted(keys, key=repr)
     assert len(calls) < len(program.ops) // 4
     first = {}
     for op, sop in zip(program.ops, superops):
-        assert (sop is None) == (op.kind == "detune")
-        if sop is not None:
-            assert first.setdefault(lowering_key(op), sop) is sop
+        assert first.setdefault(lowering_key(op), sop) is sop
 
 
 def test_exact_run_fuses_into_two_wire_passes():
-    # 242 ops on the 7-wire UR4 chain, 20 of them two-wire: 10 cnot/dep2
+    # 186 ops on the 7-wire UR4 chain, 20 of them two-wire: 10 cnot/dep2
     # pairs on 10 ordered wire pairs.  One-wire ops are multiplied per wire
     # and reach a factor only before a two-wire op or at the wire's end.
     # Here every wire's one-wire ops between two-wire ops come before its

@@ -19,8 +19,8 @@ def completeness_defect(channel: KrausChannel) -> float:
 
 
 def idle_kraus(t1, t2, t):
-    """Kraus operators of the idle pair compile_program emits: damping,
-    then phase flip."""
+    """Kraus operators of the idle op compile_program emits, without its
+    detuning phase: damping, then phase flip."""
     p_ad, p_z = idle_params(t1, t2, t)
     return [d @ k for k in amplitude_damping(p_ad).operators
             for d in dephasing(p_z).operators]

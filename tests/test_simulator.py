@@ -125,17 +125,17 @@ def test_bv2_amplitude_damping_matches_hand_kraus_evolution():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     ops.append(Op("u1", (2,), matrix=x))
-    ops.append(Op("damp", (0,), p=q))
-    ops.append(Op("damp", (1,), p=q))
+    ops.append(Op("idle", (0,), p=q))
+    ops.append(Op("idle", (1,), p=q))
     for w in (0, 1, 2):
         ops.append(Op("u1", (w,), matrix=h))
     for control in (0, 1):
         ops.append(Op("cnot", (control, 2)))
         for w in (0, 1, 2):
-            ops.append(Op("damp", (w,), p=q))
+            ops.append(Op("idle", (w,), p=q))
     for w in (0, 1, 2):
         ops.append(Op("u1", (w,), matrix=h))
-    labels, probs = _exact_distribution(Program(3, tuple(ops), (), 0), {},
+    labels, probs = _exact_distribution(Program(3, tuple(ops), ()), {},
                                         ReadoutMap((0, 1)), None)
     got = {f"{i:02b}": p for i, p in zip(labels, probs)}
     want = hand_bv2_amplitude_damping(q, q)
@@ -180,12 +180,21 @@ def ur4_chain(n):
     return spec, routed, circ, device, phys
 
 
+def has_idle(program, detuned):
+    """Whether the program has an idle that damps and dephases on a wire
+    that is (or is not) detuned."""
+    return any(op.kind == "idle" and op.p > 0 and op.q > 0
+               and (op.wires[0] in program.detuned_wires) == detuned
+               for op in program.ops)
+
+
 def test_trajectory_matches_exact_crosstalk_six_wires():
     spec, routed, circ, device, phys = ur4_chain(5)
     assert circ.num_qubits == 6
     noise = replace(MONTREAL.noise(), detuning=False, zz_rate=2.5e5)
     program = compile_program(circ, device, noise, phys)
-    assert {"zz", "dep2", "damp", "deph"} <= {op.kind for op in program.ops}
+    assert {"zz", "dep2"} <= {op.kind for op in program.ops}
+    assert has_idle(program, detuned=False)
     shots = 4000
     exact = simulate_exact(circ, device, noise, routed.readout, phys)
     table = simulate_shots(circ, device, noise, TrajectoryPlan(shots, 17), spec,
@@ -419,7 +428,8 @@ def test_trajectory_matches_exact_with_detuning(case):
     noise = MONTREAL.noise()
     program = compile_program(circ, device, noise, phys)
     assert len(program.detuned_wires) == circ.num_qubits
-    assert {"detune", "dep2", "damp", "deph"} <= {op.kind for op in program.ops}
+    assert "dep2" in {op.kind for op in program.ops}
+    assert has_idle(program, detuned=True)
     shots = 4000
     exact = simulate_exact(circ, device, noise, routed.readout, phys)
     table = simulate_shots(circ, device, noise, TrajectoryPlan(shots, 29), spec,
@@ -447,8 +457,7 @@ def test_seed_determinism_and_batch_invariance():
     # cached per batch, and batches of 77 and of 1 cut across them.
     spec, routed, circ, device, phys = ur4_chain(3)
     noise = MONTREAL.noise()
-    assert {"damp", "deph", "detune"} <= {op.kind for op in
-                                          compile_program(circ, device, noise, phys).ops}
+    assert has_idle(compile_program(circ, device, noise, phys), detuned=True)
     tables = [simulate_shots(circ, device, noise, TrajectoryPlan(400, 11, batch_size=b),
                              spec, routed.readout, phys).counts for b in (None, 77, 1)]
     assert tables[0] == tables[1] == tables[2]
@@ -537,8 +546,8 @@ def test_assertion_mode_catches_a_kernel_that_changes_norms():
 
 
 def test_assertion_mode_catches_an_idle_step_that_changes_norms():
-    # The idle step's one multiplication is phase_bit_pershot on a detuned
-    # wire; its check is damp's, so the error names the idle's damp op.
+    # An idle's one multiplication is phase_bit_pershot on a detuned wire,
+    # so the error names an idle op.
     spec, routed, circ, device, phys = ur4_chain(3)
     noise = MONTREAL.noise()
     phase_bit_pershot = ker.phase_bit_pershot
@@ -549,28 +558,33 @@ def test_assertion_mode_catches_an_idle_step_that_changes_norms():
 
     with patch.object(ker, "phase_bit_pershot", drifting):
         simulate_shots(circ, device, noise, TrajectoryPlan(50, 1), spec, routed.readout, phys)
-        with pytest.raises(AssertionError, match=r"norm drift after op \d+ \(damp\)"):
+        with pytest.raises(AssertionError, match=r"norm drift after op \d+ \(idle\)"):
             simulate_shots(circ, device, noise, TrajectoryPlan(50, 1, assertions=True),
                            spec, routed.readout, phys)
 
 
-@pytest.mark.parametrize("detuning", [True, False])
-def test_idle_step_makes_one_kernel_call_per_idle(detuning):
-    # Each idle (damp, deph, detune) multiplies once: by sqrt(1 - p) exp(i
-    # delta t) through phase_bit_pershot on a detuned wire, else by
-    # sqrt(1 - p) through ampdamp.
+@pytest.mark.parametrize("detuning, decoherence", [(True, True), (False, True),
+                                                   (True, False)],
+                         ids=["True", "False", "detune-only"])
+def test_idle_step_makes_one_kernel_call_per_idle(detuning, decoherence):
+    # Each idle multiplies once: by sqrt(1 - p) exp(i delta t) through
+    # phase_bit_pershot on a detuned wire, else by sqrt(1 - p) through
+    # ampdamp.  Without decoherence an idle is a detuning phase alone and
+    # draws no uniform column.
     spec, routed, circ, device, phys = ur4_chain(3)
-    noise = replace(MONTREAL.noise(), detuning=detuning)
+    noise = replace(MONTREAL.noise(), detuning=detuning, decoherence=decoherence)
     program = compile_program(circ, device, noise, phys)
-    idles = sum(op.kind == "damp" for op in program.ops)
-    assert idles == sum(op.kind == "deph" for op in program.ops) > 0
-    assert sum(op.kind == "detune" for op in program.ops) == (idles if detuning else 0)
+    idles = [(op, col) for op, col, _ in program.steps if op.kind == "idle"]
+    assert idles
+    assert all((op.p > 0 and op.q > 0) == (col >= 0) == decoherence for op, col in idles)
+    assert set(program.detuned_wires) == ({op.wires[0] for op, _ in idles}
+                                          if detuning else set())
     with patch.object(ker, "ampdamp", wraps=ker.ampdamp) as ampdamp, \
             patch.object(ker, "phase_bit_pershot", wraps=ker.phase_bit_pershot) as phase:
         simulate_shots(program, device, noise, TrajectoryPlan(200, 3), spec,
                        routed.readout, phys)
-    assert ampdamp.call_count + phase.call_count == idles
-    assert phase.call_count == (idles if detuning else 0)
+    assert ampdamp.call_count + phase.call_count == len(idles)
+    assert phase.call_count == (len(idles) if detuning else 0)
 
 
 # sha256 of the count tables of the representative oracles n = 8, routed on
@@ -644,15 +658,26 @@ def test_simulate_shots_runs_a_compiled_program_as_given(k):
 def stream_digest(program):
     """sha256 over the program's wire count, detuned wires and uniform
     count, then each op's kind, wires, p and t (float.hex), phase (float.hex
-    of both parts) and matrix bytes."""
+    of both parts) and matrix bytes.  An idle op is hashed as up to three
+    records, in this order: a damp record with its p if p > 0, a deph
+    record with its q as p if q > 0, and a detune record with its t if its
+    wire is detuned."""
     h = hashlib.sha256(repr((program.num_wires, program.detuned_wires,
                              program.n_uniform_ops)).encode())
     for op in program.ops:
-        phase = complex(op.phase)
-        h.update(repr((op.kind, tuple(map(int, op.wires)), float(op.p).hex(),
-                       float(op.t).hex(), phase.real.hex(), phase.imag.hex())).encode())
-        if op.matrix is not None:
-            h.update(op.matrix.tobytes())
+        if op.kind == "idle":
+            parts = ([Op("damp", op.wires, p=op.p)] * (op.p > 0)
+                     + [Op("deph", op.wires, p=op.q)] * (op.q > 0)
+                     + [Op("detune", op.wires, t=op.t)] * (op.wires[0] in program.detuned_wires))
+        else:
+            parts = [op]
+        for part in parts:
+            phase = complex(part.phase)
+            h.update(repr((part.kind, tuple(map(int, part.wires)), float(part.p).hex(),
+                           float(part.t).hex(), phase.real.hex(),
+                           phase.imag.hex())).encode())
+            if part.matrix is not None:
+                h.update(part.matrix.tobytes())
     return h.hexdigest()
 
 
@@ -705,30 +730,26 @@ def width_by_every_op(program):
 def test_width_matches_the_every_op_walk(stream):
     nw, wires = stream
     ops = tuple(Op("u1" if len(w) == 1 else "zz", w) for w in wires)
-    program = Program(nw, ops, (), 0)
+    program = Program(nw, ops, ())
     assert program.width == width_by_every_op(program)
 
 
-def test_steps_make_one_step_per_idle():
-    # A run of damp, deph, detune on one wire, in that order, is one step;
-    # a second idle on the same wire, an idle on another wire and ops out
-    # of that order start new steps.  Columns count the channel ops.
-    damp, deph = Op("damp", (0,), p=0.1), Op("deph", (0,), p=0.2)
-    detune = Op("detune", (0,), t=1e-7)
-    ops = (damp, deph, detune, Op("detune", (0,), t=2e-7), Op("dep1", (0,), p=0.01),
-           Op("deph", (1,), p=0.3), Op("damp", (1,), p=0.4), Op("cnot", (0, 1)),
-           damp, deph, detune, Op("u1", (1,), matrix=np.eye(2)))
-    program = Program(2, ops, (0,), 7)
-    steps = program.steps
-    assert [(i, col, ends) for i, _, col, ends in steps] == [
-        (0, 0, ()), (3, -1, ()), (4, 2, ()), (5, 3, ()), (6, 4, ()), (7, -1, ()),
-        (8, 5, (0,)), (11, -1, (1,))]
-    first, again = steps[0][1], steps[6][1]
-    assert first is again
-    assert (first.damp, first.deph, first.detune, first.key) == (damp, deph, detune, (0.1, 1e-7))
-    assert (steps[1][1].damp, steps[1][1].key) == (None, (0.0, 2e-7))
-    assert steps[4][1].kind == "damp" and steps[4][1].detune is None
-    assert steps[2][1] is ops[4] and steps[7][1] is ops[11]
+def test_steps_give_each_op_its_columns_and_ends():
+    # One step per op.  An idle draws a column for p > 0, then one for
+    # q > 0, and a dep1 one for p; the step holds its first column, or -1
+    # when it draws none, and the wires whose last op it is.
+    both = Op("idle", (0,), p=0.1, q=0.2, t=1e-7)
+    ops = (both, Op("idle", (0,), p=0.3, t=2e-7), Op("dep1", (0,), p=0.01),
+           Op("idle", (1,), q=0.4, t=3e-7), Op("idle", (1,), t=4e-7), Op("cnot", (0, 1)),
+           both, Op("u1", (1,), matrix=np.eye(2)))
+    program = Program(2, ops, (1,))
+    assert [op for op, _, _ in program.steps] == list(ops)
+    assert [(col, ends) for _, col, ends in program.steps] == [
+        (0, ()), (2, ()), (3, ()), (4, ()), (-1, ()), (-1, ()), (5, (0,)), (-1, (1,))]
+    assert program.n_uniform_ops == 7
+    p, depolarizing = program.channels
+    assert p.tolist() == [0.1, 0.2, 0.3, 0.01, 0.4, 0.1, 0.2]
+    assert depolarizing.tolist() == [False, False, False, True, False, False, False]
 
 
 def test_width_matches_the_every_op_walk_on_the_zz_chain():
