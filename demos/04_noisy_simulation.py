@@ -14,7 +14,7 @@ from ssbv import (NoiseConfig, OracleSpec, TrajectoryPlan, bv_logical_circuit,
 
 profile = load_profile("montreal")
 spec = OracleSpec.representative(3, 2)
-device = profile.device(chain_graph(4))
+device = profile.device(chain_graph(5))
 circuit, readout = bv_logical_circuit(
     spec, dur_1q=device.dur_1q, dur_2q=device.dur_2q,
     readout_duration=device.dur_readout, dt=device.dt)

@@ -13,7 +13,7 @@ channels from branch thresholds of its own in ``simulator``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
@@ -172,15 +172,6 @@ class DeviceModel:
                    dur_dd_pulse=dur_dd_pulse if dur_dd_pulse is not None else dur_1q,
                    p_dep_1q=p_dep_1q, p_dep_2q=p_dep_2q, dt=dt,
                    duration_model=duration_model, name=name)
-
-    def with_graph(self, graph: CouplingGraph) -> DeviceModel:
-        if graph.num_physical > self.num_qubits:
-            scale = graph.num_physical
-            return replace(self, graph=graph,
-                           t1=np.resize(self.t1, scale), t2=np.resize(self.t2, scale),
-                           ro_p01=np.resize(self.ro_p01, scale),
-                           ro_p10=np.resize(self.ro_p10, scale))
-        return replace(self, graph=graph)
 
 
 @dataclass(frozen=True)

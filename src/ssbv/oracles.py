@@ -120,7 +120,7 @@ class ShotTable:
         return self.success_count() / self.total_shots
 
 
-def bv_logical_circuit(spec: OracleSpec, *, reduced: bool = False,
+def bv_logical_circuit(spec: OracleSpec, *,
                        dur_1q: int = 1, dur_2q: int = 1, readout_duration: int = 0,
                        dt: Fraction | float = DT_SECONDS) -> tuple[TimedCircuit, ReadoutMap]:
     """Logical (fully-connected) BV circuit for the given oracle.
@@ -128,33 +128,22 @@ def bv_logical_circuit(spec: OracleSpec, *, reduced: bool = False,
     Layout: X on the ancilla, one aligned H layer on every wire, one CNOT
     per marked qubit onto the ancilla (ascending order), and a final
     aligned H layer.  With unit durations and k=n the depth is exactly
-    n+3 layers.  In the reduced setup unmarked data qubits are dropped
-    from the circuit entirely.
+    n+3 layers.  Data qubit i is wire i and the ancilla is wire n.
     """
-    n, marked = spec.n, spec.marked
-    if reduced:
-        wires = {logical: w for w, logical in enumerate(marked)}
-        ancilla = len(marked)
-        num_wires = len(marked) + 1
-    else:
-        wires = {logical: logical for logical in range(n)}
-        ancilla = n
-        num_wires = n + 1
-
+    n = ancilla = spec.n
     events = [GateEvent(GateKind.X, (ancilla,), 0, dur_1q)]
     h_start = dur_1q
-    for w in range(num_wires):
+    for w in range(n + 1):
         events.append(GateEvent(GateKind.H, (w,), h_start, dur_1q))
     t = h_start + dur_1q
-    for logical in marked:
-        events.append(GateEvent(GateKind.CNOT, (wires[logical], ancilla), t, dur_2q))
+    for logical in spec.marked:
+        events.append(GateEvent(GateKind.CNOT, (logical, ancilla), t, dur_2q))
         t += dur_2q
-    for w in range(num_wires):
+    for w in range(n + 1):
         events.append(GateEvent(GateKind.H, (w,), t, dur_1q))
 
-    circuit = TimedCircuit(num_wires, tuple(events), readout_duration, dt)
-    readout = ReadoutMap(tuple(wires.get(logical) for logical in range(n)))
-    return circuit, readout
+    circuit = TimedCircuit(n + 1, tuple(events), readout_duration, dt)
+    return circuit, ReadoutMap.identity(n)
 
 
 def representative_oracles(n: int) -> list[OracleSpec]:

@@ -2,11 +2,11 @@
 
 Instead of swapping marked data qubits toward a fixed ancilla, the ancilla
 walks the graph.  A walk step onto a marked node fuses the oracle CNOT with
-the SWAP (CNOT12*SWAP12 = CNOT21*CNOT12) and costs 2 CNOTs; a step onto an
-unmarked node is a plain 3-CNOT SWAP; a marked node adjacent to the walk
-gets its CNOT directly for 1.  The embedding search also chooses where the
-k marked qubits sit: every walk step lands on one and the rest sit next to
-the walk, so a walk of s steps costs k + s CNOTs and the search minimizes s.
+the SWAP (CNOT12*SWAP12 = CNOT21*CNOT12) and costs 2 CNOTs; a marked node
+adjacent to the walk gets its CNOT directly for 1.  The embedding search
+also chooses where the k marked qubits sit: every walk step lands on one
+and the rest sit next to the walk, so a walk of s steps costs k + s CNOTs
+and the search minimizes s.
 """
 from __future__ import annotations
 
@@ -17,10 +17,8 @@ import numpy as np
 from .circuit import DT_SECONDS, GateEvent, GateKind, TimedCircuit, read_fields
 from .oracles import OracleSpec, ReadoutMap
 
-# Exact branch-and-bound is used up to this many usable nodes, within a
-# deterministic node-expansion budget; beyond that a greedy walk with
-# two-step look-ahead takes over.
-EXACT_SEARCH_MAX_NODES = 32
+# Node expansions the branch-and-bound may make; past them it keeps the
+# best walk found so far.
 EXACT_SEARCH_BUDGET = 2_000_000
 
 
@@ -156,8 +154,6 @@ class _SearchResult:
     walk: list[int]
     hits: list[int]          # physical nodes covered by direct CNOTs
     cover_order: list[int]   # physical homes of marked qubits in CNOT order
-    cost: int
-    exact: bool
 
 
 def _free_placement_search(adj: dict[int, set[int]], k: int,
@@ -167,7 +163,8 @@ def _free_placement_search(adj: dict[int, set[int]], k: int,
     A walk with s fresh steps and c off-walk neighbors covers up to s + c
     marked qubits at cost k + s, so the search minimizes s subject to
     s + c >= k.  Deterministic: sorted expansion, lowest-index tie-breaks,
-    fixed node-expansion budget.
+    and a fixed node-expansion budget, past which the best walk found so
+    far is kept.
     """
     best: list = [None]  # [best cost, then each improving walk]
     expansions = [0]
@@ -204,13 +201,10 @@ def _free_placement_search(adj: dict[int, set[int]], k: int,
     del dfs
     if best[0] is None:
         return None
-    walk = best[-1]
-    complete = expansions[0] <= budget
-    return _assemble_free(adj, k, walk, best[0], complete)
+    return _assemble_free(adj, k, best[-1])
 
 
-def _assemble_free(adj: dict[int, set[int]], k: int, walk: list[int],
-                   cost: int, exact: bool) -> _SearchResult:
+def _assemble_free(adj: dict[int, set[int]], k: int, walk: list[int]) -> _SearchResult:
     """Turn a winning walk into hits and a deterministic coverage order."""
     pathset = set(walk)
     n_hits = k - (len(walk) - 1)
@@ -229,54 +223,7 @@ def _assemble_free(adj: dict[int, set[int]], k: int, walk: list[int],
                 cover.append(cand)
         if idx + 1 < len(walk):
             cover.append(walk[idx + 1])
-    return _SearchResult(walk, hits, cover, cost, exact)
-
-
-def _greedy_search(adj: dict[int, set[int]], k: int,
-                   starts: list[int]) -> _SearchResult | None:
-    """Greedy walk extension with two-step look-ahead, placement of marked
-    qubits free; direct hits are preferred over stepping onto would-be
-    pendants at degree-3 junctions.  Cheapest walk over all starts wins."""
-
-    def capacity(pathset: set[int]) -> set[int]:
-        out: set[int] = set()
-        for p in pathset:
-            out |= adj[p]
-        return out - pathset
-
-    def grow(start: int) -> _SearchResult | None:
-        walk = [start]
-        pathset = {start}
-        while True:
-            s = len(walk) - 1
-            if s + len(capacity(pathset)) >= k:
-                return _assemble_free(adj, k, walk, k + s, False)
-            cands = sorted(adj[walk[-1]] - pathset)
-            if not cands:
-                return None
-            # look-ahead 2: pick the step whose best continuation adds the
-            # most fresh capacity; skip pendant candidates reachable as hits
-            def score(x: int) -> tuple[int, bool, int]:
-                base = pathset | {x}
-                gain1 = len(capacity(base)) + 1
-                best2 = 0
-                for y in sorted(adj[x] - base):
-                    g2 = len(capacity(base | {y}))
-                    best2 = max(best2, g2)
-                pendant = len(adj[x] - pathset) == 0
-                return (-(gain1 + best2), pendant, x)
-
-            nonpendant = [x for x in cands if len(adj[x] - pathset) > 0]
-            pool = nonpendant if nonpendant else cands
-            walk.append(min(pool, key=score))
-            pathset.add(walk[-1])
-
-    best: _SearchResult | None = None
-    for start in starts:
-        sr = grow(start)
-        if sr is not None and (best is None or sr.cost < best.cost):
-            best = sr
-    return best
+    return _SearchResult(walk, hits, cover)
 
 
 def find_embedding(graph: CouplingGraph, k: int, ancilla_start: int | None = None,
@@ -284,10 +231,8 @@ def find_embedding(graph: CouplingGraph, k: int, ancilla_start: int | None = Non
     """Find a low-CNOT embedding of k marked qubits; where they sit is part
     of the search.
 
-    On up to EXACT_SEARCH_MAX_NODES usable nodes, branch-and-bound finds the
-    optimum within EXACT_SEARCH_BUDGET expansions (the greedy walk is kept
-    if it beats an unfinished search); on larger graphs the greedy walk
-    with look-ahead runs alone.  ``marked_logicals`` names the logical
+    Branch-and-bound finds the optimum within EXACT_SEARCH_BUDGET
+    expansions, on any graph size.  ``marked_logicals`` names the logical
     qubits in CNOT order (default 0..k-1).
     """
     adj = graph.adjacency()
@@ -297,18 +242,10 @@ def find_embedding(graph: CouplingGraph, k: int, ancilla_start: int | None = Non
     if k > len(usable) - 1:
         raise RoutingInfeasible(f"k={k} exceeds usable nodes - 1 = {len(usable) - 1}")
     starts = [ancilla_start] if ancilla_start is not None else list(usable)
-    if k == 0:
-        result = _SearchResult([starts[0]], [], [], 0, True)
-    elif len(usable) <= EXACT_SEARCH_MAX_NODES:
-        result = _free_placement_search(adj, k, starts, EXACT_SEARCH_BUDGET)
-        if result is not None and not result.exact:
-            greedy = _greedy_search(adj, k, starts)
-            if greedy is not None and greedy.cost < result.cost:
-                result = greedy
-    else:
-        result = _greedy_search(adj, k, starts)
+    result = _free_placement_search(adj, k, starts, EXACT_SEARCH_BUDGET)
     if result is None:
-        raise RoutingInfeasible("graph disconnected over the required nodes")
+        raise RoutingInfeasible(
+            f"no walk reaches {k} marked qubits within the search budget")
 
     logicals = list(marked_logicals) if marked_logicals is not None else list(range(k))
     if len(logicals) != len(result.cover_order):
@@ -328,20 +265,8 @@ def embed_oracle(spec: OracleSpec, graph: CouplingGraph,
 
 
 def embedding_cnot_count(embedding: Embedding, spec: OracleSpec) -> int:
-    """CNOTs route_bv will emit: hits + 2 per fused step + 3 per plain swap."""
-    marked_nodes = {embedding.logical_to_physical[lq] for lq in spec.marked}
-    walk_homes = marked_nodes - {embedding.logical_to_physical[lq]
-                                 for lq in embedding.direct_hits}
-    fused = 0
-    seen = {embedding.start}
-    plain = 0
-    for node in embedding.ancilla_walk[1:]:
-        if node in walk_homes and node not in seen:
-            fused += 1
-        else:
-            plain += 1
-        seen.add(node)
-    return len(embedding.direct_hits) + 2 * fused + 3 * plain
+    """CNOTs route_bv will emit: 1 per direct hit, 2 per fused walk step."""
+    return len(embedding.direct_hits) + 2 * embedding.walk_steps
 
 
 def naive_cnot_count(embedding: Embedding, spec: OracleSpec) -> int:
@@ -422,17 +347,13 @@ def route_bv(spec: OracleSpec, graph: CouplingGraph, embedding: Embedding,
     for nxt in walk[1:]:
         wu, wv = wire_of[pos], wire_of[nxt]
         here = occupant.get(nxt)
-        if isinstance(here, int) and here in marked and nxt not in covered:
-            emit(GateKind.CNOT, (wu, wv), d2)  # fused CNOT+SWAP
-            emit(GateKind.CNOT, (wv, wu), d2)
-            covered.add(nxt)
-        else:
-            emit(GateKind.CNOT, (wu, wv), d2)  # plain SWAP
-            emit(GateKind.CNOT, (wv, wu), d2)
-            emit(GateKind.CNOT, (wu, wv), d2)
-        occupant[pos], occupant[nxt] = occupant.get(nxt), occupant[pos]
-        if occupant[pos] is None:
-            del occupant[pos]
+        if here not in marked or nxt in covered:
+            raise RoutingInfeasible(
+                f"walk step {pos}->{nxt} lands on no uncovered marked qubit")
+        emit(GateKind.CNOT, (wu, wv), d2)  # fused CNOT+SWAP
+        emit(GateKind.CNOT, (wv, wu), d2)
+        covered.add(nxt)
+        occupant[pos], occupant[nxt] = here, occupant[pos]
         pos = nxt
         harvest(pos)
 

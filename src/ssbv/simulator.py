@@ -54,7 +54,7 @@ identical tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
 
@@ -837,18 +837,17 @@ def check_reduction_equivalence(n: int, m: int, k: int, device: DeviceModel,
     from .oracles import bv_logical_circuit
     from .routing import chain_graph
 
-    if not k <= m < n:
-        raise ValueError("need k <= m < n")
+    if not k <= m < n < device.num_qubits:
+        raise ValueError(f"need k <= m < n < {device.num_qubits}, the device's qubit count")
 
     def build(size: int):
         spec = OracleSpec.representative(size, k)
         circ, rmap = bv_logical_circuit(
-            spec, reduced=False, dur_1q=device.dur_1q, dur_2q=device.dur_2q,
+            spec, dur_1q=device.dur_1q, dur_2q=device.dur_2q,
             readout_duration=device.dur_readout, dt=device.dt)
         if dd is not None:
             circ = schedule_dd(circ, dd, device.dur_dd_pulse)
-        dev = device.with_graph(chain_graph(size + 1))
-        return circ, rmap, dev
+        return circ, rmap, replace(device, graph=chain_graph(size + 1))
 
     circ_n, rmap_n, dev_n = build(n)
     circ_m, rmap_m, dev_m = build(m)

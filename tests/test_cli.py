@@ -322,6 +322,26 @@ def test_all_oracles_above_the_cap_exit_2_before_any_work(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_all_oracles_runs_every_subcommand_end_to_end(tmp_path, capsys):
+    # 2^3 + 2^4 = 24 oracles, each routed, simulated and ingested
+    grid = ["--n-min", "3", "--n-max", "4", "--oracles", "all", "--shots", "50"]
+    gen, run, ing = (str(tmp_path / name) for name in ("gen", "run", "ing"))
+    for argv, line in (
+            (["--out", gen, "generate", *grid], "circuits written; manifest at "),
+            (["--out", run, "simulate", *grid], "tables written; manifest at "),
+            (["--out", run, "plot-data", *grid],
+             f"plot data written under {run}/plotdata"),
+            (["--out", ing, "ingest", os.path.join(run, "counts")],
+             "ingested; manifest at ")):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith(line)
+    assert len(os.listdir(os.path.join(gen, "circuits"))) == 24
+    assert len(os.listdir(os.path.join(run, "counts"))) == 24
+    assert os.listdir(os.path.join(run, "plotdata"))
+    assert len(os.listdir(os.path.join(ing, "counts"))) == 24
+    assert verify_manifest(os.path.join(ing, "manifest.txt")) == []
+
+
 @pytest.mark.parametrize("blacklist", ["a", "99"])
 def test_bad_blacklist_exits_2(tmp_path, capsys, blacklist):
     assert main(["--out", str(tmp_path / "run"), "simulate", "--n-min", "2",

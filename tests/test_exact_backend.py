@@ -7,7 +7,7 @@ from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ssbv import _kernels
@@ -162,8 +162,31 @@ def programs(draw):
     return Program(nw, stream, detuned), deltas
 
 
+H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+RX = np.array([[math.cos(0.5), -1j * math.sin(0.5)],
+               [-1j * math.sin(0.5), math.cos(0.5)]])
+# Idles that damp and dephase between u1s on the same wire: each u1 after
+# an idle turns the coherence that the dephasing shrinks, and the detuning
+# turns, into populations.  One wire detuned; then two wires, one detuned
+# and one not, joined by a cnot and a dep2 between their idles.
+INTERLEAVED = (
+    (Program(1, (Op("u1", (0,), matrix=H), Op("idle", (0,), p=0.2, q=0.3, t=2e-6),
+                 Op("u1", (0,), matrix=H), Op("idle", (0,), q=0.25, t=1e-6),
+                 Op("u1", (0,), matrix=RX)), (0,)),
+     {0: 3e5}),
+    (Program(2, (Op("u1", (0,), matrix=H), Op("u1", (1,), matrix=RX),
+                 Op("idle", (1,), p=0.1, q=0.2, t=3e-6), Op("u1", (1,), matrix=H),
+                 Op("cnot", (0, 1)), Op("dep2", (0, 1), p=0.05),
+                 Op("idle", (0,), p=0.15, q=0.35, t=1e-6), Op("u1", (0,), matrix=RX),
+                 Op("idle", (1,), q=0.1, t=2e-6), Op("u1", (1,), matrix=H)), (1,)),
+     {1: -4e5}),
+)
+
+
 @SETTINGS
 @given(programs())
+@example(INTERLEAVED[0])
+@example(INTERLEAVED[1])
 def test_exact_run_matches_dense_kraus_reference(case):
     # Every wire is a data wire, so the output is the distribution over all
     # wires; each detuning is pinned as a 1-node rule.

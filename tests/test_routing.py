@@ -120,11 +120,27 @@ def test_reference_walk_reproduces_published_counts():
 
 
 def test_cnot_scaling_chain():
-    slope, counts = cnot_scaling(chain_graph(21), range(2, 21))
-    assert 1.95 <= slope <= 2.05
-    for n, c in counts.items():
-        # interior walk with a direct hit off each end
-        assert c == 2 * n - 2
+    # the 40-node chain is larger than any heavy-hex layout the pipeline ships
+    for nodes in (21, 40):
+        slope, counts = cnot_scaling(chain_graph(nodes), range(2, nodes))
+        assert 1.95 <= slope <= 2.05
+        for n, c in counts.items():
+            # interior walk with a direct hit off each end
+            assert c == 2 * n - 2
+
+
+@pytest.mark.parametrize("k, cnots", [(35, 57), (45, 75)])
+def test_two_heavy_hex_graph_routes_at_the_optimum(k, cnots):
+    # two 27-node heavy-hex layouts joined by edge 26-27: 54 usable nodes
+    hh = heavy_hex_27()
+    g = CouplingGraph(54, hh.edges | {(a + 27, b + 27) for a, b in hh.edges}
+                      | {(26, 27)})
+    spec = OracleSpec.representative(k, k)
+    emb = embed_oracle(spec, g)
+    assert embedding_cnot_count(emb, spec) == cnots
+    routed = route_bv(spec, g, emb)
+    assert routed.cnot_count == cnots
+    assert verify_routed(routed, spec)
 
 
 def test_cnot_scaling_heavy_hex():
@@ -264,13 +280,17 @@ def test_route_rejects_bad_walks():
     bad = Embedding((0, 2), frozenset(), {0: 2, 1: 3})  # 0-2 not an edge
     with pytest.raises(RoutingInfeasible):
         route_bv(spec, g, bad)
+    # the first step lands on node 1, which holds no marked qubit
+    unmarked_step = Embedding((0, 1, 2), frozenset({1}), {0: 2, 1: 3})
+    with pytest.raises(RoutingInfeasible, match="no uncovered marked qubit"):
+        route_bv(spec, g, unmarked_step)
 
 
 def test_find_embedding_infeasible_cases():
     with pytest.raises(RoutingInfeasible):
         find_embedding(chain_graph(3), 3)  # k > usable - 1
     disconnected = CouplingGraph(4, frozenset({(0, 1), (2, 3)}))
-    with pytest.raises(RoutingInfeasible):
+    with pytest.raises(RoutingInfeasible, match="no walk reaches 3 marked qubits"):
         find_embedding(disconnected, 3)
 
 

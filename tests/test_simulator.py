@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ssbv import _kernels as ker
 from ssbv.circuit import Bitstring, GateEvent, GateKind, TimedCircuit
-from ssbv.decoupling import schedule_dd, sequence_from_name, ur_phases
+from ssbv.decoupling import detect_gaps, schedule_dd, sequence_from_name, ur_phases
 from ssbv.noise import DeviceModel, NoiseConfig, load_profile
 from ssbv.oracles import (OracleSpec, ReadoutMap, all_oracles,
                           bv_logical_circuit, representative_oracles)
@@ -704,6 +704,12 @@ def test_compiled_stream_is_pinned(case):
         spec, routed, circ, device, phys = routed_ur14(*case)
         noise = MONTREAL.noise()
     assert stream_digest(compile_program(circ, device, noise, phys)) == STREAM_DIGESTS[case]
+    # DELAY events that fill every idle gap (the (4, 0) circuit has none)
+    # leave the stream as it was
+    delays = tuple(GateEvent(GateKind.DELAY, (w,), g0, g1 - g0) for w, gaps in
+                   detect_gaps(circ, include_edges=True).items() for g0, g1 in gaps)
+    delayed = replace(circ, events=circ.events + delays)
+    assert stream_digest(compile_program(delayed, device, noise, phys)) == STREAM_DIGESTS[case]
 
 
 def width_by_every_op(program):
@@ -847,6 +853,14 @@ def test_reduction_equivalence_noiseless_exact_zero():
     device = plain_device(7)
     rep = check_reduction_equivalence(4, 2, 2, device, NoiseConfig())
     assert rep.tvd < 1e-14
+
+
+def test_reduction_equivalence_refuses_a_device_too_small():
+    # BV-4 needs 5 qubits; the check refuses before it simulates anything
+    with patch("ssbv.simulator.simulate_exact") as run, \
+            pytest.raises(ValueError, match="n < 4, the device's qubit count"):
+        check_reduction_equivalence(4, 2, 2, plain_device(4), NoiseConfig())
+    assert not run.called
 
 
 def test_crosstalk_breaks_reduction_and_dd_restores_it():
