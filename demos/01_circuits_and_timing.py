@@ -7,8 +7,7 @@ Every event carries an explicit start time and duration on the dt grid.
 import numpy as np
 
 from ssbv import (Bitstring, DurationModel, OracleSpec, bv_logical_circuit,
-                  circuit_duration, circuit_to_text, run_time,
-                  validate_circuit)
+                  circuit_duration, circuit_to_text, validate_circuit)
 
 # A BV-6 oracle with three marked qubits.
 spec = OracleSpec(Bitstring.from_str("110100"))
@@ -32,5 +31,5 @@ montreal_like = DurationModel(0.40e-6, 5.28e-6)
 cairo_like = DurationModel(0.27e-6, 0.77e-6)
 print("n    t_r montreal-like    t_r cairo-like")
 for n in (0, 5, 10, 20, 26):
-    print(f"{n:2d}   {run_time(n, montreal_like)*1e6:8.2f} us"
-          f"        {run_time(n, cairo_like)*1e6:8.2f} us")
+    print(f"{n:2d}   {montreal_like.run_time(n)*1e6:8.2f} us"
+          f"        {cairo_like.run_time(n)*1e6:8.2f} us")

@@ -13,7 +13,7 @@ from ssbv import (OracleSpec, chain_graph, cnot_scaling, embed_oracle,
 
 graph = heavy_hex_27()
 print(f"heavy-hex: {graph.num_physical} nodes, "
-      f"max degree {max(graph.degree(q) for q in range(27))}")
+      f"max degree {max(len(nbrs) for nbrs in graph.adjacency().values())}")
 
 # Full-weight instance: all 26 data qubits marked.
 spec = OracleSpec.representative(26, 26)

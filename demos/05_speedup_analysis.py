@@ -14,17 +14,18 @@ SIZES = (3, 10)
 SHOTS = 400
 
 results = {}
-for dd in ("none", "ur14"):
-    cfg = ExperimentConfig(n_min=SIZES[0], n_max=SIZES[1], shots=SHOTS,
-                           layout="heavy-hex-27", profile="montreal",
-                           collection="reduced", dd=dd, master_seed=2024,
-                           bootstrap_b=50)
-    out = os.path.join(tempfile.mkdtemp(prefix="ssbv-demo-"), dd)
-    cmd_simulate(cfg, out)
-    results[dd] = (cmd_analyze(cfg, out), out)
-    print(f"[{dd}] results under {out}")
+with tempfile.TemporaryDirectory(prefix="ssbv-demo-") as tmp:
+    for dd in ("none", "ur14"):
+        cfg = ExperimentConfig(n_min=SIZES[0], n_max=SIZES[1], shots=SHOTS,
+                               layout="heavy-hex-27", profile="montreal",
+                               collection="reduced", dd=dd, master_seed=2024,
+                               bootstrap_b=50)
+        out = os.path.join(tmp, dd)
+        cmd_simulate(cfg, out)
+        results[dd] = cmd_analyze(cfg, out)
+        print(f"[{dd}] results under {out}")
 
-for dd, (res, _) in results.items():
+for dd, res in results.items():
     print(f"\n--- dd = {dd} ---")
     for p in res.points:
         label = "terminated" if p.terminated else f"{p.tts_mean*1e6:9.2f} us"
@@ -40,11 +41,11 @@ try:
     import matplotlib.pyplot as plt
 
     fig, ax = plt.subplots(figsize=(6, 4))
-    for dd, (res, _) in results.items():
+    for dd, res in results.items():
         finite = [p for p in res.points if p.finite]
         ax.semilogy([p.n for p in finite], [p.tts_mean for p in finite],
                     "o-", label=f"dd={dd}")
-    classical = results["none"][0].classical
+    classical = results["none"].classical
     ax.semilogy([p.n for p in classical], [p.tts_mean for p in classical],
                 "k--", label="classical baseline")
     ax.set_xlabel("problem size n")

@@ -14,7 +14,7 @@ from .analysis import (AnalysisConfig, FitResult, SpeedupCurve, SuccessMatrix,
 from .circuit import (DT_SECONDS, Bitstring, DurationModel, GateEvent,
                       GateKind, TimedCircuit, Violation, circuit_duration,
                       circuit_from_text, circuit_to_text, load_circuit,
-                      run_time, save_circuit, validate_circuit)
+                      save_circuit, validate_circuit)
 from .decoupling import (DDSequence, GapSchedule, detect_gaps, plan_dd,
                          pulse_unitary, schedule_dd, sequence_from_name,
                          ur_phases, xy4)

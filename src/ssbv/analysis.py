@@ -74,14 +74,12 @@ def classical_duration_model(a: float = 1e-6) -> DurationModel:
     return DurationModel(a, 0.0)
 
 
-def tts_classical(n: int, classical_model: DurationModel | None = None,
-                  p_d: float = 0.99) -> float:
+def tts_classical(n: int, p_d: float = 0.99) -> float:
     """Classical baseline TTS: a*n queries at success rate 2^(1-n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    model = classical_model if classical_model is not None else classical_duration_model()
     r, _ = repetitions(classical_success_prob(n), p_d)
-    return model.run_time(n) * r
+    return classical_duration_model().run_time(n) * r
 
 
 @dataclass(frozen=True)
@@ -357,11 +355,10 @@ def speedup_ratio(quantum: list[TTSPoint], classical: list[TTSPoint]) -> Speedup
     return SpeedupCurve(tuple(ns), tuple(values), exponent)
 
 
-def classical_points(n_range, classical_model: DurationModel | None = None,
-                     p_d: float = 0.99) -> list[TTSPoint]:
+def classical_points(n_range, p_d: float = 0.99) -> list[TTSPoint]:
     pts = []
     for n in n_range:
-        t = tts_classical(n, classical_model, p_d)
+        t = tts_classical(n, p_d)
         pts.append(TTSPoint(n, t, t, t, 1))
     return pts
 

@@ -51,10 +51,6 @@ class Bitstring:
             raise ValueError(f"value {value} does not fit in {length} bits")
         return cls(tuple((value >> (length - 1 - i)) & 1 for i in range(length)))
 
-    @classmethod
-    def zeros(cls, n: int) -> Bitstring:
-        return cls((0,) * n)
-
     def to01(self) -> str:
         return "".join(str(b) for b in self.bits)
 
@@ -142,9 +138,6 @@ class TimedCircuit:
     def events_on(self, qubit: int) -> list[GateEvent]:
         return list(self._events_by_qubit.get(qubit, ()))
 
-    def seconds(self, ticks: int) -> float:
-        return float(self.dt) * ticks
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -203,16 +196,12 @@ class DurationModel:
                     raise ValueError(f"exact_table not strictly increasing at n={n1}")
 
     def run_time(self, n: int) -> float:
+        """Single-run time in seconds for problem size n."""
         if n < 0:
             raise ValueError("problem size must be nonnegative")
         if self.exact_table and n in self.exact_table:
             return self.exact_table[n]
         return self.slope * n + self.tau_0
-
-
-def run_time(n: int, model: DurationModel) -> float:
-    """Single-run time in seconds for problem size n."""
-    return model.run_time(n)
 
 
 # -- text files ---------------------------------------------------------------

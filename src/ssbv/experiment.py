@@ -351,16 +351,11 @@ def _load_tables(out_dir) -> tuple[dict[int, list[ShotTable]], dict[int, float]]
     return tables, durations
 
 
-def _analysis_duration_model(config: ExperimentConfig,
-                             durations: dict[int, float]) -> DurationModel:
-    base = _load_profile(config).device(num_qubits=2).duration_model
-    return replace(base, exact_table=durations or None)
-
-
 def cmd_analyze(config: ExperimentConfig, out_dir) -> AnalysisResult:
     """TTS curve, exponent fits, baseline, speedup, and BQP verdicts."""
     tables, durations = _load_tables(out_dir)
-    model = _analysis_duration_model(config, durations)
+    model = replace(_load_profile(config).duration_model(),
+                    exact_table=durations or None)
     acfg = config.analysis_config()
     rng = np.random.Generator(np.random.Philox(
         key=((config.master_seed & 0xFFFFFFFFFFFFFFFF) << 64) | BOOTSTRAP_TAG))

@@ -131,8 +131,6 @@ class DeviceModel:
     p_dep_1q: float
     p_dep_2q: float
     dt: Fraction | float = DT_SECONDS
-    duration_model: DurationModel | None = None
-    name: str = "device"
 
     def __post_init__(self) -> None:
         for attr in ("t1", "t2", "ro_p01", "ro_p10"):
@@ -162,16 +160,13 @@ class DeviceModel:
                     ro_error: float, dur_1q: int, dur_2q: int, dur_readout: int,
                     dur_dd_pulse: int | None = None, p_dep_1q: float, p_dep_2q: float,
                     graph: CouplingGraph | None = None,
-                    dt: Fraction | float = DT_SECONDS,
-                    duration_model: DurationModel | None = None,
-                    name: str = "device") -> DeviceModel:
+                    dt: Fraction | float = DT_SECONDS) -> DeviceModel:
         ones = np.ones(num_qubits)
         return cls(graph=graph, t1=ones * t1_us * 1e-6, t2=ones * t2_us * 1e-6,
                    ro_p01=ones * ro_error, ro_p10=ones * ro_error,
                    dur_1q=dur_1q, dur_2q=dur_2q, dur_readout=dur_readout,
                    dur_dd_pulse=dur_dd_pulse if dur_dd_pulse is not None else dur_1q,
-                   p_dep_1q=p_dep_1q, p_dep_2q=p_dep_2q, dt=dt,
-                   duration_model=duration_model, name=name)
+                   p_dep_1q=p_dep_1q, p_dep_2q=p_dep_2q, dt=dt)
 
 
 @dataclass(frozen=True)
@@ -227,14 +222,18 @@ class Profile:
                num_qubits: int | None = None) -> DeviceModel:
         v = self.values
         n = graph.num_physical if graph is not None else (num_qubits or 27)
-        model = DurationModel(v["tts_slope_us"] * 1e-6, v["tts_intercept_us"] * 1e-6)
         return DeviceModel.homogeneous(
             n, t1_us=v["t1_us"], t2_us=v["t2_us"], ro_error=v["readout_error"],
             dur_1q=v["duration_1q_dt"], dur_2q=v["duration_2q_dt"],
             dur_readout=v["duration_readout_dt"],
             dur_dd_pulse=v["duration_dd_pulse_dt"],
             p_dep_1q=v["gate_error_1q"], p_dep_2q=v["gate_error_2q"],
-            graph=graph, duration_model=model, name=v["name"])
+            graph=graph)
+
+    def duration_model(self) -> DurationModel:
+        """The linear single-run time law from the profile's TTS figures."""
+        v = self.values
+        return DurationModel(v["tts_slope_us"] * 1e-6, v["tts_intercept_us"] * 1e-6)
 
     def noise(self) -> NoiseConfig:
         v = self.values

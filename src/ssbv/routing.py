@@ -52,16 +52,6 @@ class CouplingGraph:
     def usable(self) -> tuple[int, ...]:
         return tuple(q for q in range(self.num_physical) if q not in self.blacklist)
 
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        """Neighbors within the usable subgraph, ascending."""
-        out = []
-        for a, b in self.edges:
-            if a == node and b not in self.blacklist:
-                out.append(b)
-            elif b == node and a not in self.blacklist:
-                out.append(a)
-        return tuple(sorted(out))
-
     def adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {q: set() for q in self.usable}
         for a, b in self.edges:
@@ -69,9 +59,6 @@ class CouplingGraph:
                 adj[a].add(b)
                 adj[b].add(a)
         return adj
-
-    def degree(self, node: int) -> int:
-        return len(self.neighbors(node))
 
     def is_edge(self, a: int, b: int) -> bool:
         return tuple(sorted((a, b))) in self.edges and \
@@ -143,7 +130,6 @@ class RoutedCircuit:
 
     circuit: TimedCircuit
     cnot_count: int
-    final_permutation: dict[int, int]  # physical node -> logical data index
     readout: ReadoutMap                # logical data index -> wire
     wire_of_physical: dict[int, int]
     embedding: Embedding
@@ -164,44 +150,41 @@ def _free_placement_search(adj: dict[int, set[int]], k: int,
     marked qubits at cost k + s, so the search minimizes s subject to
     s + c >= k.  Deterministic: sorted expansion, lowest-index tie-breaks,
     and a fixed node-expansion budget, past which the best walk found so
-    far is kept.
+    far is kept.  Depth-first with an explicit stack, so a walk of any
+    length fits: ``untried[i]`` iterates, in sorted order, over the next
+    nodes not yet tried after ``path[i]``.
     """
-    best: list = [None]  # [best cost, then each improving walk]
-    expansions = [0]
-
-    def neighborhood(path: list[int], pathset: set[int]) -> set[int]:
-        out: set[int] = set()
-        for p in path:
-            out |= adj[p]
-        return out - pathset
-
-    def dfs(cur: int, path: list[int], pathset: set[int]) -> None:
-        expansions[0] += 1
-        if expansions[0] > budget:
-            return
-        s = len(path) - 1
-        if best[0] is not None and k + s >= best[0]:
-            return
-        cap = len(neighborhood(path, pathset))
-        if s + cap >= k:
-            best[0] = k + s
-            best.append(list(path))
-            return
-        for nxt in sorted(adj[cur] - pathset):
+    best_cost, best_walk = None, None
+    expansions = 0
+    for start in starts:
+        path, pathset, untried = [start], {start}, []
+        while True:
+            expansions += 1
+            s = len(path) - 1
+            nexts = iter(())
+            if expansions <= budget and (best_cost is None or k + s < best_cost):
+                reach: set[int] = set()
+                for p in path:
+                    reach |= adj[p]
+                if s + len(reach - pathset) >= k:
+                    best_cost, best_walk = k + s, list(path)
+                else:
+                    nexts = iter(sorted(adj[path[-1]] - pathset))
+            untried.append(nexts)
+            nxt = None
+            while untried:
+                nxt = next(untried[-1], None)
+                if nxt is not None:
+                    break
+                untried.pop()
+                pathset.remove(path.pop())
+            if nxt is None:
+                break
             path.append(nxt)
             pathset.add(nxt)
-            dfs(nxt, path, pathset)
-            path.pop()
-            pathset.remove(nxt)
-
-    for start in starts:
-        dfs(start, [start], {start})
-    # dfs reaches itself through its closure cell; unbinding it breaks that
-    # cycle, so the search is freed without the cyclic garbage collector.
-    del dfs
-    if best[0] is None:
+    if best_walk is None:
         return None
-    return _assemble_free(adj, k, best[-1])
+    return _assemble_free(adj, k, best_walk)
 
 
 def _assemble_free(adj: dict[int, set[int]], k: int, walk: list[int]) -> _SearchResult:
@@ -257,11 +240,9 @@ def find_embedding(graph: CouplingGraph, k: int, ancilla_start: int | None = Non
     return Embedding(tuple(result.walk), direct, l2p)
 
 
-def embed_oracle(spec: OracleSpec, graph: CouplingGraph,
-                 ancilla_start: int | None = None) -> Embedding:
+def embed_oracle(spec: OracleSpec, graph: CouplingGraph) -> Embedding:
     """Embedding for a concrete oracle: marked logical ids taken from b."""
-    return find_embedding(graph, spec.k, ancilla_start,
-                          marked_logicals=spec.marked)
+    return find_embedding(graph, spec.k, marked_logicals=spec.marked)
 
 
 def embedding_cnot_count(embedding: Embedding, spec: OracleSpec) -> int:
@@ -372,12 +353,12 @@ def route_bv(spec: OracleSpec, graph: CouplingGraph, embedding: Embedding,
     circuit = TimedCircuit(num_wires, tuple(events), ro, dt)
     cnots = sum(1 for ev in events if ev.kind is GateKind.CNOT)
 
-    final_perm = {node: lq for node, lq in occupant.items() if isinstance(lq, int)}
     wire_of_logical: list[int | None] = [None] * spec.n
-    for node, lq in final_perm.items():
-        wire_of_logical[lq] = wire_of[node]
+    for node, lq in occupant.items():
+        if lq != "anc":
+            wire_of_logical[lq] = wire_of[node]
     readout = ReadoutMap(tuple(wire_of_logical))
-    return RoutedCircuit(circuit, cnots, final_perm, readout, wire_of, embedding)
+    return RoutedCircuit(circuit, cnots, readout, wire_of, embedding)
 
 
 def cnot_scaling(graph: CouplingGraph, n_range) -> tuple[float, dict[int, int]]:
@@ -410,14 +391,12 @@ def _signs_after_cnots(routed: RoutedCircuit) -> dict[int, int]:
     return minus
 
 
-def verify_routed(routed: RoutedCircuit, spec: OracleSpec,
-                  exact_limit: int = 10) -> bool:
+def verify_routed(routed: RoutedCircuit, spec: OracleSpec) -> bool:
     """True iff the routed circuit outputs b with certainty when noiseless.
 
-    Always runs the X-basis sign propagation over the CNOT algebra; for
-    n <= ``exact_limit`` it also cross-checks with ``noiseless_output``, the
-    exact backend on per-wire density factors run over the full event
-    stream.
+    Runs the X-basis sign propagation over the CNOT algebra, then
+    cross-checks with ``noiseless_output``, the exact backend on per-wire
+    density factors run over the full event stream, at every size.
     """
     signs = _signs_after_cnots(routed)
     for lq in range(spec.n):
@@ -427,13 +406,10 @@ def verify_routed(routed: RoutedCircuit, spec: OracleSpec,
         if got != expect:
             return False
 
-    if spec.n <= exact_limit:
-        from .simulator import noiseless_output  # deferred: avoids import cycle
-        dist = noiseless_output(routed.circuit, routed.readout)
-        top, p = max(dist.items(), key=lambda kv: kv[1])
-        if top != spec.b.to01() or p < 1.0 - 1e-9:
-            return False
-    return True
+    from .simulator import noiseless_output  # deferred: avoids import cycle
+    dist = noiseless_output(routed.circuit, routed.readout)
+    top, p = max(dist.items(), key=lambda kv: kv[1])
+    return top == spec.b.to01() and p >= 1.0 - 1e-9
 
 
 # -- graph files ---------------------------------------------------------------

@@ -203,13 +203,12 @@ class TrajectoryPlan:
     """Shot budget and reproducibility contract for the trajectory backend.
 
     Shot i's stream is the block of counters it owns in one Philox keyed
-    by (oracle key, master_seed) (see ``_shot_streams``); batch_size only
-    controls memory, never results.
+    by (oracle key, master_seed) (see ``_shot_streams``), so the batch size,
+    which ``BATCH_BYTES`` sets, never changes results.
     """
 
     shots: int
     master_seed: int
-    batch_size: int | None = None
     assertions: bool = False
 
     def __post_init__(self) -> None:
@@ -217,14 +216,13 @@ class TrajectoryPlan:
             raise ValueError("shots must be positive")
 
 
-def _gate_matrix(ev: GateEvent, eps: float) -> np.ndarray | None:
+def _gate_matrix(ev: GateEvent, eps: float) -> np.ndarray:
+    """Unitary of a one-qubit gate: H, X or PHASED_PI."""
     if ev.kind is GateKind.H:
         return _HADAMARD
     if ev.kind is GateKind.X:
         return PAULIS_1Q[1]
-    if ev.kind is GateKind.PHASED_PI:
-        return pulse_unitary(ev.phase, eps)
-    return None
+    return pulse_unitary(ev.phase, eps)
 
 
 def _interval_overlaps(aa: list[tuple[int, int]], bb: list[tuple[int, int]]
@@ -555,7 +553,7 @@ def simulate_shots(circuit: TimedCircuit | Program, device: DeviceModel | None,
     # Widest factor, random streams, and two idle factors per wire (_idle).
     per_shot = ((16 << program.width) + 32 * _stream_blocks(n_uniforms, n_normals)
                 + 2 * 16 * nw)
-    batch = plan.batch_size or max(1, BATCH_BYTES // per_shot)
+    batch = max(1, BATCH_BYTES // per_shot)
     reads = []
     for lo in range(0, plan.shots, batch):
         hi = min(lo + batch, plan.shots)

@@ -5,8 +5,8 @@ import pytest
 
 from ssbv import analysis
 from ssbv.analysis import (LAMBDA_CI_SIGMA, AnalysisConfig, FitResult, TTSPoint,
-                           bootstrap_lambda, bootstrap_tts, classical_duration_model,
-                           classical_points, local_lambda, mean_tts,
+                           bootstrap_lambda, bootstrap_tts, classical_points,
+                           local_lambda, mean_tts,
                            repetitions, speedup_ratio, success_matrix,
                            success_prob, tts_classical, tts_quantum,
                            worst_case_lambda)
@@ -73,21 +73,19 @@ def test_tts_quantum_examples():
 
 
 def test_tts_classical_values_and_asymptote():
-    model = classical_duration_model(1e-6)
-    assert tts_classical(1, model) == pytest.approx(1e-6)
+    assert tts_classical(1) == pytest.approx(1e-6)
     # independent evaluation at n=10
     want = 10e-6 * math.log(0.01) / math.log(1 - 2.0 ** -9)
-    assert tts_classical(10, model) == pytest.approx(want, rel=1e-12)
+    assert tts_classical(10) == pytest.approx(want, rel=1e-12)
     for n in range(10, 31):
         asym = n * 2.0 ** (n - 1) * math.log(100) * 1e-6
-        assert tts_classical(n, model) == pytest.approx(asym, rel=0.01)
-    ratio = tts_classical(31, model) / tts_classical(30, model)
+        assert tts_classical(n) == pytest.approx(asym, rel=0.01)
+    ratio = tts_classical(31) / tts_classical(30)
     assert ratio == pytest.approx(2 * 31 / 30, rel=1e-6)
 
 
 def test_classical_log_increment_approaches_one():
-    model = classical_duration_model()
-    incs = [math.log2(tts_classical(n + 1, model) / tts_classical(n, model))
+    incs = [math.log2(tts_classical(n + 1) / tts_classical(n))
             for n in range(20, 40)]
     assert all(a >= b for a, b in zip(incs, incs[1:]))
     assert incs[-1] == pytest.approx(1.0, abs=0.04)
@@ -136,6 +134,11 @@ def test_bootstrap_discards_zero_success_resamples():
                                    np.random.default_rng(1))
     assert 0 < len(samples) < 200  # some resamples draw zero successes
     assert point.finite
+    # every resample draws a zero somewhere: the point is terminated
+    point, samples = bootstrap_tts(size_tables(3, [1, 1, 1], 1000), MONTREAL_MODEL,
+                                   AnalysisConfig(bootstrap_b=2),
+                                   np.random.Generator(np.random.Philox(key=0)))
+    assert point.terminated and samples.size == 0
 
 
 def test_bootstrap_terminated_when_no_successes():
@@ -232,6 +235,21 @@ def test_bootstrap_lambda_covers_truth():
     assert fit.ci_high - fit.ci_low < 0.2
 
 
+def test_bootstrap_lambda_falls_back_to_the_raw_fit():
+    # one success in 1000 shots per table: a resample keeps all three sizes,
+    # as a fit needs, with probability about 0.63^9
+    tables_by_n = {n: size_tables(n, [1, 1, 1], 1000) for n in (3, 4, 5)}
+    config = AnalysisConfig(bootstrap_b=2)
+    rng = np.random.Generator(np.random.Philox(key=0))
+    state = rng.bit_generator.state
+    assert analysis._bootstrap_lambdas(tables_by_n, MONTREAL_MODEL, config, rng,
+                                       None).size == 0
+    rng.bit_generator.state = state
+    raw = worst_case_lambda([mean_tts([tts_quantum(n, 1e-3, MONTREAL_MODEL)] * 3, n)
+                             for n in (3, 4, 5)], config=config)
+    assert bootstrap_lambda(tables_by_n, MONTREAL_MODEL, config, rng) == raw
+
+
 def test_speedup_ratio_examples():
     ns = list(range(3, 15))
     same = make_points(ns, [2.0 ** n * 1e-6 for n in ns])
@@ -256,6 +274,11 @@ def test_speedup_ratio_examples():
     quantum = make_points(big, [2.0 ** (lam0 * n) * 1e-6 for n in big])
     curve = speedup_ratio(quantum, classical_points(big))
     assert curve.fitted_exponent == pytest.approx(1 - lam0, abs=0.05)
+
+    # one overlapping finite size: a ratio, but no exponent
+    curve = speedup_ratio(make_points([5, 6], [1e-5, 2e-5]), classical_points([6, 7]))
+    assert curve.ns == (6,) and math.isnan(curve.fitted_exponent)
+    assert curve.values == (tts_classical(6) / 2e-5,)
 
 
 def test_success_matrix_verdict_flip():

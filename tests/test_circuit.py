@@ -5,12 +5,13 @@ import pytest
 
 from ssbv.circuit import (DT_SECONDS, Bitstring, DurationModel, GateEvent,
                           GateKind, TimedCircuit, circuit_duration,
-                          circuit_from_text, circuit_to_text, read_fields,
-                          run_time, validate_circuit)
+                          circuit_from_text, circuit_to_text, load_circuit,
+                          read_fields, save_circuit, validate_circuit)
 from ssbv.decoupling import schedule_dd, sequence_from_name
-from ssbv.noise import load_profile
+from ssbv.noise import NOISELESS, load_profile
 from ssbv.oracles import OracleSpec, representative_oracles
 from ssbv.routing import chain_graph, embed_oracle, heavy_hex_27, route_bv
+from ssbv.simulator import compile_program
 
 
 def test_bitstring_weight_and_roundtrip():
@@ -48,6 +49,9 @@ def test_validate_reports_overlap_qubit():
               GateEvent(GateKind.H, (0,), 50, 100))
     v = validate_circuit(TimedCircuit(1, events))
     assert v is not None and v.kind == "overlap" and v.qubit == 0
+    with pytest.raises(ValueError, match=r"^invalid circuit: overlap on qubit 0: "
+                       r"H@\[0,100\) overlaps H@\[50,150\)$"):
+        compile_program(TimedCircuit(1, events), None, NOISELESS)
 
 
 def test_validate_out_of_range():
@@ -131,32 +135,32 @@ def test_duration_invariant_under_event_reorder():
 
 def test_run_time_intercept_only():
     model = DurationModel(0.40e-6, 5.28e-6)
-    assert run_time(0, model) == pytest.approx(5.28e-6)
+    assert model.run_time(0) == pytest.approx(5.28e-6)
 
 
 def test_run_time_montreal_like_n10():
     model = DurationModel(0.40e-6, 5.28e-6)
-    assert run_time(10, model) == pytest.approx(9.28e-6, rel=1e-12)
+    assert model.run_time(10) == pytest.approx(9.28e-6, rel=1e-12)
 
 
 def test_run_time_cairo_like_n20():
     # independent evaluation of the linear law: 0.27*20 + 0.77 = 6.17 us
     model = DurationModel(0.27e-6, 0.77e-6)
-    assert run_time(20, model) == pytest.approx(6.17e-6, rel=1e-12)
+    assert model.run_time(20) == pytest.approx(6.17e-6, rel=1e-12)
 
 
 def test_run_time_rejects_negative_n():
     model = DurationModel(1e-6, 0.0)
     with pytest.raises(ValueError):
-        run_time(-1, model)
+        model.run_time(-1)
 
 
 def test_run_time_exact_table_and_slope_beyond():
     table = {0: 1e-6, 1: 1.5e-6, 2: 2.5e-6}
     model = DurationModel(0.4e-6, 5.28e-6, exact_table=table)
-    assert run_time(1, model) == 1.5e-6
+    assert model.run_time(1) == 1.5e-6
     for n in range(3, 12):
-        inc = run_time(n + 1, model) - run_time(n, model)
+        inc = model.run_time(n + 1) - model.run_time(n)
         assert inc == pytest.approx(model.slope, rel=1e-12)
 
 
@@ -170,7 +174,7 @@ def test_default_dt_is_exact_rational():
     assert TimedCircuit(1, ()).dt == Fraction(2, 9_000_000_000)
 
 
-def test_serialization_roundtrip_lossless():
+def test_serialization_roundtrip_lossless(tmp_path):
     events = (GateEvent(GateKind.X, (2,), 0, 180),
               GateEvent(GateKind.H, (0,), 180, 180),
               GateEvent(GateKind.CNOT, (0, 2), 360, 1935),
@@ -180,6 +184,8 @@ def test_serialization_roundtrip_lossless():
     back = circuit_from_text(circuit_to_text(circ))
     assert back == circ
     assert back.dt == circ.dt
+    save_circuit(circ, tmp_path / "c.circuit")
+    assert load_circuit(tmp_path / "c.circuit") == circ
 
 
 def test_serialization_float_dt():

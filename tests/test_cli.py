@@ -248,7 +248,26 @@ def test_manifest_checksums_catch_tampering(tmp_path):
     tampered.counts[first] += 0  # rewrite the file with reordered keys
     with open(path, "a") as fh:
         fh.write("# tampered\n")
-    assert verify_manifest(manifest) != []
+    assert verify_manifest(manifest) == [f"checksum mismatch for {victim}"]
+    os.remove(path)
+    assert verify_manifest(manifest) == [f"missing file {victim}"]
+
+
+def test_analyze_with_no_finite_size_leaves_the_speedup_undefined(tmp_path):
+    # every shot of every oracle reads the complement of b
+    src = tmp_path / "src"
+    src.mkdir()
+    for spec in representative_oracles(2) + representative_oracles(3):
+        b = spec.b.to01()
+        save_counts(ShotTable(spec, {b.translate(str.maketrans("01", "10")): 50}, 50),
+                    src / f"{b}.counts")
+    cmd_ingest([str(src)], tmp_path / "run")
+    result = cmd_analyze(ExperimentConfig(n_min=2, n_max=3, layout="chain"),
+                         tmp_path / "run")
+    assert all(p.terminated for p in result.points)
+    assert result.fit is None and result.speedup is None
+    assert "\n[speedup]\nundefined\n" in result.report_text
+    assert not (tmp_path / "run" / "plotdata" / "speedup.dat").exists()
 
 
 def _garbage_counts(tmp_path):

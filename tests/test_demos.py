@@ -1,14 +1,20 @@
-"""The noisy-simulation demo runs end to end against the public API."""
+"""Every demo runs end to end against the public API."""
 import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = sorted(f[:-3] for f in os.listdir(os.path.join(ROOT, "demos"))
+               if f.endswith(".py"))
 
 
-def test_noisy_simulation_demo_runs():
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo, tmp_path):
+    # tmp_path as the working directory: demo 05's figure lands there
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "demos", "04_noisy_simulation.py")],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+        [sys.executable, os.path.join(ROOT, "demos", demo + ".py")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -199,7 +199,9 @@ def test_shipped_profiles_load():
         profile = load_profile(name)
         device = profile.device(num_qubits=4)
         assert device.t1[0] == pytest.approx(t1)
-        assert device.duration_model is not None
+        model = profile.duration_model()
+        assert model.slope == profile.values["tts_slope_us"] * 1e-6
+        assert model.tau_0 == profile.values["tts_intercept_us"] * 1e-6
     quiet = load_profile("noiseless")
     noise = quiet.noise()
     assert not noise.decoherence and not noise.depolarizing

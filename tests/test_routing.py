@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from ssbv.circuit import Bitstring, GateKind, validate_circuit
 from ssbv.noise import load_profile
 from ssbv.oracles import OracleSpec, bv_logical_circuit
+from ssbv import routing
 from ssbv.routing import (CouplingGraph, Embedding, RoutingInfeasible,
                           chain_graph, cnot_scaling, complete_graph,
                           embed_oracle, embedding_cnot_count, find_embedding,
                           graph_from_text, graph_to_text, heavy_hex_27,
                           layout_from_name, naive_cnot_count, route_bv,
-                          verify_routed)
+                          _signs_after_cnots, verify_routed)
 from ssbv.simulator import noiseless_output
 
 # The 18-step walk through the 27-node layout used as the published-figure
@@ -53,14 +54,15 @@ def brute_force_min_cost(graph: CouplingGraph, marked: set[int],
 def test_heavy_hex_shape():
     g = heavy_hex_27()
     assert g.num_physical == 27
-    assert max(g.degree(q) for q in range(27)) == 3
+    assert max(len(nbrs) for nbrs in g.adjacency().values()) == 3
     assert len(g.usable) == 27
 
 
 def test_heavy_hex_blacklist():
     g = heavy_hex_27().with_blacklist({19, 20, 22})
     assert len(g.usable) == 24
-    assert 20 not in g.neighbors(19)
+    adj = g.adjacency()
+    assert not {19, 20, 22} & (set(adj) | set().union(*adj.values()))
 
 
 def test_chain_bv2_routed_has_three_cnots():
@@ -250,6 +252,16 @@ def test_verify_catches_deleted_cnot():
         routed.circuit, events=events[:drop] + events[drop + 1:]),
         cnot_count=routed.cnot_count - 1)
     assert not verify_routed(mutated, spec)
+    # without a marked wire's final H the signs still match b; the exact
+    # check reads that bit as a coin flip
+    wire = routed.readout.wire_of_logical[0]
+    last_h = max(i for i, ev in enumerate(events)
+                 if ev.kind is GateKind.H and ev.qubits == (wire,))
+    mutated = replace(routed, circuit=replace(
+        routed.circuit, events=events[:last_h] + events[last_h + 1:]))
+    signs = _signs_after_cnots(mutated)
+    assert [signs[w] for w in mutated.readout.wire_of_logical[:4]] == [1, 1, 1, 1]
+    assert not verify_routed(mutated, spec)
 
 
 def test_structural_check_matches_exact_backend():
@@ -258,8 +270,10 @@ def test_structural_check_matches_exact_backend():
     for n, k in ((6, 6), (7, 3), (8, 5)):
         spec = OracleSpec.representative(n, k)
         routed = route_bv(spec, g, embed_oracle(spec, g))
-        assert verify_routed(routed, spec, exact_limit=10)
-        assert verify_routed(routed, spec, exact_limit=0)  # F2 only
+        assert verify_routed(routed, spec)
+        signs = _signs_after_cnots(routed)  # F2 only
+        got = [0 if w is None else signs[w] for w in routed.readout.wire_of_logical]
+        assert got == list(spec.b.bits)
 
 
 def test_standard_setup_adds_idle_wires_and_still_verifies():
@@ -284,6 +298,26 @@ def test_route_rejects_bad_walks():
     unmarked_step = Embedding((0, 1, 2), frozenset({1}), {0: 2, 1: 3})
     with pytest.raises(RoutingInfeasible, match="no uncovered marked qubit"):
         route_bv(spec, g, unmarked_step)
+
+
+def test_search_walks_past_the_recursion_limit():
+    # 1,099 walk steps, deeper than Python's default recursion limit
+    emb = find_embedding(chain_graph(1200), 1100, ancilla_start=0)
+    assert emb.ancilla_walk == tuple(range(1100))
+    assert emb.direct_hits == frozenset({1099})
+
+
+def test_search_out_of_budget_keeps_its_best_walk(monkeypatch):
+    g = heavy_hex_27()
+    spec = OracleSpec.representative(26, 26)
+    assert embed_oracle(spec, g).walk_steps == 17
+    monkeypatch.setattr(routing, "EXACT_SEARCH_BUDGET", 50)
+    emb = embed_oracle(spec, g)
+    assert emb.walk_steps == 19  # the best walk within 50 expansions
+    assert verify_routed(route_bv(spec, g, emb), spec)
+    monkeypatch.setattr(routing, "EXACT_SEARCH_BUDGET", 20)
+    with pytest.raises(RoutingInfeasible, match="within the search budget"):
+        embed_oracle(spec, g)
 
 
 def test_find_embedding_infeasible_cases():
@@ -339,6 +373,6 @@ def test_embedding_search_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
-    # the embedding the search found before its cycle was broken
+    # the embedding the search finds
     assert got == Embedding((1, 4, 7, 10), frozenset({0, 1, 4, 6}),
                             {0: 0, 1: 2, 2: 4, 3: 7, 4: 6, 5: 10, 6: 12})

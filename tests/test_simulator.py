@@ -17,9 +17,9 @@ from ssbv.oracles import (OracleSpec, ReadoutMap, all_oracles,
                           bv_logical_circuit, representative_oracles)
 from ssbv.routing import chain_graph, embed_oracle, heavy_hex_27, route_bv
 from ssbv.routing import verify_routed
-from ssbv.simulator import (Op, Program, SimulatorCapError, TrajectoryPlan,
-                            _detuning_rules, _exact_distribution, _Factor,
-                            _shot_streams,
+from ssbv.simulator import (BATCH_BYTES, Op, Program, SimulatorCapError,
+                            TrajectoryPlan, _detuning_rules,
+                            _exact_distribution, _Factor, _shot_streams,
                             check_reduction_equivalence,
                             compile_program, noiseless_output, simulate_exact,
                             simulate_shots, total_variation_distance)
@@ -52,6 +52,8 @@ def test_noiseless_exactness_all_oracles():
             circ, rmap = bv_circuit(spec, device)
             dist = simulate_exact(circ, device, NoiseConfig(), rmap)
             assert_dist_close(dist, {spec.b.to01(): 1.0})
+            # the default readout: every wire but the last, the ancilla
+            assert simulate_exact(circ, device, NoiseConfig()) == dist
 
 
 def test_fully_depolarizing_single_qubit_is_uniform():
@@ -415,7 +417,7 @@ def test_noiseless_output_reaches_27_wires(k, wires):
     spec, routed, circ, device, phys = routed_ur14(26, k)
     assert circ.num_qubits == wires
     assert noiseless_output(circ, routed.readout)[spec.b.to01()] >= 1 - 1e-9
-    assert verify_routed(routed, spec, exact_limit=26)
+    assert verify_routed(routed, spec)
 
 
 @pytest.mark.parametrize("case", ["ur4 chain 5 wires", "ur4 chain 7 wires",
@@ -439,28 +441,46 @@ def test_trajectory_matches_exact_with_detuning(case):
     assert total_variation_distance(exact, emp) < bound
 
 
+def shots_by_batch(batch_bytes, *args):
+    """Counts of simulate_shots(*args) with BATCH_BYTES = batch_bytes, and
+    the shots of each batch it drew streams for."""
+    with patch("ssbv.simulator.BATCH_BYTES", batch_bytes), \
+            patch("ssbv.simulator._shot_streams", wraps=_shot_streams) as streams:
+        counts = simulate_shots(*args).counts
+    return counts, [call.args[3] - call.args[2] for call in streams.call_args_list]
+
+
+def assert_uneven_split(batches, shots):
+    assert sum(batches) == shots and len(batches) > 1
+    assert shots % batches[0] and set(batches[:-1]) == {batches[0]}
+
+
 def test_seed_determinism_and_batch_invariance():
     noise = NoiseConfig(detuning_sigma=1e5)
     device = MONTREAL.device(chain_graph(4))
     spec = OracleSpec.representative(3, 2)
     circ, rmap = bv_circuit(spec, device)
-    a = simulate_shots(circ, device, noise, TrajectoryPlan(2000, 11), spec, rmap)
-    b = simulate_shots(circ, device, noise, TrajectoryPlan(2000, 11, batch_size=77),
-                       spec, rmap)
+    args = (circ, device, noise, TrajectoryPlan(2000, 11), spec, rmap)
+    a = simulate_shots(*args)
+    b, batches = shots_by_batch(30_000, *args)
+    assert_uneven_split(batches, 2000)
     # One shot per batch: the screen sees each shot's own uniforms only.
-    one = simulate_shots(circ, device, noise, TrajectoryPlan(2000, 11, batch_size=1),
-                         spec, rmap)
+    one, batches = shots_by_batch(1, *args)
+    assert batches == [1] * 2000
     c = simulate_shots(circ, device, noise, TrajectoryPlan(2000, 12), spec, rmap)
-    assert a.counts == b.counts == one.counts
+    assert a.counts == b == one
     assert a.counts != c.counts
     # A UR4-dressed chain with detuning on: each wire's idle factors are
-    # cached per batch, and batches of 77 and of 1 cut across them.
+    # cached per batch, and uneven batches and batches of 1 cut across them.
     spec, routed, circ, device, phys = ur4_chain(3)
     noise = MONTREAL.noise()
     assert has_idle(compile_program(circ, device, noise, phys), detuned=True)
-    tables = [simulate_shots(circ, device, noise, TrajectoryPlan(400, 11, batch_size=b),
-                             spec, routed.readout, phys).counts for b in (None, 77, 1)]
-    assert tables[0] == tables[1] == tables[2]
+    args = (circ, device, noise, TrajectoryPlan(400, 11), spec, routed.readout, phys)
+    uneven, batches = shots_by_batch(30_000, *args)
+    assert_uneven_split(batches, 400)
+    one, batches = shots_by_batch(1, *args)
+    assert batches == [1] * 400
+    assert simulate_shots(*args).counts == uneven == one
 
 
 @pytest.mark.parametrize("n_uniforms, n_normals", [(7, 0), (7, 3), (5, 1)])
@@ -783,12 +803,14 @@ def test_widest_factor_is_two_on_the_paper_grid():
 def test_27_wire_oracle_runs_and_is_batch_invariant():
     spec, routed, circ, device, phys = routed_ur14(26, 26)
     assert circ.num_qubits == 27
-    tables = [simulate_shots(circ, device, MONTREAL.noise(),
-                             TrajectoryPlan(400, 3, batch_size=batch), spec,
-                             routed.readout, phys)
-              for batch in (None, 77)]
-    assert tables[0].counts == tables[1].counts
-    assert sum(tables[0].counts.values()) == 400
+    args = (circ, device, MONTREAL.noise(), TrajectoryPlan(400, 3), spec,
+            routed.readout, phys)
+    whole, batches = shots_by_batch(BATCH_BYTES, *args)
+    assert batches == [400]
+    split, batches = shots_by_batch(1 << 20, *args)
+    assert_uneven_split(batches, 400)
+    assert whole == split
+    assert sum(whole.values()) == 400
 
 
 def test_permutation_covariance_wire_relabeling():
