@@ -32,14 +32,14 @@ print(f"TVD = {total_variation_distance(exact, empirical):.5f} "
 # Tracing data qubits out of a larger instance reproduces the smaller one
 # exactly when the noise factorizes over qubits...
 quiet = NoiseConfig(detuning=False)
-rep = check_reduction_equivalence(4, 2, 2, device, quiet)
-print(f"\nreduction BV-4 -> BV-2, factorized noise: TVD = {rep.tvd:.2e}")
+tvd = check_reduction_equivalence(4, 2, 2, device, quiet)
+print(f"\nreduction BV-4 -> BV-2, factorized noise: TVD = {tvd:.2e}")
 
 # ...while always-on ZZ crosstalk between neighbors breaks the equivalence,
 # and DD pulses on the idling spectators restore it.
 xtalk = NoiseConfig(zz_rate=2.5e5, detuning=False)
 bare = check_reduction_equivalence(4, 2, 2, device, xtalk)
 prot = check_reduction_equivalence(4, 2, 2, device, xtalk, dd=ur_phases(14))
-print(f"with crosstalk: TVD = {bare.tvd:.2e}; "
-      f"with UR14 inserted: TVD = {prot.tvd:.2e} "
-      f"({bare.tvd / prot.tvd:.0f}x smaller)")
+print(f"with crosstalk: TVD = {bare:.2e}; "
+      f"with UR14 inserted: TVD = {prot:.2e} "
+      f"({bare / prot:.0f}x smaller)")

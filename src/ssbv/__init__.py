@@ -6,10 +6,9 @@ simulation on exact and trajectory backends, and time-to-solution /
 speedup-exponent analysis with bootstrap statistics.
 """
 
-from .analysis import (AnalysisConfig, FitResult, SpeedupCurve, SuccessMatrix,
-                       TTSPoint, bootstrap_lambda, bootstrap_tts,
-                       classical_points, local_lambda, mean_tts, repetitions,
-                       speedup_ratio, success_matrix, success_prob,
+from .analysis import (AnalysisConfig, FitResult, SpeedupCurve, TTSPoint,
+                       bootstrap_lambda, bootstrap_tts, bqp_verdict,
+                       classical_points, mean_tts, repetitions, speedup_ratio,
                        tts_classical, tts_quantum, worst_case_lambda)
 from .circuit import (DT_SECONDS, Bitstring, DurationModel, GateEvent,
                       GateKind, TimedCircuit, Violation, circuit_duration,
@@ -17,7 +16,7 @@ from .circuit import (DT_SECONDS, Bitstring, DurationModel, GateEvent,
                       save_circuit, validate_circuit)
 from .decoupling import (DDSequence, GapSchedule, detect_gaps, plan_dd,
                          pulse_unitary, schedule_dd, sequence_from_name,
-                         ur_phases, xy4)
+                         ur_phases)
 from .experiment import (ConfigError, ExperimentConfig, cmd_analyze,
                          cmd_generate, cmd_ingest, cmd_simulate, load_config,
                          save_config)
@@ -33,7 +32,7 @@ from .routing import (CouplingGraph, Embedding, RoutedCircuit,
                       find_embedding, heavy_hex_27, layout_from_name,
                       load_graph, naive_cnot_count, route_bv, save_graph,
                       verify_routed)
-from .simulator import (ReductionReport, SimulatorCapError, TrajectoryPlan,
+from .simulator import (SimulatorCapError, TrajectoryPlan,
                         check_reduction_equivalence, compile_program,
                         noiseless_output, simulate_exact, simulate_shots,
                         total_variation_distance)

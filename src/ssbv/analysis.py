@@ -37,15 +37,6 @@ class AnalysisConfig:
             raise ValueError("bootstrap_b must be >= 2")
 
 
-def success_prob(table: ShotTable) -> tuple[float, float]:
-    """Empirical success frequency and its binomial standard error."""
-    if table.total_shots <= 0:
-        raise ValueError("empty shot table")
-    p = table.success_count() / table.total_shots
-    sigma = math.sqrt(p * (1 - p) / table.total_shots)
-    return p, sigma
-
-
 def repetitions(p_s: float, p_d: float = 0.99) -> tuple[float, float]:
     """Expected repetitions R to reach success probability p_d, and ceil(R).
 
@@ -69,17 +60,16 @@ def tts_quantum(n: int, p_s: float, model: DurationModel,
     return model.run_time(n) * r
 
 
-def classical_duration_model(a: float = 1e-6) -> DurationModel:
-    """Classical per-query time a*n seconds (cost of adding n bits)."""
-    return DurationModel(a, 0.0)
+# Classical per-query time: 1 us per bit, the cost of adding n bits.
+CLASSICAL_DURATION_MODEL = DurationModel(1e-6, 0.0)
 
 
 def tts_classical(n: int, p_d: float = 0.99) -> float:
-    """Classical baseline TTS: a*n queries at success rate 2^(1-n)."""
+    """Classical baseline TTS: n us per query at success rate 2^(1-n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     r, _ = repetitions(classical_success_prob(n), p_d)
-    return classical_duration_model().run_time(n) * r
+    return CLASSICAL_DURATION_MODEL.run_time(n) * r
 
 
 @dataclass(frozen=True)
@@ -286,12 +276,6 @@ def worst_case_lambda(points: list[TTSPoint], u: int | None = None,
     return FitResult(lam, lam, lam, (best_l, u), table)
 
 
-def local_lambda(points: list[TTSPoint], h_max: int,
-                 config: AnalysisConfig | None = None) -> FitResult:
-    """Worst-case exponent restricted to sizes <= h_max."""
-    return worst_case_lambda(points, u=h_max, config=config)
-
-
 def _bootstrap_lambdas(tables_by_n: dict[int, list[ShotTable]], model: DurationModel,
                        config: AnalysisConfig, rng: np.random.Generator,
                        u: int | None) -> np.ndarray:
@@ -363,30 +347,12 @@ def classical_points(n_range, p_d: float = 0.99) -> list[TTSPoint]:
     return pts
 
 
-@dataclass(frozen=True)
-class SuccessMatrix:
-    """Row-normalized output distribution per oracle plus the BQP check:
-    a majority vote reaches bounded error 2/3 iff p_s > 1/2 everywhere."""
-
-    n: int
-    oracles: tuple[str, ...]
-    rows: dict[str, dict[str, float]]
-    diagonal: dict[str, float]
-    bqp_verdict: bool
-
-
-def success_matrix(tables: list[ShotTable]) -> SuccessMatrix:
+def bqp_verdict(tables: list[ShotTable]) -> bool:
+    """The BQP check on one size's tables: a majority vote reaches bounded
+    error 2/3 iff p_s > 1/2 for every oracle."""
     if not tables:
         raise ValueError("need at least one table")
     n = tables[0].n
     if any(t.n != n for t in tables):
         raise ValueError("tables mix problem sizes")
-    rows: dict[str, dict[str, float]] = {}
-    diag: dict[str, float] = {}
-    for table in sorted(tables, key=lambda t: t.oracle.b.to_int()):
-        key = table.oracle.b.to01()
-        total = table.total_shots
-        rows[key] = {out: c / total for out, c in sorted(table.counts.items())}
-        diag[key] = table.success_prob()
-    verdict = all(p > 0.5 for p in diag.values())
-    return SuccessMatrix(n, tuple(rows), rows, diag, verdict)
+    return all(t.success_prob() > 0.5 for t in tables)

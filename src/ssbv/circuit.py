@@ -24,7 +24,6 @@ class GateKind(Enum):
     X = "X"
     CNOT = "CNOT"
     PHASED_PI = "PHASED_PI"
-    DELAY = "DELAY"
 
 
 @dataclass(frozen=True)
@@ -89,10 +88,7 @@ class GateEvent:
             raise ValueError("CNOT qubits must be distinct")
         if self.start < 0:
             raise ValueError("start must be nonnegative")
-        if self.kind is GateKind.DELAY:
-            if self.duration < 0:
-                raise ValueError("delay duration must be nonnegative")
-        elif self.duration <= 0:
+        if self.duration <= 0:
             raise ValueError("gate duration must be positive")
         if self.kind is GateKind.PHASED_PI:
             object.__setattr__(self, "phase", self.phase % TWO_PI)
@@ -160,7 +156,7 @@ def validate_circuit(circuit: TimedCircuit) -> Violation | None:
     for q in range(circuit.num_qubits):
         prev = None
         for ev in circuit.events_on(q):
-            if prev is not None and ev.start < prev.end and ev.duration > 0 and prev.duration > 0:
+            if prev is not None and ev.start < prev.end:
                 return Violation(
                     "overlap", q,
                     f"{prev.kind.value}@[{prev.start},{prev.end}) overlaps "

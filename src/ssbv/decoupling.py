@@ -78,10 +78,6 @@ def ur_phases(n: int) -> DDSequence:
     return DDSequence(f"ur{n}", phases)
 
 
-def xy4() -> DDSequence:
-    return ur_phases(4)
-
-
 def sequence_from_name(name: str) -> DDSequence | None:
     """Parse a --dd value: none, ur4, ur14, ur18, or ur:<n>."""
     if name == "none":
@@ -109,13 +105,12 @@ def detect_gaps(circuit: TimedCircuit, include_edges: bool = False
 
     By default only gaps strictly between a qubit's first and last event
     count; include_edges extends to the leading idle from t=0 and the
-    trailing idle up to the circuit's last event.  DELAY events are
-    explicit idle markers and do not block a gap.
+    trailing idle up to the circuit's last event.
     """
     total = circuit.total_duration
     gaps: dict[int, list[tuple[int, int]]] = {}
     for q in range(circuit.num_qubits):
-        events = [ev for ev in circuit.events_on(q) if ev.kind is not GateKind.DELAY]
+        events = circuit.events_on(q)
         out: list[tuple[int, int]] = []
         if not events:
             if include_edges and total > 0:
@@ -143,7 +138,7 @@ def _ladder(sequence: DDSequence) -> list[DDSequence]:
         lengths.append(n)
         n -= 4
     out = [sequence if m == len(sequence) else ur_phases(m) for m in lengths]
-    out.append(xy4())
+    out.append(ur_phases(4))
     return out
 
 
@@ -178,16 +173,11 @@ def plan_dd(circuit: TimedCircuit, sequence: DDSequence, pulse_duration: int,
 
 def schedule_dd(circuit: TimedCircuit, sequence: DDSequence, pulse_duration: int,
                 fallback: str = "ladder") -> TimedCircuit:
-    """Insert DD pulses into every idle gap that can hold a repetition.
-
-    DELAY events are dropped from the output: their spans are the gaps
-    being rewritten, so keeping them would collide with the pulses.
-    """
+    """Insert DD pulses into every idle gap that can hold a repetition."""
     pulses: list[GateEvent] = []
     for plan in plan_dd(circuit, sequence, pulse_duration, fallback):
         for start, phase in zip(plan.pulse_starts, plan.sequence.phases):
             pulses.append(GateEvent(GateKind.PHASED_PI, (plan.qubit,),
                                     start, pulse_duration, phase))
-    kept = tuple(ev for ev in circuit.events if ev.kind is not GateKind.DELAY)
-    return TimedCircuit(circuit.num_qubits, kept + tuple(pulses),
+    return TimedCircuit(circuit.num_qubits, circuit.events + tuple(pulses),
                         circuit.readout_duration, circuit.dt)

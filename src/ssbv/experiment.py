@@ -22,16 +22,16 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .analysis import (AnalysisConfig, FitResult, TTSPoint, bootstrap_lambda,
-                       bootstrap_tts, classical_points, local_lambda,
-                       speedup_ratio, success_matrix, tts_quantum,
-                       worst_case_lambda)
+                       bootstrap_tts, bqp_verdict, classical_points,
+                       speedup_ratio, worst_case_lambda)
 from .circuit import DurationModel, circuit_duration, read_fields, save_circuit
 from .decoupling import schedule_dd, sequence_from_name
 from .manifest import (append_entry, append_file_entry, read_manifest,
                        start_manifest)
 from .noise import load_profile
-from .oracles import (ALL_ORACLES_CAP, OracleSpec, ShotTable, all_oracles, load_counts,
-                      reduce_counts, representative_oracles, save_counts)
+from .oracles import (ALL_ORACLES_CAP, MAX_DATA_BITS, OracleSpec, ShotTable,
+                      all_oracles, load_counts, reduce_counts,
+                      representative_oracles, save_counts)
 from . import simulator
 from .routing import embed_oracle, layout_from_name, route_bv
 from .simulator import (TRAJECTORY_MAX_WIRES, SimulatorCapError, TrajectoryPlan,
@@ -66,6 +66,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.n_min <= self.n_max:
             raise ConfigError("need 1 <= n_min <= n_max")
+        if self.n_max > MAX_DATA_BITS:
+            raise ConfigError(f"n_max={self.n_max} exceeds {MAX_DATA_BITS}, the most "
+                              "data bits one data index holds")
         if self.oracle_mode not in ("representative", "all"):
             raise ConfigError(f"unknown oracle_mode {self.oracle_mode!r}")
         if self.collection not in ("direct", "reduced"):
@@ -81,6 +84,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown dd_fallback {self.dd_fallback!r}")
         if self.shots <= 0:
             raise ConfigError("shots must be positive")
+        if self.dd_pulse_duration_dt < 0:
+            raise ConfigError("dd_pulse_duration_dt must be nonnegative "
+                              "(0 takes the device's DD pulse duration)")
         try:
             sequence_from_name(self.dd)
             self.analysis_config()
@@ -314,10 +320,7 @@ class AnalysisResult:
     points: list[TTSPoint]
     classical: list[TTSPoint]
     fit: FitResult | None
-    local: dict[int, FitResult]
     speedup: object | None
-    verdicts: dict[int, bool]
-    duration_model: DurationModel
     report_text: str
 
 
@@ -365,7 +368,7 @@ def cmd_analyze(config: ExperimentConfig, out_dir) -> AnalysisResult:
     for n in sorted(tables):
         point, _ = bootstrap_tts(tables[n], model, acfg, rng)
         points.append(point)
-        verdicts[n] = success_matrix(tables[n]).bqp_verdict
+        verdicts[n] = bqp_verdict(tables[n])
 
     fit = None
     local: dict[int, FitResult] = {}
@@ -374,7 +377,7 @@ def cmd_analyze(config: ExperimentConfig, out_dir) -> AnalysisResult:
         fit = bootstrap_lambda(tables, model, acfg, rng)
         for h in finite_ns:
             try:
-                local[h] = local_lambda(points, h, acfg)
+                local[h] = worst_case_lambda(points, u=h, config=acfg)
             except ValueError:
                 continue
 
@@ -393,8 +396,7 @@ def cmd_analyze(config: ExperimentConfig, out_dir) -> AnalysisResult:
     write_plot_data(out_dir, points, classical, local, speedup)
     manifest = os.path.join(out_dir, "manifest.txt")
     append_file_entry(manifest, "report", report_path)
-    return AnalysisResult(points, classical, fit, local, speedup, verdicts,
-                          model, report)
+    return AnalysisResult(points, classical, fit, speedup, report)
 
 
 def render_report(config: ExperimentConfig, model: DurationModel,

@@ -50,10 +50,6 @@ class KrausChannel:
             raise ValueError("Kraus completeness violated: "
                              f"|sum K+K - I| = {np.linalg.norm(total - np.eye(dim)):.3e}")
 
-    def is_identity(self) -> bool:
-        return len(self.operators) == 1 and \
-            np.allclose(self.operators[0], np.eye(2 ** self.arity))
-
 
 def identity_channel(arity: int = 1) -> KrausChannel:
     return KrausChannel((np.eye(2 ** arity, dtype=complex),), arity)
@@ -114,12 +110,13 @@ def depolarizing(p: float, arity: int = 1) -> KrausChannel:
 class DeviceModel:
     """Coupling graph plus per-qubit decoherence, gate and readout figures.
 
-    Durations are in dt ticks; T1/T2 in seconds.  Per-qubit heterogeneity
-    is supported through the arrays; the shipped profiles are homogeneous
-    (the reference table gives only min/mean/max).
+    Every device has a graph; its per-qubit arrays are indexed by physical
+    node.  Durations are in dt ticks; T1/T2 in seconds.  Per-qubit
+    heterogeneity is supported through the arrays; the shipped profiles
+    are homogeneous (the reference table gives only min/mean/max).
     """
 
-    graph: CouplingGraph | None
+    graph: CouplingGraph
     t1: np.ndarray
     t2: np.ndarray
     ro_p01: np.ndarray  # p(read 1 | prepared 0)
@@ -156,12 +153,11 @@ class DeviceModel:
         return float(self.dt) * ticks
 
     @classmethod
-    def homogeneous(cls, num_qubits: int, *, t1_us: float, t2_us: float,
+    def homogeneous(cls, graph: CouplingGraph, *, t1_us: float, t2_us: float,
                     ro_error: float, dur_1q: int, dur_2q: int, dur_readout: int,
                     dur_dd_pulse: int | None = None, p_dep_1q: float, p_dep_2q: float,
-                    graph: CouplingGraph | None = None,
                     dt: Fraction | float = DT_SECONDS) -> DeviceModel:
-        ones = np.ones(num_qubits)
+        ones = np.ones(graph.num_physical)
         return cls(graph=graph, t1=ones * t1_us * 1e-6, t2=ones * t2_us * 1e-6,
                    ro_p01=ones * ro_error, ro_p10=ones * ro_error,
                    dur_1q=dur_1q, dur_2q=dur_2q, dur_readout=dur_readout,
@@ -218,17 +214,14 @@ class Profile:
 
     values: dict[str, object] = field(default_factory=dict)
 
-    def device(self, graph: CouplingGraph | None = None,
-               num_qubits: int | None = None) -> DeviceModel:
+    def device(self, graph: CouplingGraph) -> DeviceModel:
         v = self.values
-        n = graph.num_physical if graph is not None else (num_qubits or 27)
         return DeviceModel.homogeneous(
-            n, t1_us=v["t1_us"], t2_us=v["t2_us"], ro_error=v["readout_error"],
+            graph, t1_us=v["t1_us"], t2_us=v["t2_us"], ro_error=v["readout_error"],
             dur_1q=v["duration_1q_dt"], dur_2q=v["duration_2q_dt"],
             dur_readout=v["duration_readout_dt"],
             dur_dd_pulse=v["duration_dd_pulse_dt"],
-            p_dep_1q=v["gate_error_1q"], p_dep_2q=v["gate_error_2q"],
-            graph=graph)
+            p_dep_1q=v["gate_error_1q"], p_dep_2q=v["gate_error_2q"])
 
     def duration_model(self) -> DurationModel:
         """The linear single-run time law from the profile's TTS figures."""

@@ -17,6 +17,8 @@ from .circuit import (DT_SECONDS, Bitstring, GateEvent, GateKind, TimedCircuit,
 
 # Enumerating all 2^n oracles is opt-in and memory-guarded.
 ALL_ORACLES_CAP = 12
+# The most data bits one int64 data index (ReadoutMap.data_index) holds.
+MAX_DATA_BITS = 62
 
 
 @dataclass(frozen=True)
@@ -32,10 +34,6 @@ class OracleSpec:
     @property
     def k(self) -> int:
         return self.b.weight
-
-    @property
-    def ancilla_index(self) -> int:
-        return self.n
 
     @property
     def marked(self) -> tuple[int, ...]:
@@ -74,7 +72,7 @@ class ReadoutMap:
 
     def data_index(self, basis: np.ndarray, num_wires: int) -> np.ndarray:
         """Data index of each register basis index (wire 0 most significant)."""
-        if self.n > 62:
+        if self.n > MAX_DATA_BITS:
             raise ValueError(f"{self.n} data bits do not fit a 64-bit data index")
         basis = np.asarray(basis, dtype=np.int64)
         index = np.zeros(basis.shape, dtype=np.int64)

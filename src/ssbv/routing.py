@@ -265,10 +265,8 @@ def route_bv(spec: OracleSpec, graph: CouplingGraph, embedding: Embedding,
     places unmarked data qubits on spare nodes with cancelling H pairs;
     the default reduced setup omits them.
     """
-    d1 = device.dur_1q if device is not None else 1
-    d2 = device.dur_2q if device is not None else 1
-    ro = device.dur_readout if device is not None else 0
-    dt = device.dt if device is not None else DT_SECONDS
+    d1, d2, ro, dt = ((device.dur_1q, device.dur_2q, device.dur_readout, device.dt)
+                      if device else (1, 1, 0, DT_SECONDS))
 
     walk = embedding.ancilla_walk
     adjcheck = graph.adjacency()

@@ -5,10 +5,9 @@ import pytest
 
 from ssbv import analysis
 from ssbv.analysis import (LAMBDA_CI_SIGMA, AnalysisConfig, FitResult, TTSPoint,
-                           bootstrap_lambda, bootstrap_tts, classical_points,
-                           local_lambda, mean_tts,
-                           repetitions, speedup_ratio, success_matrix,
-                           success_prob, tts_classical, tts_quantum,
+                           bootstrap_lambda, bootstrap_tts, bqp_verdict,
+                           classical_points, mean_tts, repetitions,
+                           speedup_ratio, tts_classical, tts_quantum,
                            worst_case_lambda)
 from ssbv.circuit import Bitstring, DurationModel
 from ssbv.oracles import OracleSpec, ShotTable
@@ -38,13 +37,11 @@ def brute_force_worst_lambda(ns, tts, u, n_min=3):
 def test_success_prob_examples():
     spec = OracleSpec.representative(3, 3)
     full = ShotTable(spec, {"111": 1000}, 1000)
-    assert success_prob(full) == (1.0, 0.0)
+    assert full.success_prob() == 1.0
     mixed = ShotTable(spec, {"111": 599, "000": 401}, 1000)
-    p, sigma = success_prob(mixed)
-    assert p == pytest.approx(0.599)
-    assert sigma == pytest.approx(math.sqrt(0.599 * 0.401 / 1000))
+    assert mixed.success_prob() == pytest.approx(0.599)
     none = ShotTable(spec, {"000": 1000}, 1000)
-    assert success_prob(none)[0] == 0.0
+    assert none.success_prob() == 0.0
 
 
 def test_repetitions_edges_and_value():
@@ -201,19 +198,19 @@ def test_local_lambda_piecewise_and_coincidence():
     tts = [2.0 ** (0.4 * n) * 1e-6 if n <= 12 else
            2.0 ** (0.9 * n - 6.0) * 1e-6 for n in ns]
     points = make_points(ns, tts)
-    lam_small = local_lambda(points, 10).exponent
-    lam_big = local_lambda(points, 20).exponent
+    lam_small = worst_case_lambda(points, u=10).exponent
+    lam_big = worst_case_lambda(points, u=20).exponent
     assert lam_small == pytest.approx(0.4, abs=1e-9)
     assert lam_big > lam_small
-    assert local_lambda(points, 20).exponent == \
-        worst_case_lambda(points, u=20).exponent
+    # at the largest size the local exponent is the full worst-case fit
+    assert lam_big == worst_case_lambda(points).exponent
 
 
 def test_local_lambda_monotone_on_convex_curve():
     ns = list(range(3, 21))
     tts = [2.0 ** (0.3 * n + 0.02 * n * n) * 1e-6 for n in ns]
     points = make_points(ns, tts)
-    values = [local_lambda(points, h).exponent for h in range(6, 21)]
+    values = [worst_case_lambda(points, u=h).exponent for h in range(6, 21)]
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -287,12 +284,8 @@ def test_success_matrix_verdict_flip():
     just_above = ShotTable(spec_b, {"01": 51, "00": 49}, 100)
     just_below = ShotTable(spec_b, {"01": 49, "00": 51}, 100)
     good = ShotTable(spec_a, {"00": 90, "11": 10}, 100)
-    assert success_matrix([good, just_above]).bqp_verdict
-    assert not success_matrix([good, just_below]).bqp_verdict
-    m = success_matrix([good, just_above])
-    for row in m.rows.values():
-        assert sum(row.values()) == pytest.approx(1.0, abs=1e-12)
-    assert m.diagonal["01"] == pytest.approx(0.51)
+    assert bqp_verdict([good, just_above])
+    assert not bqp_verdict([good, just_below])
 
 
 def test_tts_monotone_decreasing_in_success():

@@ -34,8 +34,6 @@ def test_gate_event_validation():
         GateEvent(GateKind.H, (0, 1), 0, 10)
     with pytest.raises(ValueError):
         GateEvent(GateKind.H, (0,), 0, 0)
-    # zero-duration delay is legal
-    GateEvent(GateKind.DELAY, (0,), 5, 0)
     ev = GateEvent(GateKind.PHASED_PI, (0,), 0, 10, phase=7.0)
     assert 0 <= ev.phase < 2 * math.pi
 
@@ -66,17 +64,19 @@ def scan_events_on(circuit, qubit):
 
 
 def test_events_on_index_matches_a_scan_of_every_event():
-    # Events starting together sort by end (the DELAY and H at 0 on qubit
-    # 1), and ties in (start, end) keep their event order (the two
-    # zero-length DELAYs on qubit 0).  Both qubits of a CNOT list it; qubit
-    # 3 has no event.  The shuffled copy reverses every tie.
+    # Events starting together sort by end (the X and H at 0 on qubit 1),
+    # and ties in (start, end) keep their event order (the X and H at 10 on
+    # qubit 0, both inside the CNOT's span).  The overlaps make the circuit
+    # invalid, which TimedCircuit allows and validate_circuit reports.
+    # Both qubits of a CNOT list it; qubit 3 has no event.  The shuffled
+    # copy reverses every tie.
     handmade = TimedCircuit(4, (
-        GateEvent(GateKind.DELAY, (1,), 0, 50),
+        GateEvent(GateKind.X, (1,), 0, 50),
         GateEvent(GateKind.H, (0,), 0, 10),
         GateEvent(GateKind.CNOT, (2, 0), 10, 30),
-        GateEvent(GateKind.DELAY, (0,), 10, 0),
+        GateEvent(GateKind.X, (0,), 10, 5),
         GateEvent(GateKind.X, (1,), 50, 10),
-        GateEvent(GateKind.DELAY, (0,), 10, 0),
+        GateEvent(GateKind.H, (0,), 10, 5),
         GateEvent(GateKind.H, (2,), 0, 10),
         GateEvent(GateKind.H, (1,), 0, 10),
         GateEvent(GateKind.CNOT, (1, 2), 60, 30),
@@ -95,6 +95,10 @@ def test_events_on_index_matches_a_scan_of_every_event():
     assert handmade.events_on(3) == []
     assert [id(ev) for ev in handmade.events_on(0)] == [
         id(handmade.events[i]) for i in (1, 3, 5, 2, 9)]
+    assert [id(ev) for ev in handmade.events_on(1)] == [
+        id(handmade.events[i]) for i in (7, 0, 4, 8)]
+    assert str(validate_circuit(handmade)) == \
+        "overlap on qubit 0: X@[10,15) overlaps H@[10,15)"
 
 
 def test_generated_bv6_is_valid():
@@ -178,8 +182,7 @@ def test_serialization_roundtrip_lossless(tmp_path):
     events = (GateEvent(GateKind.X, (2,), 0, 180),
               GateEvent(GateKind.H, (0,), 180, 180),
               GateEvent(GateKind.CNOT, (0, 2), 360, 1935),
-              GateEvent(GateKind.PHASED_PI, (1,), 400, 180, phase=1.2345678901234),
-              GateEvent(GateKind.DELAY, (1,), 600, 50))
+              GateEvent(GateKind.PHASED_PI, (1,), 400, 180, phase=1.2345678901234))
     circ = TimedCircuit(3, events, readout_duration=23400)
     back = circuit_from_text(circuit_to_text(circ))
     assert back == circ

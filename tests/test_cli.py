@@ -341,6 +341,29 @@ def test_all_oracles_above_the_cap_exit_2_before_any_work(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_n_max_above_the_data_index_exits_2_before_any_work(tmp_path, capsys):
+    # 63 data bits do not fit a data index; the chain routes them, so only
+    # the config check stops the run before it writes anything
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "simulate", "--layout", "chain",
+                 "--n-min", "62", "--n-max", "63", "--profile", "noiseless",
+                 "--shots", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: n_max=63 exceeds 62, the most data bits one "
+                   "data index holds\n")
+    assert not out.exists()
+
+
+def test_negative_dd_pulse_duration_exits_2_before_any_work(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "simulate", "--n-min", "3", "--n-max", "4",
+                 "--dd", "ur4", "--dd-pulse-duration", "-5"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: dd_pulse_duration_dt must be nonnegative "
+                   "(0 takes the device's DD pulse duration)\n")
+    assert not out.exists()
+
+
 def test_all_oracles_runs_every_subcommand_end_to_end(tmp_path, capsys):
     # 2^3 + 2^4 = 24 oracles, each routed, simulated and ingested
     grid = ["--n-min", "3", "--n-max", "4", "--oracles", "all", "--shots", "50"]

@@ -5,10 +5,10 @@ import pytest
 
 from ssbv.circuit import GateEvent, GateKind, TimedCircuit, validate_circuit
 from ssbv.decoupling import (DDSequence, detect_gaps, plan_dd, pulse_unitary,
-                             schedule_dd, sequence_from_name, ur_phases, xy4)
+                             schedule_dd, sequence_from_name, ur_phases)
 from ssbv.noise import NOISELESS, NoiseConfig, load_profile
 from ssbv.oracles import OracleSpec, bv_logical_circuit
-from ssbv.routing import embed_oracle, heavy_hex_27, route_bv
+from ssbv.routing import chain_graph, embed_oracle, heavy_hex_27, route_bv
 from ssbv.simulator import TrajectoryPlan, noiseless_output, simulate_shots
 
 
@@ -22,7 +22,6 @@ def product_of(phases, eps=0.0):
 def test_ur4_is_xy4():
     seq = ur_phases(4)
     assert seq.phases == pytest.approx((0.0, math.pi / 2, 0.0, math.pi / 2))
-    assert xy4().phases == seq.phases
 
 
 def test_ur14_phase_formula_independent_evaluation():
@@ -81,12 +80,11 @@ def test_detect_gaps_routed_bv6_has_multi_gap_qubit():
     assert max(len(v) for v in gaps.values()) >= 2
 
 
-def test_detect_gaps_edges_and_delays():
+def test_detect_gaps_edges():
     events = (GateEvent(GateKind.H, (0,), 100, 10),
-              GateEvent(GateKind.DELAY, (0,), 110, 50),
               GateEvent(GateKind.H, (0,), 160, 10))
     circ = TimedCircuit(1, events)
-    assert detect_gaps(circ) == {0: [(110, 160)]}  # delay does not block
+    assert detect_gaps(circ) == {0: [(110, 160)]}
     assert detect_gaps(circ, include_edges=True)[0][0] == (0, 100)
 
 
@@ -94,14 +92,14 @@ def test_schedule_dd_short_gap_idle_fallback():
     events = (GateEvent(GateKind.H, (0,), 0, 10),
               GateEvent(GateKind.H, (0,), 45, 10))  # gap of 35 < 4*10
     circ = TimedCircuit(1, events)
-    out = schedule_dd(circ, xy4(), 10, fallback="idle")
+    out = schedule_dd(circ, ur_phases(4), 10, fallback="idle")
     assert out.events == circ.events
 
 
 def test_schedule_dd_exact_fit_back_to_back():
     events = (GateEvent(GateKind.H, (0,), 0, 10),
               GateEvent(GateKind.H, (0,), 50, 10))  # gap of 40 = 4*10
-    out = schedule_dd(TimedCircuit(1, events), xy4(), 10)
+    out = schedule_dd(TimedCircuit(1, events), ur_phases(4), 10)
     pulses = [ev for ev in out.events if ev.kind is GateKind.PHASED_PI]
     assert [p.start for p in pulses] == [10, 20, 30, 40]
     assert validate_circuit(out) is None
@@ -156,7 +154,7 @@ def test_noiseless_neutrality_of_dd():
 def test_ur14_beats_free_evolution_under_detuning_and_flip_error():
     # single qubit: H, long idle, H; quasi-static detuning dephases the
     # superposition unless refocused; pulses carry a 2% flip-angle error
-    device = load_profile("montreal").device(num_qubits=1)
+    device = load_profile("montreal").device(chain_graph(1))
     idle = 40_000  # dt ticks ~ 8.9 us
     events = (GateEvent(GateKind.H, (0,), 0, device.dur_1q),
               GateEvent(GateKind.H, (0,), device.dur_1q + idle, device.dur_1q))

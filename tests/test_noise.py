@@ -9,6 +9,7 @@ from ssbv.noise import (DeviceModel, KrausChannel, NoiseConfig,
                         idle_params, identity_channel, load_profile,
                         profile_from_text, profile_to_text)
 from ssbv.oracles import OracleSpec, ReadoutMap
+from ssbv.routing import chain_graph
 from ssbv.simulator import TrajectoryPlan, simulate_shots
 
 
@@ -64,7 +65,8 @@ def test_idle_channel_rejects_unphysical_t2():
 
 
 def test_depolarizing_structure():
-    assert depolarizing(0.0, 1).is_identity()
+    (op,) = depolarizing(0.0, 1).operators
+    assert np.array_equal(op, np.eye(2))
     assert len(depolarizing(0.1, 1).operators) == 4
     assert len(depolarizing(0.1, 2).operators) == 16
     assert completeness_defect(depolarizing(0.0135, 2)) < 1e-12
@@ -81,7 +83,7 @@ def test_all_channels_complete():
 
 def readout_device(n, ro_error):
     return DeviceModel.homogeneous(
-        n, t1_us=math.inf, t2_us=math.inf, ro_error=ro_error, dur_1q=10,
+        chain_graph(n), t1_us=math.inf, t2_us=math.inf, ro_error=ro_error, dur_1q=10,
         dur_2q=10, dur_readout=10, p_dep_1q=0, p_dep_2q=0)
 
 
@@ -153,7 +155,7 @@ def test_free_evolution_x_expectation_is_cosine():
     from ssbv.simulator import _exact_distribution, compile_program, simulate_exact
 
     device = DeviceModel.homogeneous(
-        1, t1_us=math.inf, t2_us=math.inf, ro_error=0.0, dur_1q=10,
+        chain_graph(1), t1_us=math.inf, t2_us=math.inf, ro_error=0.0, dur_1q=10,
         dur_2q=10, dur_readout=1, p_dep_1q=0, p_dep_2q=0)
     idle = 3000
     events = (GateEvent(GateKind.H, (0,), 0, 10),
@@ -178,11 +180,11 @@ def test_free_evolution_x_expectation_is_cosine():
 
 def test_device_model_validation():
     with pytest.raises(ValueError):
-        DeviceModel.homogeneous(2, t1_us=10, t2_us=25, ro_error=0.0,
+        DeviceModel.homogeneous(chain_graph(2), t1_us=10, t2_us=25, ro_error=0.0,
                                 dur_1q=1, dur_2q=1, dur_readout=1,
                                 p_dep_1q=0, p_dep_2q=0)
     with pytest.raises(ValueError):
-        DeviceModel.homogeneous(2, t1_us=10, t2_us=10, ro_error=1.5,
+        DeviceModel.homogeneous(chain_graph(2), t1_us=10, t2_us=10, ro_error=1.5,
                                 dur_1q=1, dur_2q=1, dur_readout=1,
                                 p_dep_1q=0, p_dep_2q=0)
 
@@ -197,7 +199,7 @@ def test_noise_config_validation():
 def test_shipped_profiles_load():
     for name, t1 in (("montreal", 113.2e-6), ("cairo", 102.19e-6)):
         profile = load_profile(name)
-        device = profile.device(num_qubits=4)
+        device = profile.device(chain_graph(4))
         assert device.t1[0] == pytest.approx(t1)
         model = profile.duration_model()
         assert model.slope == profile.values["tts_slope_us"] * 1e-6

@@ -41,7 +41,7 @@ def test_all_ones_oracle_has_six_cnots_onto_ancilla():
     circ, _ = bv_logical_circuit(spec)
     cn = cnots_of(circ)
     assert len(cn) == 6
-    assert all(ev.qubits[1] == spec.ancilla_index for ev in cn)
+    assert all(ev.qubits[1] == spec.n for ev in cn)  # the ancilla is wire n
 
 
 def test_padded_oracle_adds_only_cancelling_h_pairs():
