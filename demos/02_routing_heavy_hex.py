@@ -37,4 +37,4 @@ degraded = graph.with_blacklist({19, 20, 22})
 print(f"\nwith 3 faulty qubits blacklisted: {len(degraded.usable)} usable nodes")
 spec23 = OracleSpec.representative(23, 23)
 emb23 = embed_oracle(spec23, degraded)
-print(f"BV-23 on the degraded chip: {embedding_cnot_count(emb23, spec23)} CNOTs")
+print(f"BV-23 on the degraded chip: {embedding_cnot_count(emb23)} CNOTs")

@@ -29,9 +29,8 @@ from .oracles import (OracleSpec, ReadoutMap, ShotTable, all_oracles,
 from .routing import (CouplingGraph, Embedding, RoutedCircuit,
                       RoutingInfeasible, chain_graph, cnot_scaling,
                       complete_graph, embed_oracle, embedding_cnot_count,
-                      find_embedding, heavy_hex_27, layout_from_name,
-                      load_graph, naive_cnot_count, route_bv, save_graph,
-                      verify_routed)
+                      heavy_hex_27, layout_from_name, load_graph,
+                      naive_cnot_count, route_bv, save_graph, verify_routed)
 from .simulator import (SimulatorCapError, TrajectoryPlan,
                         check_reduction_equivalence, compile_program,
                         noiseless_output, simulate_exact, simulate_shots,

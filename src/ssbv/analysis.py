@@ -37,38 +37,35 @@ class AnalysisConfig:
             raise ValueError("bootstrap_b must be >= 2")
 
 
-def repetitions(p_s: float, p_d: float = 0.99) -> tuple[float, float]:
-    """Expected repetitions R to reach success probability p_d, and ceil(R).
+def repetitions(p_s: float, p_d: float) -> float:
+    """Expected repetitions R to reach success probability p_d.
 
     p_s = 0 gives infinity (the instance is unsolved); p_s = 1 gives R = 1
-    since one call is always needed; ceil(R) is floored at 1.
+    since one call is always needed.
     """
     if not 0 <= p_s <= 1:
         raise ValueError(f"p_s {p_s} outside [0,1]")
     if p_s == 0:
-        return math.inf, math.inf
+        return math.inf
     if p_s == 1:
-        return 1.0, 1
-    r = math.log1p(-p_d) / math.log1p(-p_s)  # log1p keeps tiny p_s exact
-    return r, max(1, math.ceil(r))
+        return 1.0
+    return math.log1p(-p_d) / math.log1p(-p_s)  # log1p keeps tiny p_s exact
 
 
-def tts_quantum(n: int, p_s: float, model: DurationModel,
-                p_d: float = 0.99) -> float:
+def tts_quantum(n: int, p_s: float, model: DurationModel, p_d: float) -> float:
     """Quantum time-to-solution in seconds; +inf when p_s = 0."""
-    r, _ = repetitions(p_s, p_d)
-    return model.run_time(n) * r
+    return model.run_time(n) * repetitions(p_s, p_d)
 
 
 # Classical per-query time: 1 us per bit, the cost of adding n bits.
 CLASSICAL_DURATION_MODEL = DurationModel(1e-6, 0.0)
 
 
-def tts_classical(n: int, p_d: float = 0.99) -> float:
+def tts_classical(n: int, p_d: float) -> float:
     """Classical baseline TTS: n us per query at success rate 2^(1-n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    r, _ = repetitions(classical_success_prob(n), p_d)
+    r = repetitions(classical_success_prob(n), p_d)
     return CLASSICAL_DURATION_MODEL.run_time(n) * r
 
 
@@ -163,7 +160,7 @@ def _resample_tts(ns: list[int], successes: list[list[tuple[int, int]]],
         rows = min(RESAMPLE_BLOCK, config.bootstrap_b - start)
         rates, inverse = np.unique(_draw_counts(shots, p, bounds, rows, rng) / shots,
                                    return_inverse=True)
-        reps = np.array([repetitions(r, config.p_d)[0] for r in rates.tolist()])
+        reps = np.array([repetitions(r, config.p_d) for r in rates.tolist()])
         tts = reps[inverse.reshape(rows, -1)]
         tts *= run_times
         means = np.stack([tts[:, a:z].mean(axis=1) for a, z in bounds], axis=1)
@@ -250,15 +247,14 @@ def _window_slopes(ns: np.ndarray, log_tts: np.ndarray, u: int | None,
     return np.where(starts, slopes, np.nan)
 
 
-def worst_case_lambda(points: list[TTSPoint], u: int | None = None,
-                      config: AnalysisConfig | None = None) -> FitResult:
+def worst_case_lambda(points: list[TTSPoint], config: AnalysisConfig,
+                      u: int | None = None) -> FitResult:
     """Most conservative exponent consistent with the data.
 
     Fits log2 TTS over every window [l, u] with l in [n_min, u-2] and
     takes the maximum slope (ties: the smallest l); u defaults to the
     largest finite size.  The fit is ``_window_slopes`` on one curve.
     """
-    config = config or AnalysisConfig()
     finite = sorted((p for p in points if p.finite), key=lambda p: p.n)
     finite = [p for p in finite if p.n >= config.n_min and (u is None or p.n <= u)]
     if len(finite) < 3:
@@ -277,8 +273,7 @@ def worst_case_lambda(points: list[TTSPoint], u: int | None = None,
 
 
 def _bootstrap_lambdas(tables_by_n: dict[int, list[ShotTable]], model: DurationModel,
-                       config: AnalysisConfig, rng: np.random.Generator,
-                       u: int | None) -> np.ndarray:
+                       config: AnalysisConfig, rng: np.random.Generator) -> np.ndarray:
     """Worst-case exponent of each resample that has one, in resample order:
     sizes whose resample drew a zero drop out, mirroring curve termination,
     and each block is fitted at once, row by row as ``worst_case_lambda``."""
@@ -287,15 +282,14 @@ def _bootstrap_lambdas(tables_by_n: dict[int, list[ShotTable]], model: DurationM
                  for n in ns]
     lams = []
     for means in _resample_tts(ns, successes, model, config, rng):
-        slopes = _window_slopes(np.array(ns), np.log2(means), u, config.n_min)
+        slopes = _window_slopes(np.array(ns), np.log2(means), None, config.n_min)
         fitted = ~np.isnan(slopes).all(axis=1)
         lams.append(np.fmax.reduce(slopes[fitted], axis=1))
     return np.concatenate(lams)
 
 
 def bootstrap_lambda(tables_by_n: dict[int, list[ShotTable]], model: DurationModel,
-                     config: AnalysisConfig, rng: np.random.Generator,
-                     u: int | None = None) -> FitResult:
+                     config: AnalysisConfig, rng: np.random.Generator) -> FitResult:
     """Worst-case exponent with a bootstrap confidence interval.
 
     Every resample rebuilds the TTS curve and refits
@@ -305,8 +299,8 @@ def bootstrap_lambda(tables_by_n: dict[int, list[ShotTable]], model: DurationMod
     raw_points = [mean_tts([tts_quantum(n, t.success_prob(), model, config.p_d)
                             for t in tables], n)
                   for n, tables in sorted(tables_by_n.items())]
-    raw = worst_case_lambda(raw_points, u=u, config=config)
-    arr = _bootstrap_lambdas(tables_by_n, model, config, rng, u)
+    raw = worst_case_lambda(raw_points, config)
+    arr = _bootstrap_lambdas(tables_by_n, model, config, rng)
     if not arr.size:
         return raw
     mean = float(arr.mean())
@@ -339,7 +333,7 @@ def speedup_ratio(quantum: list[TTSPoint], classical: list[TTSPoint]) -> Speedup
     return SpeedupCurve(tuple(ns), tuple(values), exponent)
 
 
-def classical_points(n_range, p_d: float = 0.99) -> list[TTSPoint]:
+def classical_points(n_range, p_d: float) -> list[TTSPoint]:
     pts = []
     for n in n_range:
         t = tts_classical(n, p_d)

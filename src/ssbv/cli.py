@@ -1,4 +1,4 @@
-"""Command-line entry point: generate | simulate | ingest | analyze | plot-data.
+"""Command-line entry point: generate | simulate | ingest | analyze.
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible routing
 instance, 4 backend cap exceeded.
@@ -31,8 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, doc in (("generate", "write routed circuit files"),
                       ("simulate", "run the trajectory backend"),
-                      ("analyze", "TTS curves, exponent fits, report"),
-                      ("plot-data", "re-emit columnar plot files")):
+                      ("analyze", "TTS curves, exponent fits, report, plot files")):
         p = sub.add_parser(name, help=doc, parents=[after])
         _add_overrides(p)
     p = sub.add_parser("ingest", help="validate external count files",
@@ -50,7 +49,7 @@ def _add_global_flags(p: argparse.ArgumentParser, after_command: bool) -> None:
     unset = argparse.SUPPRESS if after_command else None
     p.add_argument("--config", default=unset, help="experiment config file")
     p.add_argument("--seed", type=int, default=unset,
-                   help="override the master seed")
+                   help="override the master seed, in [0, 2**64)")
     p.add_argument("--out", default=argparse.SUPPRESS if after_command
                    else "ssbv-run", help="output directory")
 
@@ -63,7 +62,7 @@ def _add_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--layout", help="chain | heavy-hex-27 | file:<path>")
     p.add_argument("--profile", help="montreal | cairo | noiseless | <path>")
     p.add_argument("--blacklist", help="comma-separated physical nodes")
-    p.add_argument("--dd", help="none | ur4 | ur14 | ur18 | ur:<n>")
+    p.add_argument("--dd", help="none | ur<n>, n even >= 4 (ur4, ur14, ur18)")
     p.add_argument("--dd-pulse-duration", type=int, dest="dd_pulse_duration_dt")
     p.add_argument("--dd-fallback", dest="dd_fallback",
                    choices=["ladder", "idle"])
@@ -95,12 +94,8 @@ def main(argv=None) -> int:
         elif args.command == "simulate":
             manifest = cmd_simulate(config, args.out)
             print(f"tables written; manifest at {manifest}")
-        elif args.command in ("analyze", "plot-data"):
-            result = cmd_analyze(config, args.out)
-            if args.command == "analyze":
-                sys.stdout.write(result.report_text)
-            else:
-                print(f"plot data written under {args.out}/plotdata")
+        elif args.command == "analyze":
+            sys.stdout.write(cmd_analyze(config, args.out).report_text)
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

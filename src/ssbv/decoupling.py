@@ -79,13 +79,13 @@ def ur_phases(n: int) -> DDSequence:
 
 
 def sequence_from_name(name: str) -> DDSequence | None:
-    """Parse a --dd value: none, ur4, ur14, ur18, or ur:<n>."""
+    """Parse a --dd value: none, or ur<n> with n in ASCII digits (ur4, ur14,
+    ur18, ...); ``ur_phases`` refuses an odd n or one below 4."""
     if name == "none":
         return None
-    if name.startswith("ur:"):
-        return ur_phases(int(name[3:]))
-    if name.startswith("ur"):
-        return ur_phases(int(name[2:]))
+    digits = name[2:]
+    if name.startswith("ur") and digits.isascii() and digits.isdecimal():
+        return ur_phases(int(digits))
     raise ValueError(f"unknown DD sequence {name!r}")
 
 

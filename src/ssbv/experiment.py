@@ -52,7 +52,7 @@ class ExperimentConfig:
     layout: str = "heavy-hex-27"
     profile: str = "montreal"
     blacklist: str = ""                   # comma-separated physical nodes
-    dd: str = "none"                      # none | ur<n> | ur:<n>
+    dd: str = "none"                      # none | ur<n>
     dd_pulse_duration_dt: int = 0         # 0 -> device DD pulse duration
     dd_fallback: str = "ladder"           # ladder | idle
     collection: str = "direct"            # direct | reduced
@@ -84,6 +84,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown dd_fallback {self.dd_fallback!r}")
         if self.shots <= 0:
             raise ConfigError("shots must be positive")
+        if not 0 <= self.master_seed < 1 << 64:
+            raise ConfigError(f"master_seed {self.master_seed} outside [0, 2**64)")
         if self.dd_pulse_duration_dt < 0:
             raise ConfigError("dd_pulse_duration_dt must be nonnegative "
                               "(0 takes the device's DD pulse duration)")
@@ -320,7 +322,6 @@ class AnalysisResult:
     points: list[TTSPoint]
     classical: list[TTSPoint]
     fit: FitResult | None
-    speedup: object | None
     report_text: str
 
 
@@ -361,7 +362,7 @@ def cmd_analyze(config: ExperimentConfig, out_dir) -> AnalysisResult:
                     exact_table=durations or None)
     acfg = config.analysis_config()
     rng = np.random.Generator(np.random.Philox(
-        key=((config.master_seed & 0xFFFFFFFFFFFFFFFF) << 64) | BOOTSTRAP_TAG))
+        key=(config.master_seed << 64) | BOOTSTRAP_TAG))
 
     points: list[TTSPoint] = []
     verdicts: dict[int, bool] = {}
@@ -377,7 +378,7 @@ def cmd_analyze(config: ExperimentConfig, out_dir) -> AnalysisResult:
         fit = bootstrap_lambda(tables, model, acfg, rng)
         for h in finite_ns:
             try:
-                local[h] = worst_case_lambda(points, u=h, config=acfg)
+                local[h] = worst_case_lambda(points, acfg, u=h)
             except ValueError:
                 continue
 
@@ -396,7 +397,7 @@ def cmd_analyze(config: ExperimentConfig, out_dir) -> AnalysisResult:
     write_plot_data(out_dir, points, classical, local, speedup)
     manifest = os.path.join(out_dir, "manifest.txt")
     append_file_entry(manifest, "report", report_path)
-    return AnalysisResult(points, classical, fit, speedup, report)
+    return AnalysisResult(points, classical, fit, report)
 
 
 def render_report(config: ExperimentConfig, model: DurationModel,

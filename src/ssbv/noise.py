@@ -51,7 +51,7 @@ class KrausChannel:
                              f"|sum K+K - I| = {np.linalg.norm(total - np.eye(dim)):.3e}")
 
 
-def identity_channel(arity: int = 1) -> KrausChannel:
+def identity_channel(arity: int) -> KrausChannel:
     return KrausChannel((np.eye(2 ** arity, dtype=complex),), arity)
 
 
@@ -88,7 +88,7 @@ def idle_params(t1: float, t2: float, t: float) -> tuple[float, float]:
     return p_ad, p_z
 
 
-def depolarizing(p: float, arity: int = 1) -> KrausChannel:
+def depolarizing(p: float, arity: int) -> KrausChannel:
     """Uniform Pauli channel over the 3 (1q) or 15 (2q) non-identity Paulis."""
     if not 0 <= p <= 1:
         raise ValueError(f"depolarizing probability {p} outside [0,1]")
@@ -155,14 +155,12 @@ class DeviceModel:
     @classmethod
     def homogeneous(cls, graph: CouplingGraph, *, t1_us: float, t2_us: float,
                     ro_error: float, dur_1q: int, dur_2q: int, dur_readout: int,
-                    dur_dd_pulse: int | None = None, p_dep_1q: float, p_dep_2q: float,
-                    dt: Fraction | float = DT_SECONDS) -> DeviceModel:
+                    dur_dd_pulse: int, p_dep_1q: float, p_dep_2q: float) -> DeviceModel:
         ones = np.ones(graph.num_physical)
         return cls(graph=graph, t1=ones * t1_us * 1e-6, t2=ones * t2_us * 1e-6,
                    ro_p01=ones * ro_error, ro_p10=ones * ro_error,
                    dur_1q=dur_1q, dur_2q=dur_2q, dur_readout=dur_readout,
-                   dur_dd_pulse=dur_dd_pulse if dur_dd_pulse is not None else dur_1q,
-                   p_dep_1q=p_dep_1q, p_dep_2q=p_dep_2q, dt=dt)
+                   dur_dd_pulse=dur_dd_pulse, p_dep_1q=p_dep_1q, p_dep_2q=p_dep_2q)
 
 
 @dataclass(frozen=True)

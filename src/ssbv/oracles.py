@@ -151,12 +151,12 @@ def representative_oracles(n: int) -> list[OracleSpec]:
     return [OracleSpec.representative(n, k) for k in range(n + 1)]
 
 
-def all_oracles(n: int, cap: int = ALL_ORACLES_CAP) -> list[OracleSpec]:
-    """All 2^n oracles in lexicographic order; guarded by the size cap."""
+def all_oracles(n: int) -> list[OracleSpec]:
+    """All 2^n oracles in lexicographic order; guarded by ALL_ORACLES_CAP."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the all-oracles cap of {cap}")
+    if n > ALL_ORACLES_CAP:
+        raise ValueError(f"n={n} exceeds the all-oracles cap of {ALL_ORACLES_CAP}")
     return [OracleSpec(Bitstring.from_int(v, n)) for v in range(1 << n)]
 
 

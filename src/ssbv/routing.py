@@ -93,8 +93,8 @@ def complete_graph(num_nodes: int) -> CouplingGraph:
         (i, j) for i in range(num_nodes) for j in range(i + 1, num_nodes)))
 
 
-def layout_from_name(name: str, min_nodes: int = 0) -> CouplingGraph:
-    """Resolve a --layout value: chain, heavy-hex-27, or file:<path>."""
+def layout_from_name(name: str, min_nodes: int) -> CouplingGraph:
+    """Resolve a --layout value: chain of min_nodes (>= 2), heavy-hex-27, file:<path>."""
     if name == "heavy-hex-27":
         return heavy_hex_27()
     if name == "chain":
@@ -209,43 +209,32 @@ def _assemble_free(adj: dict[int, set[int]], k: int, walk: list[int]) -> _Search
     return _SearchResult(walk, hits, cover)
 
 
-def find_embedding(graph: CouplingGraph, k: int, ancilla_start: int | None = None,
-                   marked_logicals=None) -> Embedding:
-    """Find a low-CNOT embedding of k marked qubits; where they sit is part
-    of the search.
+def embed_oracle(spec: OracleSpec, graph: CouplingGraph) -> Embedding:
+    """Find a low-CNOT embedding of the oracle's k marked qubits; where they
+    sit is part of the search.
 
     Branch-and-bound finds the optimum within EXACT_SEARCH_BUDGET
-    expansions, on any graph size.  ``marked_logicals`` names the logical
-    qubits in CNOT order (default 0..k-1).
+    expansions, on any graph size.  The marked logical qubits of b take the
+    covered nodes in CNOT order.
     """
-    adj = graph.adjacency()
-    usable = graph.usable
-    if ancilla_start is not None and ancilla_start not in adj:
-        raise RoutingInfeasible(f"ancilla start {ancilla_start} unusable")
+    k, usable = spec.k, graph.usable
     if k > len(usable) - 1:
         raise RoutingInfeasible(f"k={k} exceeds usable nodes - 1 = {len(usable) - 1}")
-    starts = [ancilla_start] if ancilla_start is not None else list(usable)
-    result = _free_placement_search(adj, k, starts, EXACT_SEARCH_BUDGET)
+    result = _free_placement_search(graph.adjacency(), k, list(usable),
+                                    EXACT_SEARCH_BUDGET)
     if result is None:
         raise RoutingInfeasible(
             f"no walk reaches {k} marked qubits within the search budget")
-
-    logicals = list(marked_logicals) if marked_logicals is not None else list(range(k))
-    if len(logicals) != len(result.cover_order):
+    if len(spec.marked) != len(result.cover_order):
         raise RoutingInfeasible(
-            f"embedding covers {len(result.cover_order)} qubits, need {len(logicals)}")
-    l2p = {lq: node for lq, node in zip(logicals, result.cover_order)}
+            f"embedding covers {len(result.cover_order)} qubits, need {k}")
+    l2p = dict(zip(spec.marked, result.cover_order))
     hitset = set(result.hits)
     direct = frozenset(lq for lq, node in l2p.items() if node in hitset)
     return Embedding(tuple(result.walk), direct, l2p)
 
 
-def embed_oracle(spec: OracleSpec, graph: CouplingGraph) -> Embedding:
-    """Embedding for a concrete oracle: marked logical ids taken from b."""
-    return find_embedding(graph, spec.k, marked_logicals=spec.marked)
-
-
-def embedding_cnot_count(embedding: Embedding, spec: OracleSpec) -> int:
+def embedding_cnot_count(embedding: Embedding) -> int:
     """CNOTs route_bv will emit: 1 per direct hit, 2 per fused walk step."""
     return len(embedding.direct_hits) + 2 * embedding.walk_steps
 
@@ -365,7 +354,7 @@ def cnot_scaling(graph: CouplingGraph, n_range) -> tuple[float, dict[int, int]]:
     for n in n_range:
         spec = OracleSpec.representative(n, n)
         emb = embed_oracle(spec, graph)
-        counts[n] = embedding_cnot_count(emb, spec)
+        counts[n] = embedding_cnot_count(emb)
     ns = np.array(sorted(counts), dtype=float)
     cs = np.array([counts[int(n)] for n in ns], dtype=float)
     slope = float(np.polyfit(ns, cs, 1)[0])

@@ -209,11 +209,12 @@ class TrajectoryPlan:
 
     shots: int
     master_seed: int
-    assertions: bool = False
 
     def __post_init__(self) -> None:
         if self.shots <= 0:
             raise ValueError("shots must be positive")
+        if not 0 <= self.master_seed < 1 << 64:
+            raise ValueError(f"master_seed {self.master_seed} outside [0, 2**64)")
 
 
 def _gate_matrix(ev: GateEvent, eps: float) -> np.ndarray:
@@ -232,7 +233,7 @@ def _interval_overlaps(aa: list[tuple[int, int]], bb: list[tuple[int, int]]
 
 
 def compile_program(circuit: TimedCircuit, device: DeviceModel | None,
-                    noise: NoiseConfig, physical_of_wire=None) -> Program:
+                    noise: NoiseConfig, physical_of_wire) -> Program:
     """Lower a circuit to the primitive stream both backends execute.
 
     Ordering: operations sort by (time, phase, emission index) where idle
@@ -242,7 +243,8 @@ def compile_program(circuit: TimedCircuit, device: DeviceModel | None,
     to follow that op; they commute with every op on other wires.  Equal
     gates share their ops, as do a wire's idles of equal length.  The
     ``noise`` flags alone decide which channels compile; ``device`` may be
-    None only under ``NOISELESS``.  Raises ValueError for an invalid circuit.
+    None only under ``NOISELESS``.  Wire w sits on physical qubit
+    ``physical_of_wire[w]``.  Raises ValueError for an invalid circuit.
     """
     bad = validate_circuit(circuit)
     if bad is not None:
@@ -250,7 +252,7 @@ def compile_program(circuit: TimedCircuit, device: DeviceModel | None,
     nw = circuit.num_qubits
     dt = float(circuit.dt)
     eps = noise.flip_angle_eps
-    phys = physical_of_wire if physical_of_wire is not None else list(range(nw))
+    phys = physical_of_wire
 
     # Sort keys (time, phase, emission index) of groups of ops on the same
     # wires: a gate and its error, an idle, or a ZZ phase.  The
@@ -334,8 +336,7 @@ def _shot_streams(master_seed: int, oracle_key: int, lo: int, hi: int,
     results are views into the one (hi - lo, 4m) draw.
     """
     m = _stream_blocks(n_uniforms, n_normals)
-    key = np.array([oracle_key & 0xFFFFFFFF, int(master_seed) & 0xFFFFFFFFFFFFFFFF],
-                   dtype=np.uint64)
+    key = np.array([oracle_key & 0xFFFFFFFF, int(master_seed)], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(counter=lo * m, key=key))
     draw = rng.random((hi - lo, 4 * m))
     a = draw[:, n_uniforms:n_uniforms + n_normals]
@@ -420,8 +421,8 @@ def _idle(op: Op, col: int, state: np.ndarray, sw: int, uniforms: np.ndarray,
                           state.shape[1] // (2 * sw), sw, PAULIS_1Q[3])
 
 
-def _evolve(program: Program, uniforms: np.ndarray, deltas: dict[int, np.ndarray],
-            assertions: bool = False) -> np.ndarray:
+def _evolve(program: Program, uniforms: np.ndarray,
+            deltas: dict[int, np.ndarray]) -> np.ndarray:
     """Run a batch of shots through the op stream; return each shot's
     measured basis index.
 
@@ -446,10 +447,6 @@ def _evolve(program: Program, uniforms: np.ndarray, deltas: dict[int, np.ndarray
     of its last two idle ops of the batch, which covers DD's two
     alternating spacings, and drops them when it is measured.  Measurement
     divides the kept half by its weight, so it leaves factors of norm 1.
-    With ``assertions``, each shot's squared norm after an op is checked
-    against those the op may leave (an idle that damps: n - p n1 with no
-    jump, n1 with one; any other op: n), and each factor a measurement
-    leaves against 1.
     """
     nw = program.num_wires
     shots = len(uniforms)
@@ -464,7 +461,7 @@ def _evolve(program: Program, uniforms: np.ndarray, deltas: dict[int, np.ndarray
                     block.min(axis=0) < p).tolist()
     recent: dict[int, list] = {}
     outcomes = np.zeros(shots, dtype=np.int64)
-    for i, (op, col, ends) in enumerate(program.steps):
+    for op, col, ends in program.steps:
         f = factor[op.wires[0]]
         if len(op.wires) == 2 and factor[op.wires[1]] is not f:
             g = factor[op.wires[1]]
@@ -473,32 +470,18 @@ def _evolve(program: Program, uniforms: np.ndarray, deltas: dict[int, np.ndarray
             for w in g[1]:
                 factor[w] = f
         state, wires = f
-        idle = op.kind == "idle"
-        if idle or col < 0 or live[col]:
-            sw = state.shape[1] >> (wires.index(op.wires[0]) + 1) if idle else 0
-            if assertions:
-                allowed = [ker.norm2(state)]
-                if idle and op.p > 0:
-                    n1 = ker.pop1(state, sw)
-                    allowed = [allowed[0] - op.p * n1, n1]
-            if idle:
-                _idle(op, col, state, sw, uniforms, live, deltas.get(op.wires[0]),
-                      recent.setdefault(op.wires[0], []))
-            else:
-                _apply(op, state, wires, uniforms[:, col] if col >= 0 else None)
-            if assertions:
-                after = ker.norm2(state)
-                if not np.any([np.isclose(after, n, rtol=1e-6, atol=0) for n in allowed],
-                              axis=0).all():
-                    raise AssertionError(f"norm drift after op {i} ({op.kind})")
+        if op.kind == "idle":
+            _idle(op, col, state, state.shape[1] >> (wires.index(op.wires[0]) + 1),
+                  uniforms, live, deltas.get(op.wires[0]),
+                  recent.setdefault(op.wires[0], []))
+        elif col < 0 or live[col]:
+            _apply(op, state, wires, uniforms[:, col] if col >= 0 else None)
         for w in ends:
             bits, f[0] = ker.measure(f[0], f[0].shape[1] >> (f[1].index(w) + 1),
                                      uniforms[:, program.n_uniform_ops + w])
             f[1].remove(w)
             recent.pop(w, None)
             outcomes |= bits << (nw - 1 - w)
-            if assertions and not np.allclose(ker.norm2(f[0]), 1.0, atol=1e-6):
-                raise AssertionError(f"measuring wire {w} left a factor of norm != 1")
     return outcomes
 
 
@@ -531,14 +514,11 @@ def _read_data(outcomes: np.ndarray, uniforms: np.ndarray, col0: int,
 
 def simulate_shots(circuit: TimedCircuit | Program, device: DeviceModel | None,
                    noise: NoiseConfig, plan: TrajectoryPlan, oracle: OracleSpec,
-                   readout: ReadoutMap | None = None,
-                   physical_of_wire=None) -> ShotTable:
+                   readout: ReadoutMap, physical_of_wire=None) -> ShotTable:
     """Monte Carlo trajectory sampling; deterministic given the plan.  Takes
     a timed circuit, or the Program compile_program built from it with the
     same device, noise and physical_of_wire, which then runs as given."""
     nw = circuit.num_wires if isinstance(circuit, Program) else circuit.num_qubits
-    if readout is None:
-        readout = ReadoutMap.identity(oracle.n)
     phys = physical_of_wire if physical_of_wire is not None else list(range(nw))
     program = (circuit if isinstance(circuit, Program)
                else compile_program(circuit, device, noise, phys))
@@ -558,7 +538,7 @@ def simulate_shots(circuit: TimedCircuit | Program, device: DeviceModel | None,
         normals, uniforms = _shot_streams(plan.master_seed, oracle.key(), lo, hi,
                                           n_normals, n_uniforms)
         deltas = dict(zip(program.detuned_wires, normals.T * noise.detuning_sigma))
-        outcomes = _evolve(program, uniforms, deltas, plan.assertions)
+        outcomes = _evolve(program, uniforms, deltas)
         reads.append(_read_data(outcomes, uniforms, program.n_uniform_ops + nw,
                                 readout, nw, rates))
     values, counts = np.unique(np.concatenate(reads), return_counts=True)
@@ -780,8 +760,7 @@ def _exact_distribution(program: Program, rules, readout: ReadoutMap, rates
 
 
 def simulate_exact(circuit: TimedCircuit, device: DeviceModel | None,
-                   noise: NoiseConfig, readout: ReadoutMap | None = None,
-                   physical_of_wire=None,
+                   noise: NoiseConfig, readout: ReadoutMap, physical_of_wire=None,
                    gh_nodes: int = GH_NODES_DEFAULT) -> dict[str, float]:
     """Exact output distribution over data bitstrings, on per-wire density
     factors, each wire's detuning averaged on its rule from
@@ -789,8 +768,6 @@ def simulate_exact(circuit: TimedCircuit, device: DeviceModel | None,
     negative rounding residue is clipped: the result is not renormalized,
     and a mass more than 1e-9 from 1 raises RuntimeError."""
     nw = circuit.num_qubits
-    if readout is None:
-        readout = ReadoutMap.identity(nw - 1 if nw > 1 else nw)
     phys = physical_of_wire if physical_of_wire is not None else list(range(nw))
     program = compile_program(circuit, device, noise, phys)
     rules = _detuning_rules(program, noise.detuning_sigma, gh_nodes)
@@ -810,8 +787,7 @@ def total_variation_distance(p: dict[str, float], q: dict[str, float]) -> float:
 # -- App-B style reduction equivalence -------------------------------------------
 
 def check_reduction_equivalence(n: int, m: int, k: int, device: DeviceModel,
-                                noise: NoiseConfig, dd=None,
-                                gh_nodes: int = GH_NODES_DEFAULT) -> float:
+                                noise: NoiseConfig, dd=None) -> float:
     """Total variation distance between marginalized BV-n and direct BV-m
     on the exact backend.
 
@@ -839,8 +815,8 @@ def check_reduction_equivalence(n: int, m: int, k: int, device: DeviceModel,
 
     circ_n, rmap_n, dev_n = build(n)
     circ_m, rmap_m, dev_m = build(m)
-    dist_n = simulate_exact(circ_n, dev_n, noise, rmap_n, gh_nodes=gh_nodes)
-    dist_m = simulate_exact(circ_m, dev_m, noise, rmap_m, gh_nodes=gh_nodes)
+    dist_n = simulate_exact(circ_n, dev_n, noise, rmap_n)
+    dist_m = simulate_exact(circ_m, dev_m, noise, rmap_m)
     marg: dict[str, float] = {}
     for key, pval in dist_n.items():
         head = key[:m]

@@ -13,6 +13,8 @@ from ssbv.circuit import Bitstring, DurationModel
 from ssbv.oracles import OracleSpec, ShotTable
 
 MONTREAL_MODEL = DurationModel(0.40e-6, 5.28e-6)
+CONFIG = AnalysisConfig()
+P_D = CONFIG.p_d
 
 
 def make_points(ns, tts):
@@ -45,44 +47,42 @@ def test_success_prob_examples():
 
 
 def test_repetitions_edges_and_value():
-    assert repetitions(0.99, 0.99) == (1.0, 1)
-    r, r_ceil = repetitions(0.5, 0.99)
+    assert repetitions(0.99, 0.99) == 1.0
+    r = repetitions(0.5, 0.99)
     assert r == pytest.approx(math.log(0.01) / math.log(0.5), abs=1e-12)
     assert r == pytest.approx(6.6439, abs=1e-4)
-    assert r_ceil == 7
-    assert repetitions(0.0, 0.99) == (math.inf, math.inf)
-    assert repetitions(1.0, 0.99) == (1.0, 1)
-    assert repetitions(0.999, 0.99)[1] == 1  # ceil floored at one call
+    assert repetitions(0.0, 0.99) == math.inf
+    assert repetitions(1.0, 0.99) == 1.0
 
 
 def test_repetitions_monotone_in_success():
     grid = np.linspace(0.01, 0.99, 50)
-    values = [repetitions(p, 0.99)[0] for p in grid]
+    values = [repetitions(p, 0.99) for p in grid]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 def test_tts_quantum_examples():
-    assert tts_quantum(10, 1.0, MONTREAL_MODEL) == pytest.approx(9.28e-6)
+    assert tts_quantum(10, 1.0, MONTREAL_MODEL, P_D) == pytest.approx(9.28e-6)
     want = 9.28e-6 * math.log(0.01) / math.log(0.5)
-    assert tts_quantum(10, 0.5, MONTREAL_MODEL) == pytest.approx(want)
-    assert tts_quantum(10, 0.5, MONTREAL_MODEL) == pytest.approx(61.66e-6, rel=1e-3)
-    assert math.isinf(tts_quantum(10, 0.0, MONTREAL_MODEL))
+    assert tts_quantum(10, 0.5, MONTREAL_MODEL, P_D) == pytest.approx(want)
+    assert tts_quantum(10, 0.5, MONTREAL_MODEL, P_D) == pytest.approx(61.66e-6, rel=1e-3)
+    assert math.isinf(tts_quantum(10, 0.0, MONTREAL_MODEL, P_D))
 
 
 def test_tts_classical_values_and_asymptote():
-    assert tts_classical(1) == pytest.approx(1e-6)
+    assert tts_classical(1, P_D) == pytest.approx(1e-6)
     # independent evaluation at n=10
     want = 10e-6 * math.log(0.01) / math.log(1 - 2.0 ** -9)
-    assert tts_classical(10) == pytest.approx(want, rel=1e-12)
+    assert tts_classical(10, P_D) == pytest.approx(want, rel=1e-12)
     for n in range(10, 31):
         asym = n * 2.0 ** (n - 1) * math.log(100) * 1e-6
-        assert tts_classical(n) == pytest.approx(asym, rel=0.01)
-    ratio = tts_classical(31) / tts_classical(30)
+        assert tts_classical(n, P_D) == pytest.approx(asym, rel=0.01)
+    ratio = tts_classical(31, P_D) / tts_classical(30, P_D)
     assert ratio == pytest.approx(2 * 31 / 30, rel=1e-6)
 
 
 def test_classical_log_increment_approaches_one():
-    incs = [math.log2(tts_classical(n + 1) / tts_classical(n))
+    incs = [math.log2(tts_classical(n + 1, P_D) / tts_classical(n, P_D))
             for n in range(20, 40)]
     assert all(a >= b for a, b in zip(incs, incs[1:]))
     assert incs[-1] == pytest.approx(1.0, abs=0.04)
@@ -115,9 +115,9 @@ def test_bootstrap_sigma_matches_binomial():
     _, samples = bootstrap_tts(tables, MONTREAL_MODEL, cfg, rng)
     # map TTS spread back to p_s spread through the local derivative
     p = 0.5
-    tts = tts_quantum(4, p, MONTREAL_MODEL)
+    tts = tts_quantum(4, p, MONTREAL_MODEL, P_D)
     dp = 1e-6
-    deriv = (tts_quantum(4, p + dp, MONTREAL_MODEL) - tts) / dp
+    deriv = (tts_quantum(4, p + dp, MONTREAL_MODEL, P_D) - tts) / dp
     sigma_p = samples.std(ddof=1) / abs(deriv)
     binomial = math.sqrt(p * (1 - p) / n_shots)
     assert abs(sigma_p - binomial) / binomial < 0.2
@@ -150,7 +150,7 @@ def test_worst_case_lambda_exact_exponential():
     ns = list(range(3, 21))
     for lam0 in (0.4, 0.6, 1.0, 1.3):
         tts = [2.0 ** (lam0 * n) * 3e-6 for n in ns]
-        fit = worst_case_lambda(make_points(ns, tts))
+        fit = worst_case_lambda(make_points(ns, tts), CONFIG)
         assert fit.exponent == pytest.approx(lam0, abs=1e-9)
         assert fit.window[1] == 20
 
@@ -158,7 +158,7 @@ def test_worst_case_lambda_exact_exponential():
 def test_worst_case_lambda_with_prefactor_matches_brute_force():
     ns = list(range(3, 25))
     tts = [n * 2.0 ** (0.6 * n) * 1e-6 for n in ns]
-    fit = worst_case_lambda(make_points(ns, tts))
+    fit = worst_case_lambda(make_points(ns, tts), CONFIG)
     oracle = brute_force_worst_lambda(ns, tts, u=24)
     assert fit.exponent == pytest.approx(oracle, abs=1e-12)
     assert fit.exponent > 0.6  # concave prefactor inflates early windows
@@ -167,27 +167,27 @@ def test_worst_case_lambda_with_prefactor_matches_brute_force():
 def test_worst_case_lambda_classical_baseline_value():
     # the n prefactor keeps every window's slope above 1; document the
     # asymptotic approach from above rather than equality at finite u
-    points = classical_points(range(1, 31))
-    fit30 = worst_case_lambda(points, u=30)
+    points = classical_points(range(1, 31), P_D)
+    fit30 = worst_case_lambda(points, CONFIG, u=30)
     oracle = brute_force_worst_lambda([p.n for p in points],
                                       [p.tts_mean for p in points], u=30)
     assert fit30.exponent == pytest.approx(oracle, abs=1e-12)
     assert fit30.exponent > 1.0
-    big = classical_points(range(1, 121))
-    fit120 = worst_case_lambda(big, u=120)
+    big = classical_points(range(1, 121), P_D)
+    fit120 = worst_case_lambda(big, CONFIG, u=120)
     assert fit120.exponent < fit30.exponent  # converges toward 1 from above
 
 
 def test_worst_case_lambda_needs_three_points():
     with pytest.raises(ValueError):
-        worst_case_lambda(make_points([3, 4], [1e-6, 2e-6]))
+        worst_case_lambda(make_points([3, 4], [1e-6, 2e-6]), CONFIG)
 
 
 def test_worst_case_is_max_over_windows():
     rng = np.random.default_rng(8)
     ns = list(range(3, 18))
     tts = [2.0 ** (0.5 * n + 0.1 * rng.standard_normal()) * 1e-6 for n in ns]
-    fit = worst_case_lambda(make_points(ns, tts))
+    fit = worst_case_lambda(make_points(ns, tts), CONFIG)
     assert fit.exponent == max(fit.window_table.values())
     for l, lam in fit.window_table.items():
         assert fit.exponent >= lam
@@ -198,19 +198,19 @@ def test_local_lambda_piecewise_and_coincidence():
     tts = [2.0 ** (0.4 * n) * 1e-6 if n <= 12 else
            2.0 ** (0.9 * n - 6.0) * 1e-6 for n in ns]
     points = make_points(ns, tts)
-    lam_small = worst_case_lambda(points, u=10).exponent
-    lam_big = worst_case_lambda(points, u=20).exponent
+    lam_small = worst_case_lambda(points, CONFIG, u=10).exponent
+    lam_big = worst_case_lambda(points, CONFIG, u=20).exponent
     assert lam_small == pytest.approx(0.4, abs=1e-9)
     assert lam_big > lam_small
     # at the largest size the local exponent is the full worst-case fit
-    assert lam_big == worst_case_lambda(points).exponent
+    assert lam_big == worst_case_lambda(points, CONFIG).exponent
 
 
 def test_local_lambda_monotone_on_convex_curve():
     ns = list(range(3, 21))
     tts = [2.0 ** (0.3 * n + 0.02 * n * n) * 1e-6 for n in ns]
     points = make_points(ns, tts)
-    values = [worst_case_lambda(points, u=h).exponent for h in range(6, 21)]
+    values = [worst_case_lambda(points, CONFIG, u=h).exponent for h in range(6, 21)]
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -239,11 +239,11 @@ def test_bootstrap_lambda_falls_back_to_the_raw_fit():
     config = AnalysisConfig(bootstrap_b=2)
     rng = np.random.Generator(np.random.Philox(key=0))
     state = rng.bit_generator.state
-    assert analysis._bootstrap_lambdas(tables_by_n, MONTREAL_MODEL, config, rng,
-                                       None).size == 0
+    assert analysis._bootstrap_lambdas(tables_by_n, MONTREAL_MODEL, config,
+                                       rng).size == 0
     rng.bit_generator.state = state
-    raw = worst_case_lambda([mean_tts([tts_quantum(n, 1e-3, MONTREAL_MODEL)] * 3, n)
-                             for n in (3, 4, 5)], config=config)
+    raw = worst_case_lambda([mean_tts([tts_quantum(n, 1e-3, MONTREAL_MODEL, P_D)] * 3, n)
+                             for n in (3, 4, 5)], config)
     assert bootstrap_lambda(tables_by_n, MONTREAL_MODEL, config, rng) == raw
 
 
@@ -258,7 +258,7 @@ def test_speedup_ratio_examples():
     # ratio's exponent is the classical repetition exponent, 1 (window away
     # from the small-n deviation of R_C)
     mid = list(range(8, 25))
-    classical = classical_points(mid)
+    classical = classical_points(mid, P_D)
     linear = DurationModel(0.4e-6, 0.0)
     ideal = make_points(mid, [linear.run_time(n) for n in mid])
     curve = speedup_ratio(ideal, classical)
@@ -269,13 +269,13 @@ def test_speedup_ratio_examples():
     lam0 = 0.6
     big = list(range(40, 61))
     quantum = make_points(big, [2.0 ** (lam0 * n) * 1e-6 for n in big])
-    curve = speedup_ratio(quantum, classical_points(big))
+    curve = speedup_ratio(quantum, classical_points(big, P_D))
     assert curve.fitted_exponent == pytest.approx(1 - lam0, abs=0.05)
 
     # one overlapping finite size: a ratio, but no exponent
-    curve = speedup_ratio(make_points([5, 6], [1e-5, 2e-5]), classical_points([6, 7]))
+    curve = speedup_ratio(make_points([5, 6], [1e-5, 2e-5]), classical_points([6, 7], P_D))
     assert curve.ns == (6,) and math.isnan(curve.fitted_exponent)
-    assert curve.values == (tts_classical(6) / 2e-5,)
+    assert curve.values == (tts_classical(6, P_D) / 2e-5,)
 
 
 def test_success_matrix_verdict_flip():
@@ -290,7 +290,7 @@ def test_success_matrix_verdict_flip():
 
 def test_tts_monotone_decreasing_in_success():
     grid = np.linspace(0.05, 1.0, 40)
-    tts = [tts_quantum(8, p, MONTREAL_MODEL) for p in grid]
+    tts = [tts_quantum(8, p, MONTREAL_MODEL, P_D) for p in grid]
     assert all(a >= b for a, b in zip(tts, tts[1:]))
 
 
@@ -317,12 +317,12 @@ def loop_bootstrap_tts(tables, model, config, rng):
     return np.array([s for s in samples if s is not None])
 
 
-def loop_bootstrap_lambda(tables_by_n, model, config, rng, u=None):
+def loop_bootstrap_lambda(tables_by_n, model, config, rng):
     """Reference: resample by resample, size by size, one fit per resample."""
     raw_points = [mean_tts([tts_quantum(n, t.success_prob(), model, config.p_d)
                             for t in tables], n)
                   for n, tables in sorted(tables_by_n.items())]
-    raw = worst_case_lambda(raw_points, u=u, config=config)
+    raw = worst_case_lambda(raw_points, config)
     successes = {n: [(t.success_count(), t.total_shots) for t in tables]
                  for n, tables in sorted(tables_by_n.items())}
     lams = []
@@ -333,7 +333,7 @@ def loop_bootstrap_lambda(tables_by_n, model, config, rng, u=None):
             if tts is not None:
                 pts.append(TTSPoint(n, tts, tts, tts, len(table_successes)))
         try:
-            lams.append(worst_case_lambda(pts, u=u, config=config).exponent)
+            lams.append(worst_case_lambda(pts, config).exponent)
         except ValueError:
             continue
     if not lams:
@@ -370,23 +370,20 @@ def ordinary(n):
 
 STREAM_CASES = {
     # every size 3-12, up to 13 tables, none likely to draw a zero
-    "ordinary": ({n: ordinary(n) for n in range(3, 13)}, None),
+    "ordinary": {n: ordinary(n) for n in range(3, 13)},
     # 1-2 successes mid-group: draws stop inside the group
-    "stop_mid_group": ({n: size_tables(n, [15, 1, 12, 2] + [10] * (n - 3), 20)
-                        for n in range(3, 9)}, None),
+    "stop_mid_group": {n: size_tables(n, [15, 1, 12, 2] + [10] * (n - 3), 20)
+                       for n in range(3, 9)},
     # only size 5 draws zeros; sizes 6-9 of the same resample still draw
-    "zero_then_later_sizes": ({n: ordinary(n) if n != 5 else
-                               size_tables(5, [40, 1, 35, 2, 30, 50], 60)
-                               for n in range(3, 10)}, None),
+    "zero_then_later_sizes": {n: ordinary(n) if n != 5 else
+                              size_tables(5, [40, 1, 35, 2, 30, 50], 60)
+                              for n in range(3, 10)},
     # a 0-success table at size 7 terminates it and consumes no draw
-    "zero_success_table": ({n: ordinary(n) if n != 7 else
-                            size_tables(7, [90, 80, 0, 70, 60, 50, 40, 30], 200)
-                            for n in range(3, 10)}, None),
+    "zero_success_table": {n: ordinary(n) if n != 7 else
+                           size_tables(7, [90, 80, 0, 70, 60, 50, 40, 30], 200)
+                           for n in range(3, 10)},
     # p = 1 tables
-    "certain": ({n: size_tables(n, [100, 100, 97, 100], 100) for n in range(3, 9)},
-                None),
-    # the fit's u given: sizes above it are drawn but not fitted
-    "u_given": ({n: size_tables(n, [30, 2, 25, 1, 20], 30) for n in range(3, 12)}, 9),
+    "certain": {n: size_tables(n, [100, 100, 97, 100], 100) for n in range(3, 9)},
 }
 
 
@@ -397,7 +394,7 @@ def case_rng(case):
 @pytest.mark.parametrize("block", [None, 1, "all"])
 @pytest.mark.parametrize("case", sorted(STREAM_CASES))
 def test_block_bootstrap_is_stream_identical_to_the_loop(case, block, monkeypatch):
-    tables_by_n, u = STREAM_CASES[case]
+    tables_by_n = STREAM_CASES[case]
     config = AnalysisConfig(bootstrap_b=60)
     if block is not None:
         monkeypatch.setattr(analysis, "RESAMPLE_BLOCK",
@@ -409,13 +406,13 @@ def test_block_bootstrap_is_stream_identical_to_the_loop(case, block, monkeypatc
         assert samples.tolist() == want.tolist()
         assert rng_state(rng) == rng_state(ref)
     state = rng.bit_generator.state
-    lams = analysis._bootstrap_lambdas(tables_by_n, MONTREAL_MODEL, config, rng, u)
+    lams = analysis._bootstrap_lambdas(tables_by_n, MONTREAL_MODEL, config, rng)
     want_lams, want_fit = loop_bootstrap_lambda(tables_by_n, MONTREAL_MODEL,
-                                                config, ref, u)
+                                                config, ref)
     assert lams.tolist() == want_lams.tolist()
     assert rng_state(rng) == rng_state(ref)
     rng.bit_generator.state = state
-    assert bootstrap_lambda(tables_by_n, MONTREAL_MODEL, config, rng, u) == want_fit
+    assert bootstrap_lambda(tables_by_n, MONTREAL_MODEL, config, rng) == want_fit
     assert rng_state(rng) == rng_state(ref)
 
 
@@ -423,12 +420,11 @@ def test_stream_cases_draw_zeros_where_they_say():
     """Sizes whose resamples drew a zero (kept < B) in the reference loop."""
     config = AnalysisConfig(bootstrap_b=60)
     short = {"ordinary": [], "certain": [], "stop_mid_group": list(range(3, 9)),
-             "zero_then_later_sizes": [5], "zero_success_table": [7],
-             "u_given": list(range(3, 12))}
-    for case, (tables_by_n, u) in STREAM_CASES.items():
+             "zero_then_later_sizes": [5], "zero_success_table": [7]}
+    for case, tables_by_n in STREAM_CASES.items():
         ref = case_rng(case)
         kept = {n: len(loop_bootstrap_tts(tables, MONTREAL_MODEL, config, ref))
                 for n, tables in sorted(tables_by_n.items())}
         assert [n for n, k in kept.items() if k < config.bootstrap_b] == short[case]
-        lams, _ = loop_bootstrap_lambda(tables_by_n, MONTREAL_MODEL, config, ref, u)
+        lams, _ = loop_bootstrap_lambda(tables_by_n, MONTREAL_MODEL, config, ref)
         assert len(lams) > config.bootstrap_b // 2, case

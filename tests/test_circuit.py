@@ -49,7 +49,7 @@ def test_validate_reports_overlap_qubit():
     assert v is not None and v.kind == "overlap" and v.qubit == 0
     with pytest.raises(ValueError, match=r"^invalid circuit: overlap on qubit 0: "
                        r"H@\[0,100\) overlaps H@\[50,150\)$"):
-        compile_program(TimedCircuit(1, events), None, NOISELESS)
+        compile_program(TimedCircuit(1, events), None, NOISELESS, [0])
 
 
 def test_validate_out_of_range():

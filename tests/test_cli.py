@@ -265,7 +265,7 @@ def test_analyze_with_no_finite_size_leaves_the_speedup_undefined(tmp_path):
     result = cmd_analyze(ExperimentConfig(n_min=2, n_max=3, layout="chain"),
                          tmp_path / "run")
     assert all(p.terminated for p in result.points)
-    assert result.fit is None and result.speedup is None
+    assert result.fit is None
     assert "\n[speedup]\nundefined\n" in result.report_text
     assert not (tmp_path / "run" / "plotdata" / "speedup.dat").exists()
 
@@ -364,6 +364,32 @@ def test_negative_dd_pulse_duration_exits_2_before_any_work(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+def test_seed_outside_64_bits_exits_2_before_any_work(tmp_path, capsys, seed):
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "--seed", seed, "simulate", "--n-min", "3",
+                 "--n-max", "4", "--shots", "10"]) == 2
+    assert capsys.readouterr().err == (f"config error: master_seed {seed} "
+                                       "outside [0, 2**64)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dd", ["ur:14", "urx"])
+def test_bad_dd_value_exits_2_naming_itself(tmp_path, capsys, dd):
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "simulate", "--n-min", "3", "--n-max", "4",
+                 "--shots", "10", "--dd", dd]) == 2
+    assert capsys.readouterr().err == f"config error: unknown DD sequence {dd!r}\n"
+    assert not out.exists()
+
+
+def test_plot_data_is_not_a_subcommand(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path / "run"), "plot-data", "--n-min", "3"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'plot-data'" in capsys.readouterr().err
+
+
 def test_all_oracles_runs_every_subcommand_end_to_end(tmp_path, capsys):
     # 2^3 + 2^4 = 24 oracles, each routed, simulated and ingested
     grid = ["--n-min", "3", "--n-max", "4", "--oracles", "all", "--shots", "50"]
@@ -371,8 +397,7 @@ def test_all_oracles_runs_every_subcommand_end_to_end(tmp_path, capsys):
     for argv, line in (
             (["--out", gen, "generate", *grid], "circuits written; manifest at "),
             (["--out", run, "simulate", *grid], "tables written; manifest at "),
-            (["--out", run, "plot-data", *grid],
-             f"plot data written under {run}/plotdata"),
+            (["--out", run, "analyze", *grid], "# ssbv analysis report v1\n"),
             (["--out", ing, "ingest", os.path.join(run, "counts")],
              "ingested; manifest at ")):
         assert main(argv) == 0

@@ -53,9 +53,15 @@ def test_sequence_constructor_rejects_non_identity():
 def test_sequence_from_name():
     assert sequence_from_name("none") is None
     assert len(sequence_from_name("ur14")) == 14
-    assert len(sequence_from_name("ur:6")) == 6
+    assert len(sequence_from_name("ur6")) == 6
     with pytest.raises(ValueError):
         sequence_from_name("cpmg")
+
+
+@pytest.mark.parametrize("name", ["ur:14", "urx", "ur", "ur-4", "ur 4", "ur٤"])
+def test_sequence_from_name_refuses_any_other_spelling(name):
+    with pytest.raises(ValueError, match=f"^unknown DD sequence {name!r}$"):
+        sequence_from_name(name)
 
 
 def test_detect_gaps_back_to_back():

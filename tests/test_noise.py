@@ -84,7 +84,7 @@ def test_all_channels_complete():
 def readout_device(n, ro_error):
     return DeviceModel.homogeneous(
         chain_graph(n), t1_us=math.inf, t2_us=math.inf, ro_error=ro_error, dur_1q=10,
-        dur_2q=10, dur_readout=10, p_dep_1q=0, p_dep_2q=0)
+        dur_2q=10, dur_readout=10, dur_dd_pulse=10, p_dep_1q=0, p_dep_2q=0)
 
 
 READOUT_ONLY = NoiseConfig(decoherence=False, depolarizing=False, readout=True,
@@ -156,7 +156,7 @@ def test_free_evolution_x_expectation_is_cosine():
 
     device = DeviceModel.homogeneous(
         chain_graph(1), t1_us=math.inf, t2_us=math.inf, ro_error=0.0, dur_1q=10,
-        dur_2q=10, dur_readout=1, p_dep_1q=0, p_dep_2q=0)
+        dur_2q=10, dur_readout=1, dur_dd_pulse=10, p_dep_1q=0, p_dep_2q=0)
     idle = 3000
     events = (GateEvent(GateKind.H, (0,), 0, 10),
               GateEvent(GateKind.H, (0,), 10 + idle, 10))
@@ -166,7 +166,7 @@ def test_free_evolution_x_expectation_is_cosine():
     noise = NoiseConfig(detuning_sigma=delta)
 
     # pinned delta, a 1-node rule: closed form cos(delta*t)
-    program = compile_program(circ, device, noise)
+    program = compile_program(circ, device, noise, [0])
     labels, probs = _exact_distribution(program, {0: (np.array([delta]), np.ones(1))},
                                         ReadoutMap((0,)), None)
     p0 = float(probs[list(labels).index(0)])
@@ -181,11 +181,11 @@ def test_free_evolution_x_expectation_is_cosine():
 def test_device_model_validation():
     with pytest.raises(ValueError):
         DeviceModel.homogeneous(chain_graph(2), t1_us=10, t2_us=25, ro_error=0.0,
-                                dur_1q=1, dur_2q=1, dur_readout=1,
+                                dur_1q=1, dur_2q=1, dur_readout=1, dur_dd_pulse=1,
                                 p_dep_1q=0, p_dep_2q=0)
     with pytest.raises(ValueError):
         DeviceModel.homogeneous(chain_graph(2), t1_us=10, t2_us=10, ro_error=1.5,
-                                dur_1q=1, dur_2q=1, dur_readout=1,
+                                dur_1q=1, dur_2q=1, dur_readout=1, dur_dd_pulse=1,
                                 p_dep_1q=0, p_dep_2q=0)
 
 

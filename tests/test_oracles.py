@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from ssbv import oracles
 from ssbv.circuit import Bitstring, GateKind
 from ssbv.noise import NOISELESS, NoiseConfig, load_profile
 from ssbv.oracles import (OracleSpec, ReadoutMap, ShotTable, all_oracles,
@@ -74,14 +75,15 @@ def test_representative_oracles_n26_count_by_enumeration():
     assert seen == expected and max(o.k for o in representative_oracles(26)) == 26
 
 
-def test_all_oracles_enumeration_and_cap():
+def test_all_oracles_enumeration_and_cap(monkeypatch):
     assert [o.b.to01() for o in all_oracles(1)] == ["0", "1"]
     assert len(all_oracles(6)) == 64
     assert [o.b.to01() for o in all_oracles(3)] == \
         [format(v, "03b") for v in range(8)]
     with pytest.raises(ValueError):
         all_oracles(13)
-    assert len(all_oracles(13, cap=13)) == 8192
+    monkeypatch.setattr(oracles, "ALL_ORACLES_CAP", 13)
+    assert len(all_oracles(13)) == 8192
 
 
 def test_classical_success_prob():

@@ -12,10 +12,10 @@ from ssbv.oracles import OracleSpec, bv_logical_circuit
 from ssbv import routing
 from ssbv.routing import (CouplingGraph, Embedding, RoutingInfeasible,
                           chain_graph, cnot_scaling, complete_graph,
-                          embed_oracle, embedding_cnot_count, find_embedding,
-                          graph_from_text, graph_to_text, heavy_hex_27,
-                          layout_from_name, naive_cnot_count, route_bv,
-                          _signs_after_cnots, verify_routed)
+                          embed_oracle, embedding_cnot_count, graph_from_text,
+                          graph_to_text, heavy_hex_27, layout_from_name,
+                          naive_cnot_count, route_bv, _signs_after_cnots,
+                          verify_routed)
 from ssbv.simulator import noiseless_output
 
 # The 18-step walk through the 27-node layout used as the published-figure
@@ -69,7 +69,7 @@ def test_chain_bv2_routed_has_three_cnots():
     # ancilla at the chain end: fused step plus one direct hit
     g = chain_graph(3)
     spec = OracleSpec.representative(2, 2)
-    emb = find_embedding(g, 2, ancilla_start=2)
+    emb = Embedding((2, 1), frozenset({1}), {0: 1, 1: 0})
     routed = route_bv(spec, g, emb)
     assert routed.cnot_count == 3
     assert verify_routed(routed, spec)
@@ -88,7 +88,7 @@ def test_heavy_hex_full_weight_cnot_count():
     spec = OracleSpec.representative(26, 26)
     emb = embed_oracle(spec, g)
     routed = route_bv(spec, g, emb)
-    assert routed.cnot_count == embedding_cnot_count(emb, spec)
+    assert routed.cnot_count == embedding_cnot_count(emb)
     # 44 is the published figure; a cheaper verified walk is a documented
     # discrepancy, anything above 44 is a regression
     assert routed.cnot_count <= 44
@@ -114,7 +114,7 @@ def test_reference_walk_reproduces_published_counts():
     l2p = {lq: node for lq, node in zip(range(26), cover)}
     direct = frozenset(lq for lq, node in l2p.items() if node in hits)
     emb = Embedding(walk, direct, l2p)
-    assert embedding_cnot_count(emb, spec) == 44
+    assert embedding_cnot_count(emb) == 44
     assert naive_cnot_count(emb, spec) == 80
     routed = route_bv(spec, g, emb)
     assert routed.cnot_count == 44
@@ -139,7 +139,7 @@ def test_two_heavy_hex_graph_routes_at_the_optimum(k, cnots):
                       | {(26, 27)})
     spec = OracleSpec.representative(k, k)
     emb = embed_oracle(spec, g)
-    assert embedding_cnot_count(emb, spec) == cnots
+    assert embedding_cnot_count(emb) == cnots
     routed = route_bv(spec, g, emb)
     assert routed.cnot_count == cnots
     assert verify_routed(routed, spec)
@@ -178,7 +178,7 @@ def test_free_placement_matches_brute_force_on_random_graphs():
                           for marked in itertools.combinations(range(n), k))
             spec = OracleSpec.representative(k, k)
             emb = embed_oracle(spec, g)
-            assert embedding_cnot_count(emb, spec) == optimum, (sorted(g.edges), k)
+            assert embedding_cnot_count(emb) == optimum, (sorted(g.edges), k)
             routed = route_bv(spec, g, emb)
             assert routed.cnot_count == optimum
             assert verify_routed(routed, spec)
@@ -221,10 +221,10 @@ def test_verify_routed_on_random_blacklisted_heavy_hex(blacklist, bits):
 def test_blacklist_monotonicity_exact_regime():
     g = heavy_hex_27()
     spec5 = OracleSpec.representative(5, 5)
-    base = embedding_cnot_count(embed_oracle(spec5, g), spec5)
+    base = embedding_cnot_count(embed_oracle(spec5, g))
     for node in (12, 14, 1):
         worse = g.with_blacklist({node})
-        cost = embedding_cnot_count(embed_oracle(spec5, worse), spec5)
+        cost = embedding_cnot_count(embed_oracle(spec5, worse))
         assert cost >= base
 
 
@@ -302,9 +302,10 @@ def test_route_rejects_bad_walks():
 
 def test_search_walks_past_the_recursion_limit():
     # 1,099 walk steps, deeper than Python's default recursion limit
-    emb = find_embedding(chain_graph(1200), 1100, ancilla_start=0)
-    assert emb.ancilla_walk == tuple(range(1100))
-    assert emb.direct_hits == frozenset({1099})
+    result = routing._free_placement_search(chain_graph(1200).adjacency(), 1100, [0],
+                                            routing.EXACT_SEARCH_BUDGET)
+    assert result.walk == list(range(1100))
+    assert result.hits == [1100]
 
 
 def test_search_out_of_budget_keeps_its_best_walk(monkeypatch):
@@ -321,11 +322,12 @@ def test_search_out_of_budget_keeps_its_best_walk(monkeypatch):
 
 
 def test_find_embedding_infeasible_cases():
-    with pytest.raises(RoutingInfeasible):
-        find_embedding(chain_graph(3), 3)  # k > usable - 1
+    spec = OracleSpec.representative(3, 3)
+    with pytest.raises(RoutingInfeasible, match="exceeds usable nodes"):
+        embed_oracle(spec, chain_graph(3))  # k > usable - 1
     disconnected = CouplingGraph(4, frozenset({(0, 1), (2, 3)}))
     with pytest.raises(RoutingInfeasible, match="no walk reaches 3 marked qubits"):
-        find_embedding(disconnected, 3)
+        embed_oracle(spec, disconnected)
 
 
 def test_graph_io_roundtrip():
@@ -355,13 +357,13 @@ def test_graph_reader_rejects_malformed_text(mangle, message):
 
 
 def test_layout_registry(tmp_path):
-    assert layout_from_name("heavy-hex-27").num_physical == 27
+    assert layout_from_name("heavy-hex-27", 0).num_physical == 27
     assert layout_from_name("chain", min_nodes=9).num_physical == 9
     path = tmp_path / "g.graph"
     path.write_text(graph_to_text(chain_graph(5)))
-    assert layout_from_name(f"file:{path}") == chain_graph(5)
+    assert layout_from_name(f"file:{path}", 0) == chain_graph(5)
     with pytest.raises(ValueError):
-        layout_from_name("torus")
+        layout_from_name("torus", 0)
 
 
 def test_embedding_search_leaves_no_reference_cycle():
