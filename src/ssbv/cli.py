@@ -10,7 +10,8 @@ import sys
 from dataclasses import fields, replace
 
 from .experiment import (ConfigError, ExperimentConfig, cmd_analyze,
-                         cmd_generate, cmd_ingest, cmd_simulate, load_config)
+                         cmd_generate, cmd_ingest, cmd_simulate, load_config,
+                         run_config)
 from .routing import RoutingInfeasible
 from .simulator import SimulatorCapError
 
@@ -72,7 +73,13 @@ def _add_overrides(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    config = load_config(args.config) if args.config else ExperimentConfig()
+    """The --config file, else for analyze the run's own config, else the
+    defaults; then the flags."""
+    if args.config:
+        config = load_config(args.config)
+    else:
+        config = ((args.command == "analyze" and run_config(args.out))
+                  or ExperimentConfig())
     overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
                  if getattr(args, f.name, None) is not None}
     if args.seed is not None:

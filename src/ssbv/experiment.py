@@ -219,7 +219,9 @@ def cmd_generate(config: ExperimentConfig, out_dir) -> str:
 def _duration_table(config: ExperimentConfig, graph, device, sequence, pulse,
                     known: dict[int, float]) -> dict[int, float]:
     """t_r(n) in seconds from the full-weight (k=n) routed circuit: ``known``
-    for the sizes the caller has routed it at, routed here for the rest."""
+    for the sizes the caller has routed it at, routed here for the rest.
+    Under the reduced setup the routed circuit depends only on the marked
+    set, so a representative job with k marked bits has routed it at k."""
     table = dict(known)
     for n in range(config.n_min, config.n_max + 1):
         if n not in table:
@@ -245,8 +247,9 @@ def cmd_simulate(config: ExperimentConfig, out_dir) -> str:
         for spec in _oracles_for(config, n):
             routed, circuit = _routed_for(config, spec, graph, device,
                                           sequence, pulse)
-            if spec == OracleSpec.representative(n, n):
-                known[n] = device.seconds(circuit_duration(circuit))
+            if (spec.is_representative() and spec.k >= config.n_min
+                    and (spec.k == n or config.setup == "reduced")):
+                known[spec.k] = device.seconds(circuit_duration(circuit))
             phys = [None] * circuit.num_qubits
             for node, w in routed.wire_of_physical.items():
                 phys[w] = node
@@ -355,11 +358,36 @@ def _load_tables(out_dir) -> tuple[dict[int, list[ShotTable]], dict[int, float]]
     return tables, durations
 
 
+# Fields only analyze reads; simulate used every other one.
+_ANALYSIS_FIELDS = ("p_d", "bootstrap_b", "n_min_fit")
+
+
+def run_config(out_dir) -> ExperimentConfig | None:
+    """The config a run's manifest records (``config.used``), or None for a
+    run without one, such as an ingested one."""
+    manifest = os.path.join(out_dir, "manifest.txt")
+    if not os.path.exists(manifest):
+        return None
+    for entry in read_manifest(manifest):
+        if entry["kind"] == "config" and "file" in entry:
+            return load_config(os.path.join(out_dir, entry["file"]))
+    return None
+
+
 def cmd_analyze(config: ExperimentConfig, out_dir) -> AnalysisResult:
-    """TTS curve, exponent fits, baseline, speedup, and BQP verdicts."""
+    """TTS curve, exponent fits, baseline, speedup, and BQP verdicts.
+
+    Raises ConfigError when ``config`` differs from the run's recorded
+    config (see ``run_config``) in a field that simulate used."""
     tables, durations = _load_tables(out_dir)
     model = replace(_load_profile(config).duration_model(),
                     exact_table=durations or None)
+    used = run_config(out_dir)
+    for name in _CONFIG_FIELDS:
+        if (used is not None and name not in _ANALYSIS_FIELDS
+                and getattr(config, name) != getattr(used, name)):
+            raise ConfigError(f"{name} {getattr(config, name)} differs from the run's "
+                              f"{name} {getattr(used, name)} in its config.used")
     acfg = config.analysis_config()
     rng = np.random.Generator(np.random.Philox(
         key=(config.master_seed << 64) | BOOTSTRAP_TAG))

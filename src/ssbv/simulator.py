@@ -6,19 +6,24 @@ phases, and one ``idle`` op per idle interval: damping, then dephasing,
 then the detuning phase of a detuned wire), each wire's one-wire ops after
 its last two-wire op moved up to follow that op.  The trajectory backend
 samples one Kraus branch per channel application (exact in distribution)
-on batched per-wire factors: two-wire ops merge the factors of their
-wires, and each wire is measured and dropped right after its last op, so a
-BV circuit never holds more than two live wires.  Ops run one step each
-through the in-place strided-view numpy kernels of ``_kernels``.  Each
-batch is screened once, in one expression over the smallest and largest
-uniform of every channel: a Pauli channel that no shot of the batch
-branches on is skipped, and damping tests for a jump only the shots that
-can jump.  States are kept unnormalized (quantum jumps with unnormalized
-states, Dalibard, Castin and Molmer, PRL 68, 580, 1992): an idle moves the
-jumping shots' bit-1 half onto the bit-0 half, then multiplies the bit-1
-half once by the no-jump factor ``sqrt(1 - p) exp(i delta t)``, each wire
-keeping the factors of its last two idle ops in the batch; a jump is a
-ratio of norms, and only measurement renormalizes.
+on batched per-wire factors, along ``Program.walk``, a plan fixed per
+program: two-wire ops merge the factors of their wires, and each wire is
+measured and dropped right after its last op, so a BV circuit never holds
+more than two live wires.  A merge puts the factor whose wires all leave
+first on the low bits: the ops a merged factor runs are mostly the moved-up
+tail of the wire that leaves next, and on the low bit their strided view
+is one inner loop over the shots.  Each factor's views are built once,
+when its array is made, for the in-place numpy kernels of ``_kernels``.
+Each batch is screened once, in one expression over the smallest and
+largest uniform of every channel: a Pauli channel that no shot of the
+batch branches on is skipped, and damping tests for a jump only the shots
+that can jump.  States are kept unnormalized (quantum jumps with
+unnormalized states, Dalibard, Castin and Molmer, PRL 68, 580, 1992): an
+idle moves the jumping shots' bit-1 half onto the bit-0 half, then
+multiplies the bit-1 half once by the no-jump factor ``sqrt(1 - p)
+exp(i delta t)``, on a detuned wire a row of a table computed once per
+batch over the wire's distinct idle ops; a jump is a ratio of norms, and
+only measurement renormalizes.
 
 The exact backend walks the same stream on per-wire density factors: each
 factor is a tensor with a branch axis, one Gauss-Hermite node axis per
@@ -57,10 +62,12 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels as ker
+from ._kernels import bit_view, columns
 from .circuit import GateEvent, GateKind, TimedCircuit, validate_circuit
 from .decoupling import detect_gaps, pulse_unitary
 from .noise import (NOISELESS, PAULIS_1Q, DeviceModel, NoiseConfig,
@@ -69,8 +76,8 @@ from .oracles import OracleSpec, ReadoutMap, ShotTable
 
 # Most wires one factor of the trajectory executor may hold.
 TRAJECTORY_MAX_WIRES = 21
-# Bytes of widest factor, random streams and cached idle factors per batch
-# of trajectory shots.  Results do not depend on the batch size (batch
+# Bytes of widest factor, random streams and no-jump table per batch of
+# trajectory shots.  Results do not depend on the batch size (batch
 # invariance).
 BATCH_BYTES = 32 << 20
 # Largest 1-D Gauss-Hermite rule the detuning average may use.
@@ -83,6 +90,7 @@ EXACT_QUADRATURE_TOL = 1e-9
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+_PAULI_COLUMNS = tuple(columns(m) for m in PAULIS_1Q)
 
 
 class SimulatorCapError(Exception):
@@ -104,16 +112,24 @@ class Op:
     phase: complex = 0.0      # fixed relative phase (zz)
     matrix: np.ndarray | None = None  # u1
 
-    @property
-    def draws(self) -> tuple[float, ...]:
-        """Probabilities of the channels that draw one uniform per shot, in
-        column order: a dep1 or dep2 draws for p; an idle for p if p > 0,
-        then for q if q > 0; any other op draws nothing."""
-        if self.kind != "idle":
-            return (self.p,) if self.kind in ("dep1", "dep2") else ()
-        if self.p > 0:
-            return (self.p, self.q) if self.q > 0 else (self.p,)
-        return (self.q,) if self.q > 0 else ()
+
+class Walk(NamedTuple):
+    """The trajectory plan of one program.  ``steps``: (kind, slot of the
+    factor, ...) with ``new, wires, strides``; ``merge, lo, wires, strides``
+    (``lo`` on the low bits, then freed); ``measure, w, sw, wires,
+    strides``; ``u1, sw, columns``; ``cnot | zz, sa, sb, phase``; ``dep,
+    column, p, strides``; ``idle, sw, p, p column, q, q column, no-jump
+    row`` (-1: no column, or no detuning).  A make step (new, merge,
+    measure) gives the factor's wires after it, most significant first, and
+    the strides its views take.  ``p`` and ``depolarizing``: each uniform
+    column's probability, and whether it branches when u >= 1 - p (else an
+    idle's, when u < p).  ``no_jump``: (index in ``Program.detuned_wires``,
+    t, p) per table row."""
+
+    steps: tuple[tuple, ...]
+    p: np.ndarray
+    depolarizing: np.ndarray
+    no_jump: tuple[tuple[int, float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -171,31 +187,91 @@ class Program:
         return tuple(out)
 
     @cached_property
-    def channels(self) -> tuple[np.ndarray, np.ndarray]:
-        """The p of each uniform column's channel (``Op.draws``), and
-        whether it is depolarizing (branches when u >= 1 - p) rather than an
-        idle's damping or dephasing (can jump, or branches, when u < p)."""
-        return (np.array([x for op in self.ops for x in op.draws], dtype=float),
-                np.array([op.kind != "idle" for op in self.ops for _ in op.draws],
-                         dtype=bool))
-
-    @cached_property
     def n_uniform_ops(self) -> int:
         """Uniform columns the channels draw per shot."""
-        return len(self.channels[0])
+        return len(self.walk.p)
 
     @cached_property
-    def steps(self) -> tuple[tuple[Op, int, tuple[int, ...]], ...]:
-        """The trajectory executor's walk, one step per op: (the op, the
-        uniform column of its first channel or -1 when it draws none, the
-        wires whose last op it is, in op-wire order)."""
-        last, column, out = self.last_op, 0, []
-        for i, op in enumerate(self.ops):
-            uses = len(op.draws)
-            out.append((op, column if uses else -1,
-                        tuple(w for w in op.wires if last[w] == i)))
-            column += uses
-        return tuple(out)
+    def walk(self) -> Walk:
+        """The trajectory plan, in one pass over the ops.  Each touched
+        wire's factor is made first; a two-wire op on two factors merges
+        them, the one whose wires all leave first on the low bits; a wire
+        is measured after its last op.  Channels take uniform columns in op
+        order: a dep1 or dep2 one for p, an idle one for p > 0, then one for
+        q > 0."""
+        last, ops = self.last_op, self.ops
+        detuned = {w: i for i, w in enumerate(self.detuned_wires)}
+        # op index -> the wires whose last op it is, in op-wire order
+        ends = {i: [w for w in ops[i].wires if last[w] == i] for i in set(last.values())}
+        steps, p, dep_cols, rows, makes = [], [], [], [], []
+        row_of, cols = {}, {}       # id(idle op) -> no-jump row; id(u1 matrix) -> columns
+        # slot -> its factor's wires; wire -> slot; wire -> bit stride;
+        # slot -> strides of its views
+        wires, slot, sw_of, views = {}, {}, {}, {}
+
+        def make(kind: str, at: int, *head) -> None:
+            f = wires[at]
+            for j, w in enumerate(f):
+                sw_of[w] = 1 << (len(f) - 1 - j)
+            views[at] = set()
+            makes.append(len(steps))
+            steps.append((kind, at, *head, tuple(f), views[at]))
+
+        for w in sorted(last):
+            slot[w], wires[w] = w, [w]
+            make("new", w)
+        for i, op in enumerate(ops):
+            kind, w = op.kind, op.wires[0]
+            at = slot[w]
+            if kind == "u1":
+                c = cols.get(id(op.matrix))
+                if c is None:
+                    c = cols[id(op.matrix)] = columns(op.matrix)
+                views[at].add(sw_of[w])
+                steps.append(("u1", at, sw_of[w], c))
+            elif kind == "dep1":
+                dep_cols.append(len(p))
+                steps.append(("dep", at, len(p), op.p, (sw_of[w],)))
+                p.append(op.p)
+            elif kind == "idle":
+                if w in detuned and id(op) not in row_of:
+                    row_of[id(op)] = len(rows)
+                    rows.append((detuned[w], op.t, op.p))
+                pcol = qcol = -1
+                if op.p > 0:
+                    pcol = len(p)
+                    p.append(op.p)
+                if op.q > 0:
+                    qcol = len(p)
+                    p.append(op.q)
+                views[at].add(sw_of[w])
+                steps.append(("idle", at, sw_of[w], op.p, pcol, op.q, qcol,
+                              row_of.get(id(op), -1)))
+            else:           # cnot | dep2 | zz
+                b = op.wires[1]
+                if slot[b] != at:
+                    hi, lo = at, slot[b]
+                    if max(last[x] for x in wires[hi]) < max(last[x] for x in wires[lo]):
+                        hi, lo = lo, hi
+                    wires[hi] += wires.pop(lo)
+                    slot.update((x, hi) for x in wires[hi])
+                    del views[lo]
+                    make("merge", hi, lo)
+                    at = hi
+                if kind == "dep2":
+                    dep_cols.append(len(p))
+                    steps.append(("dep", at, len(p), op.p, (sw_of[w], sw_of[b])))
+                    p.append(op.p)
+                else:
+                    steps.append((kind, at, sw_of[w], sw_of[b], op.phase))
+            for x in ends.get(i, ()):
+                wires[at].remove(x)
+                make("measure", at, x, sw_of[x])
+        for j in makes:         # each factor's view strides, now complete
+            steps[j] = steps[j][:-1] + (tuple(sorted(steps[j][-1])),)
+        depolarizing = np.zeros(len(p), dtype=bool)
+        depolarizing[dep_cols] = True
+        return Walk(tuple(steps), np.array(p, dtype=float), depolarizing, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -362,126 +438,112 @@ def _pauli_branches(u: np.ndarray, p: float, k: int) -> np.ndarray:
     return np.array([(branch >> 2 * (k - 1 - i)) & 3 for i in range(k)])
 
 
-def _apply(op: Op, state: np.ndarray, wires: list[int], draw: np.ndarray | None) -> None:
-    """Apply a gate, a ZZ phase or a depolarizing op in place to a batch of
-    states over ``wires`` (the first the most significant bit).  ``draw``
-    holds each shot's uniform for a depolarizing op."""
-    d = state.shape[1]
-    sws = [d >> (wires.index(w) + 1) for w in op.wires]
-    if op.kind == "u1":
-        ker.apply_1q(state, d // (2 * sws[0]), sws[0], op.matrix)
-    elif op.kind == "cnot":
-        ker.cnot(state, *sws)
-    elif op.kind == "zz":
-        ker.phase_zz(state, *sws, op.phase)
-    else:                   # dep1 | dep2
-        hot = np.nonzero(draw >= 1.0 - op.p)[0]
-        for sw, paulis in zip(sws, _pauli_branches(draw[hot], op.p, len(sws))):
-            for j in (1, 2, 3):
-                rows = hot[paulis == j]
-                if len(rows):
-                    ker.apply_1q_rows(state, rows, d // (2 * sw), sw, PAULIS_1Q[j])
+def _depolarize(state: np.ndarray, draw: np.ndarray, p: float, sws: tuple[int, ...]
+                ) -> None:
+    """A dep1 or dep2 channel in place: the shots whose uniform ``draw`` is
+    at least ``1 - p`` take a Pauli on the wires of strides ``sws``."""
+    hot = np.nonzero(draw >= 1.0 - p)[0]
+    for sw, paulis in zip(sws, _pauli_branches(draw[hot], p, len(sws))):
+        for j in (1, 2, 3):
+            rows = hot[paulis == j]
+            if len(rows):
+                ker.apply_1q_rows(state, rows, sw, _PAULI_COLUMNS[j])
 
 
-def _idle(op: Op, col: int, state: np.ndarray, sw: int, uniforms: np.ndarray,
-          live: list[bool], delta: np.ndarray | None, recent: list) -> None:
-    """Apply one wire's idle op in place: the damping jump test, one
-    multiplication of the bit-1 half by the no-jump factor, then the
-    dephasing flips.  The factor is ``sqrt(1 - p) exp(i delta t)`` per shot
-    when the wire is detuned (``delta`` given), looked up in or added to
-    ``recent``, the wire's last two (op, factor) pairs; otherwise
-    ``ampdamp`` applies ``sqrt(1 - p)``."""
+def _idle(state: np.ndarray, view: np.ndarray, sw: int, p: float, pcol: int, q: float,
+          qcol: int, no_jump: np.ndarray | None, uniforms: np.ndarray, live: list[bool]
+          ) -> None:
+    """One wire's idle in place on the wire of stride ``sw`` (``view``: its
+    ``bit_view``): the damping jump test, one multiplication of the bit-1
+    half by the no-jump factor (the table row ``no_jump`` on a detuned
+    wire, else ``sqrt(1 - p)`` through ``ampdamp``), then the dephasing
+    flips.  ``pcol`` and ``qcol`` are the channels' columns, or -1."""
     jumps = ()
-    if op.p > 0 and live[col]:
+    if pcol >= 0 and live[pcol]:
         # A shot jumps when u < p * pop1 / norm2, so only shots with u < p can.
-        u = uniforms[:, col]
-        rows = np.nonzero(u < op.p)[0]
+        u = uniforms[:, pcol]
+        rows = np.nonzero(u < p)[0]
         sub = state[rows]
-        jumps = rows[u[rows] * ker.norm2(sub) < op.p * ker.pop1(sub, sw)]
-    if delta is not None:
+        jumps = rows[u[rows] * ker.norm2(sub) < p * ker.pop1(sub, sw)]
+    if no_jump is not None:
         if len(jumps):
-            ker.damp_jump(state, sw, jumps)
-        if recent and recent[-1][0] is op:
-            no_jump = recent[-1][1]
-        elif len(recent) == 2 and recent[0][0] is op:
-            recent.reverse()
-            no_jump = recent[-1][1]
-        else:
-            no_jump = np.exp(1j * delta * op.t)
-            if op.p > 0:
-                no_jump *= math.sqrt(1.0 - op.p)
-            recent.append((op, no_jump))
-            del recent[:-2]
-        ker.phase_bit_pershot(state, sw, no_jump)
-    elif op.p > 0:
-        ker.ampdamp(state, sw, op.p, jumps)
-    col += op.p > 0
-    if op.q > 0 and live[col]:
-        ker.apply_1q_rows(state, np.nonzero(uniforms[:, col] < op.q)[0],
-                          state.shape[1] // (2 * sw), sw, PAULIS_1Q[3])
+            ker.damp_jump(view, jumps)
+        ker.phase_bit_pershot(view, no_jump)
+    elif p > 0:
+        ker.ampdamp(view, p, jumps)
+    if qcol >= 0 and live[qcol]:
+        ker.apply_1q_rows(state, np.nonzero(uniforms[:, qcol] < q)[0], sw, _PAULI_COLUMNS[3])
 
 
-def _evolve(program: Program, uniforms: np.ndarray,
-            deltas: dict[int, np.ndarray]) -> np.ndarray:
-    """Run a batch of shots through the op stream; return each shot's
+def _evolve(program: Program, uniforms: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Run a batch of shots along ``Program.walk``; return each shot's
     measured basis index.
 
-    Every wire starts as its own (shots, 2) factor in |0>.  A two-wire op
-    on wires of two factors first merges them, by a per-shot outer product.
-    The walk visits ``Program.steps``, one step per op.  Channels take the
-    uniform columns in stream order (``Op.draws``); an idle on a detuned
-    wire reads the per-shot detuning of its wire from ``deltas``.  Right
-    after its last op, wire w is measured with ``uniforms[:, n_uniform_ops +
-    w]`` and leaves its factor; a wire no op touches reads 0.
-
-    The batch is screened once, in one expression over every channel
-    column: its smallest and largest uniform decide whether any shot can
-    leave the channel's identity branch (for damping: can jump).  A
-    depolarizing op no shot can branch on is skipped, as is an idle's
-    dephasing; its damping then tests no shot for a jump.  States stay
-    unnormalized (quantum jumps with unnormalized states): an idle runs the
-    jump test on the shots with u < p, moving each jumping shot's bit-1
-    half onto its bit-0 half, then multiplies the bit-1 half once by
-    ``sqrt(1 - p) exp(i delta t)`` (just ``sqrt(1 - p)`` on a wire without
-    detuning), then flips the dephasing shots.  Each wire keeps the factors
-    of its last two idle ops of the batch, which covers DD's two
-    alternating spacings, and drops them when it is measured.  Measurement
-    divides the kept half by its weight, so it leaves factors of norm 1.
+    Each wire's factor starts in |0>; a merge is a per-shot outer product,
+    and whenever a factor's array is made its ``bit_view`` is built once
+    per stride its steps use.  Wire w is measured with ``uniforms[:,
+    n_uniform_ops + w]`` into bit ``nw - 1 - w``; a wire no op touches
+    reads 0.  The batch is screened once over every channel column: its
+    smallest and largest uniform decide whether any shot can leave the
+    identity branch.  A depolarizing op or dephasing no shot can branch on
+    is skipped, and a damping no shot can jump on multiplies only.  An idle
+    runs the jump test on the shots with u < p, moving each jumping shot's
+    bit-1 half onto its bit-0 half, multiplies the bit-1 half once by
+    ``sqrt(1 - p) exp(i delta t)`` (``sqrt(1 - p)`` without detuning),
+    then flips the dephasing shots.  The detuned factors form the batch's
+    no-jump table, one row per distinct idle op of a detuned wire, from
+    ``deltas`` (one row per wire of ``Program.detuned_wires``).
+    Measurement divides the kept half by its weight, so it leaves factors
+    of norm 1.
     """
     nw = program.num_wires
     shots = len(uniforms)
-    ket0 = np.zeros((shots, 2), dtype=complex)
-    ket0[:, 0] = 1.0
-    factor = {w: [ket0.copy(), [w]] for w in range(nw)}
-    block = uniforms[:, :program.n_uniform_ops]
-    p, depolarizing = program.channels
+    walk = program.walk
+    n_u = len(walk.p)
+    block = uniforms[:, :n_u]
     # dep1/dep2 branch when u >= 1 - p; an idle can jump, or dephases, only
     # when u < p.
-    live = np.where(depolarizing, block.max(axis=0) >= 1.0 - p,
-                    block.min(axis=0) < p).tolist()
-    recent: dict[int, list] = {}
+    live = np.where(walk.depolarizing, block.max(axis=0) >= 1.0 - walk.p,
+                    block.min(axis=0) < walk.p).tolist()
+    table = None
+    if walk.no_jump:
+        wire, t, damp = map(np.array, zip(*walk.no_jump))
+        table = (1j * deltas)[wire]         # in place: one table-sized array
+        table *= t[:, None]
+        np.exp(table, out=table)
+        np.multiply(table, np.sqrt(1.0 - damp)[:, None], out=table,
+                    where=damp[:, None] > 0)
+    ket0 = np.zeros((shots, 2), dtype=complex)
+    ket0[:, 0] = 1.0
+    arrays: list[np.ndarray | None] = [None] * nw     # by slot
+    views: list[dict | None] = [None] * nw            # by slot: stride -> bit_view
     outcomes = np.zeros(shots, dtype=np.int64)
-    for op, col, ends in program.steps:
-        f = factor[op.wires[0]]
-        if len(op.wires) == 2 and factor[op.wires[1]] is not f:
-            g = factor[op.wires[1]]
-            f[0] = np.einsum("si,sj->sij", f[0], g[0]).reshape(shots, -1)
-            f[1] += g[1]
-            for w in g[1]:
-                factor[w] = f
-        state, wires = f
-        if op.kind == "idle":
-            _idle(op, col, state, state.shape[1] >> (wires.index(op.wires[0]) + 1),
-                  uniforms, live, deltas.get(op.wires[0]),
-                  recent.setdefault(op.wires[0], []))
-        elif col < 0 or live[col]:
-            _apply(op, state, wires, uniforms[:, col] if col >= 0 else None)
-        for w in ends:
-            bits, f[0] = ker.measure(f[0], f[0].shape[1] >> (f[1].index(w) + 1),
-                                     uniforms[:, program.n_uniform_ops + w])
-            f[1].remove(w)
-            recent.pop(w, None)
-            outcomes |= bits << (nw - 1 - w)
+    for step in walk.steps:
+        kind, at = step[0], step[1]
+        if kind == "u1":
+            ker.apply_1q(views[at][step[2]], step[3])
+        elif kind == "dep":
+            if live[step[2]]:
+                _depolarize(arrays[at], uniforms[:, step[2]], step[3], step[4])
+        elif kind == "idle":
+            _, _, sw, p, pcol, q, qcol, row = step
+            _idle(arrays[at], views[at][sw], sw, p, pcol, q, qcol,
+                  None if row < 0 else table[row], uniforms, live)
+        elif kind == "cnot":
+            ker.cnot(arrays[at], step[2], step[3])
+        elif kind == "zz":
+            ker.phase_zz(arrays[at], step[2], step[3], step[4])
+        else:
+            if kind == "measure":
+                bits, state = ker.measure(arrays[at], step[3], uniforms[:, n_u + step[2]])
+                outcomes |= bits << (nw - 1 - step[2])
+            elif kind == "merge":
+                state = np.einsum("si,sj->sij", arrays[at], arrays[step[2]]).reshape(shots, -1)
+                arrays[step[2]] = views[step[2]] = None
+            else:           # new
+                state = ket0.copy()
+            arrays[at] = state
+            views[at] = {sw: bit_view(state, sw) for sw in step[-1]}
     return outcomes
 
 
@@ -528,17 +590,16 @@ def simulate_shots(circuit: TimedCircuit | Program, device: DeviceModel | None,
     rates = _readout_rates(readout, device, noise, phys)
     n_uniforms = program.n_uniform_ops + nw + readout.n  # ops, measures, readout
     n_normals = len(program.detuned_wires)
-    # Widest factor, random streams, and two idle factors per wire (_idle).
+    # Widest factor, random streams, and the no-jump table (_evolve).
     per_shot = ((16 << program.width) + 32 * _stream_blocks(n_uniforms, n_normals)
-                + 2 * 16 * nw)
+                + 16 * len(program.walk.no_jump))
     batch = max(1, BATCH_BYTES // per_shot)
     reads = []
     for lo in range(0, plan.shots, batch):
         hi = min(lo + batch, plan.shots)
         normals, uniforms = _shot_streams(plan.master_seed, oracle.key(), lo, hi,
                                           n_normals, n_uniforms)
-        deltas = dict(zip(program.detuned_wires, normals.T * noise.detuning_sigma))
-        outcomes = _evolve(program, uniforms, deltas)
+        outcomes = _evolve(program, uniforms, normals.T * noise.detuning_sigma)
         reads.append(_read_data(outcomes, uniforms, program.n_uniform_ops + nw,
                                 readout, nw, rates))
     values, counts = np.unique(np.concatenate(reads), return_counts=True)

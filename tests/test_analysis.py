@@ -368,33 +368,35 @@ def ordinary(n):
     return size_tables(n, [int(180 - 9 * n - 3 * k) for k in range(n + 1)], 200)
 
 
+# Each case: its own Philox key, fixed so that adding or deleting a case
+# moves no other case's stream, and its tables by size.
 STREAM_CASES = {
     # every size 3-12, up to 13 tables, none likely to draw a zero
-    "ordinary": {n: ordinary(n) for n in range(3, 13)},
+    "ordinary": (1, {n: ordinary(n) for n in range(3, 13)}),
     # 1-2 successes mid-group: draws stop inside the group
-    "stop_mid_group": {n: size_tables(n, [15, 1, 12, 2] + [10] * (n - 3), 20)
-                       for n in range(3, 9)},
+    "stop_mid_group": (2, {n: size_tables(n, [15, 1, 12, 2] + [10] * (n - 3), 20)
+                           for n in range(3, 9)}),
     # only size 5 draws zeros; sizes 6-9 of the same resample still draw
-    "zero_then_later_sizes": {n: ordinary(n) if n != 5 else
-                              size_tables(5, [40, 1, 35, 2, 30, 50], 60)
-                              for n in range(3, 10)},
+    "zero_then_later_sizes": (4, {n: ordinary(n) if n != 5 else
+                                  size_tables(5, [40, 1, 35, 2, 30, 50], 60)
+                                  for n in range(3, 10)}),
     # a 0-success table at size 7 terminates it and consumes no draw
-    "zero_success_table": {n: ordinary(n) if n != 7 else
-                           size_tables(7, [90, 80, 0, 70, 60, 50, 40, 30], 200)
-                           for n in range(3, 10)},
+    "zero_success_table": (3, {n: ordinary(n) if n != 7 else
+                               size_tables(7, [90, 80, 0, 70, 60, 50, 40, 30], 200)
+                               for n in range(3, 10)}),
     # p = 1 tables
-    "certain": {n: size_tables(n, [100, 100, 97, 100], 100) for n in range(3, 9)},
+    "certain": (0, {n: size_tables(n, [100, 100, 97, 100], 100) for n in range(3, 9)}),
 }
 
 
 def case_rng(case):
-    return np.random.Generator(np.random.Philox(key=sorted(STREAM_CASES).index(case)))
+    return np.random.Generator(np.random.Philox(key=STREAM_CASES[case][0]))
 
 
 @pytest.mark.parametrize("block", [None, 1, "all"])
 @pytest.mark.parametrize("case", sorted(STREAM_CASES))
 def test_block_bootstrap_is_stream_identical_to_the_loop(case, block, monkeypatch):
-    tables_by_n = STREAM_CASES[case]
+    tables_by_n = STREAM_CASES[case][1]
     config = AnalysisConfig(bootstrap_b=60)
     if block is not None:
         monkeypatch.setattr(analysis, "RESAMPLE_BLOCK",
@@ -421,7 +423,7 @@ def test_stream_cases_draw_zeros_where_they_say():
     config = AnalysisConfig(bootstrap_b=60)
     short = {"ordinary": [], "certain": [], "stop_mid_group": list(range(3, 9)),
              "zero_then_later_sizes": [5], "zero_success_table": [7]}
-    for case, tables_by_n in STREAM_CASES.items():
+    for case, (_, tables_by_n) in STREAM_CASES.items():
         ref = case_rng(case)
         kept = {n: len(loop_bootstrap_tts(tables, MONTREAL_MODEL, config, ref))
                 for n, tables in sorted(tables_by_n.items())}

@@ -139,7 +139,8 @@ def test_cli_exit_codes(tmp_path):
 
 def test_simulate_compiles_and_routes_each_oracle_once(tmp_path, monkeypatch):
     # The job loop runs the programs the preflight compiled, and the duration
-    # table reuses the (n_max, n_max) circuit the preflight routed.  Every
+    # table reads every size off the jobs the preflight routed: under the
+    # reduced setup, job (n_max, k) routes the (k, k) circuit.  Every
     # compile is counted, through the simulator module or a by-name import.
     cfg = ExperimentConfig(n_min=3, n_max=5, dd="ur14", collection="reduced", shots=16)
     cmd_simulate(cfg, tmp_path / "plain")
@@ -157,13 +158,61 @@ def test_simulate_compiles_and_routes_each_oracle_once(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "route_bv", counted(experiment.route_bv))
     cmd_simulate(cfg, tmp_path / "counted")
     assert calls["compile_program"] == len(representative_oracles(cfg.n_max))
-    # The 6 oracles of n = 5, then the full-weight oracles of n = 3 and 4.
-    assert calls["route_bv"] == len(representative_oracles(cfg.n_max)) + 2
+    # The 6 oracles of n = 5, and no full-weight oracle of n = 3 or 4.
+    assert calls["route_bv"] == len(representative_oracles(cfg.n_max))
     plain, counted_dir = tmp_path / "plain" / "counts", tmp_path / "counted" / "counts"
     names = sorted(os.listdir(plain))
     assert names == sorted(os.listdir(counted_dir)) and names
     for name in names:
         assert (plain / name).read_bytes() == (counted_dir / name).read_bytes()
+
+
+def test_reduced_setup_reads_durations_off_the_routed_jobs(tmp_path, monkeypatch):
+    # On the README grid (n 3-10, reduced, UR14) job (10, m) routes exactly
+    # the (m, m) circuit, so simulate routes each of its 11 jobs once and
+    # its duration lines are those of the full-weight circuits routed one
+    # by one.
+    cfg = ExperimentConfig(n_min=3, n_max=10, dd="ur14", collection="reduced", shots=16)
+    graph, device, _, sequence, pulse = experiment._resolve(cfg)
+    for m in range(cfg.n_min, cfg.n_max + 1):
+        assert (experiment._routed_for(cfg, OracleSpec.representative(10, m), graph,
+                                       device, sequence, pulse)[1]
+                == experiment._routed_for(cfg, OracleSpec.representative(m, m), graph,
+                                          device, sequence, pulse)[1])
+    routes = []
+    route_bv = experiment.route_bv
+    monkeypatch.setattr(experiment, "route_bv",
+                        lambda spec, *args, **kw: routes.append(spec) or route_bv(spec, *args, **kw))
+    manifest = cmd_simulate(cfg, tmp_path / "run")
+    assert routes == representative_oracles(10)
+    durations = experiment._duration_table(cfg, graph, device, sequence, pulse, {})
+    assert [(e["n"], e["seconds"]) for e in read_manifest(manifest)
+            if e["kind"] == "duration"] == [(str(n), repr(t)) for n, t in durations.items()]
+
+
+def test_bare_analyze_reads_the_run_config_and_refuses_another(tmp_path, capsys):
+    # Without --config, analyze starts from the run's config.used (flags
+    # still override it); a flag that changes a field simulate used is a
+    # config error naming the field, while an analysis-only field may change.
+    out = str(tmp_path / "r")
+    assert main(["--out", out, "analyze"]) == 2
+    assert "no manifest at" in capsys.readouterr().err
+    assert main(["--out", out, "simulate", "--n-min", "3", "--n-max", "5", "--dd", "ur14",
+                 "--collection", "reduced", "--shots", "100", "--seed", "7"]) == 0
+    assert main(["--out", out, "analyze"]) == 0
+    report = (tmp_path / "r" / "report.txt").read_text()
+    for line in ("n_max 5", "dd ur14", "collection reduced", "shots 100", "master_seed 7"):
+        assert f"\n{line}\n" in report
+    capsys.readouterr()
+    assert main(["--out", out, "analyze", "--shots", "2000"]) == 2
+    assert capsys.readouterr().err == ("config error: shots 2000 differs from the run's "
+                                       "shots 100 in its config.used\n")
+    config = tmp_path / "fit.cfg"
+    config.write_text("n_max 5\ndd ur14\ncollection reduced\nshots 100\n"
+                      "master_seed 7\nn_min_fit 4\n")
+    assert main(["--out", out, "--config", str(config), "analyze"]) == 0
+    assert main(["--out", out, "--config", str(config), "--seed", "1", "analyze"]) == 2
+    assert "master_seed 1 differs" in capsys.readouterr().err
 
 
 def test_cap_preflight_writes_nothing(tmp_path):

@@ -35,8 +35,12 @@ def random_unitary(rng):
     return q
 
 
-def strides(w, nw):
-    return 1 << w, 1 << (nw - 1 - w)
+def stride(w, nw):
+    return 1 << (nw - 1 - w)
+
+
+def bit_view(state, w, nw):
+    return ker.bit_view(state, stride(w, nw))
 
 
 @SETTINGS
@@ -46,7 +50,7 @@ def test_apply_1q(batch, data):
     w = data.draw(st.integers(0, nw - 1))
     u = random_unitary(rng)
     want = state @ embed(u, w, nw).T
-    ker.apply_1q(state, *strides(w, nw), u)
+    ker.apply_1q(bit_view(state, w, nw), ker.columns(u))
     np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
 
 
@@ -59,7 +63,7 @@ def test_apply_1q_rows(batch, data):
     u = random_unitary(rng)
     want = state.copy()
     want[rows] = state[rows] @ embed(u, w, nw).T
-    ker.apply_1q_rows(state, rows, *strides(w, nw), u)
+    ker.apply_1q_rows(state, rows, stride(w, nw), ker.columns(u))
     np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
 
 
@@ -86,7 +90,7 @@ def test_phase_bit_pershot(batch, data):
     phases = np.exp(1j * rng.uniform(-np.pi, np.pi, len(state)))
     hot = bit_diag(w, nw)
     want = state * np.where(hot > 0, phases[:, None], 1.0)
-    ker.phase_bit_pershot(state, 1 << (nw - 1 - w), phases)
+    ker.phase_bit_pershot(bit_view(state, w, nw), phases)
     np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
 
 
@@ -128,7 +132,7 @@ def test_ampdamp(with_jumps, batch, data):
     k0 = embed(np.array([[1.0, 0.0], [0.0, np.sqrt(1 - p)]]), w, nw)
     k1 = embed(np.array([[0.0, np.sqrt(p)], [0.0, 0.0]]), w, nw)
     want = np.where(jump[:, None], state @ k1.T / np.sqrt(p), state @ k0.T)
-    ker.ampdamp(state, 1 << (nw - 1 - w), p, np.nonzero(jump)[0])
+    ker.ampdamp(bit_view(state, w, nw), p, np.nonzero(jump)[0])
     np.testing.assert_allclose(state, want, rtol=0, atol=1e-12)
 
 
@@ -166,8 +170,8 @@ def test_damp_jump(batch, data):
     k1 = embed(np.array([[0.0, 1.0], [0.0, 0.0]]), w, nw)
     want = np.where(jump[:, None], state @ k1.T, state)
     damped = state.copy()
-    ker.damp_jump(state, 1 << (nw - 1 - w), rows)
+    ker.damp_jump(bit_view(state, w, nw), rows)
     np.testing.assert_array_equal(state, want)
-    ker.ampdamp(damped, 1 << (nw - 1 - w), p, rows)
+    ker.ampdamp(bit_view(damped, w, nw), p, rows)
     state *= np.where(bit_diag(w, nw) > 0, np.sqrt(1 - p), 1.0)
     np.testing.assert_allclose(damped, state, rtol=0, atol=1e-15)

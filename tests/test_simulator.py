@@ -535,33 +535,46 @@ def test_trajectory_plan_refuses_a_seed_outside_64_bits(seed):
     TrajectoryPlan(10, (1 << 64) - 1)
 
 
+def norm2(x):
+    """Per-shot squared norm of a (shots, d) state or of its (bit, shots,
+    a, b) ``bit_view``."""
+    return ker.norm2(x) if x.ndim == 2 else np.einsum("bsac,bsac->s", x, x.conj()).real
+
+
 @contextmanager
 def norms_checked():
     """Check each shot's squared norm n around every step of ``_evolve``:
     an op leaves n, an idle that damps leaves n - p n1 (no jump) or n1 (a
     jump), n1 the weight of its wire's bit-1 half, and a measurement leaves
-    a factor of norm 1.  ``_evolve`` looks ``_apply``, ``_idle`` and
-    ``ker.measure`` up at call time, so wrapping them sees every step."""
-    apply, idle, measure = simulator._apply, simulator._idle, ker.measure
+    a factor of norm 1.  The walk runs a u1, cnot or zz step as one call of
+    ``ker.apply_1q``, ``ker.cnot`` or ``ker.phase_zz``, a live dep1 or dep2
+    step as one ``_depolarize`` call and an idle as one ``_idle`` call, and
+    looks each up at call time, so wrapping them sees every step."""
+    depolarize, idle, measure = simulator._depolarize, simulator._idle, ker.measure
 
     def check(state, allowed, kind):
-        after = ker.norm2(state)
+        after = norm2(state)
         if not np.any([np.isclose(after, n, rtol=1e-6, atol=0) for n in allowed],
                       axis=0).all():
             raise AssertionError(f"norm drift after an op of kind {kind}")
 
-    def checked_apply(op, state, *args):
-        allowed = [ker.norm2(state)]
-        apply(op, state, *args)
-        check(state, allowed, op.kind)
+    def keeps_norms(kind, fn):
+        def checked(state, *args):
+            allowed = [norm2(state)]
+            fn(state, *args)
+            check(state, allowed, kind)
+        return checked
 
-    def checked_idle(op, col, state, sw, *args):
-        allowed = [ker.norm2(state)]
-        if op.p > 0:
+    def checked_depolarize(state, draw, p, sws):
+        keeps_norms(f"dep{len(sws)}", depolarize)(state, draw, p, sws)
+
+    def checked_idle(state, view, sw, p, *args):
+        allowed = [norm2(state)]
+        if p > 0:
             n1 = ker.pop1(state, sw)
-            allowed = [allowed[0] - op.p * n1, n1]
-        idle(op, col, state, sw, *args)
-        check(state, allowed, op.kind)
+            allowed = [allowed[0] - p * n1, n1]
+        idle(state, view, sw, p, *args)
+        check(state, allowed, "idle")
 
     def checked_measure(*args):
         bits, kept = measure(*args)
@@ -569,7 +582,10 @@ def norms_checked():
             raise AssertionError("a measurement left a factor of norm != 1")
         return bits, kept
 
-    with patch.object(simulator, "_apply", checked_apply), \
+    with patch.object(ker, "apply_1q", keeps_norms("u1", ker.apply_1q)), \
+            patch.object(ker, "cnot", keeps_norms("cnot", ker.cnot)), \
+            patch.object(ker, "phase_zz", keeps_norms("zz", ker.phase_zz)), \
+            patch.object(simulator, "_depolarize", checked_depolarize), \
             patch.object(simulator, "_idle", checked_idle), \
             patch.object(ker, "measure", checked_measure):
         yield
@@ -640,10 +656,14 @@ def test_idle_step_makes_one_kernel_call_per_idle(detuning, decoherence):
     spec, routed, circ, device, phys = ur4_chain(3)
     noise = replace(MONTREAL.noise(), detuning=detuning, decoherence=decoherence)
     program = compile_program(circ, device, noise, phys)
-    idles = [(op, col) for op, col, _ in program.steps if op.kind == "idle"]
-    assert idles
-    assert all((op.p > 0 and op.q > 0) == (col >= 0) == decoherence for op, col in idles)
-    assert set(program.detuned_wires) == ({op.wires[0] for op, _ in idles}
+    idles = [op for op in program.ops if op.kind == "idle"]
+    steps = [step for step in program.walk.steps if step[0] == "idle"]
+    assert idles and len(steps) == len(idles)
+    # (kind, slot, sw, p, p column, q, q column, no-jump row)
+    assert all((op.p > 0 and op.q > 0) == (step[4] >= 0) == (step[6] >= 0) == decoherence
+               for op, step in zip(idles, steps))
+    assert all((step[7] >= 0) == detuning for step in steps)
+    assert set(program.detuned_wires) == ({op.wires[0] for op in idles}
                                           if detuning else set())
     with patch.object(ker, "ampdamp", wraps=ker.ampdamp) as ampdamp, \
             patch.object(ker, "phase_bit_pershot", wraps=ker.phase_bit_pershot) as phase:
@@ -800,22 +820,39 @@ def test_width_matches_the_every_op_walk(stream):
     assert program.width == width_by_every_op(program)
 
 
-def test_steps_give_each_op_its_columns_and_ends():
-    # One step per op.  An idle draws a column for p > 0, then one for
-    # q > 0, and a dep1 one for p; the step holds its first column, or -1
-    # when it draws none, and the wires whose last op it is.
+def test_walk_gives_each_op_its_columns_and_factors():
+    # One step per op, after each touched wire's |0> factor, and each wire
+    # measured out right after its last op.  An idle draws a
+    # column for p > 0, then one for q > 0, and a dep1 one for p; a
+    # missing one reads -1.  Wire 0 leaves first, so the CNOT's merge puts
+    # it on the low bit, and its last idle addresses stride 1.
     both = Op("idle", (0,), p=0.1, q=0.2, t=1e-7)
+    eye = np.eye(2, dtype=complex)
     ops = (both, Op("idle", (0,), p=0.3, t=2e-7), Op("dep1", (0,), p=0.01),
            Op("idle", (1,), q=0.4, t=3e-7), Op("idle", (1,), t=4e-7), Op("cnot", (0, 1)),
-           both, Op("u1", (1,), matrix=np.eye(2)))
+           both, Op("u1", (1,), matrix=eye))
     program = Program(2, ops, (1,))
-    assert [op for op, _, _ in program.steps] == list(ops)
-    assert [(col, ends) for _, col, ends in program.steps] == [
-        (0, ()), (2, ()), (3, ()), (4, ()), (-1, ()), (-1, ()), (5, (0,)), (-1, (1,))]
+    walk = program.walk
+    u1 = walk.steps[-2]
+    assert u1[:3] == ("u1", 1, 1)
+    assert [c.ravel().tolist() for c in u1[3]] == eye.T.tolist()
+    assert walk.steps[:-2] + walk.steps[-1:] == (
+        ("new", 0, (0,), (1,)),
+        ("new", 1, (1,), (1,)),
+        ("idle", 0, 1, 0.1, 0, 0.2, 1, -1),
+        ("idle", 0, 1, 0.3, 2, 0.0, -1, -1),
+        ("dep", 0, 3, 0.01, (1,)),
+        ("idle", 1, 1, 0.0, -1, 0.4, 4, 0),
+        ("idle", 1, 1, 0.0, -1, 0.0, -1, 1),
+        ("merge", 1, 0, (1, 0), (1,)),
+        ("cnot", 1, 1, 2, 0.0),
+        ("idle", 1, 1, 0.1, 5, 0.2, 6, -1),
+        ("measure", 1, 0, 1, (1,), (1,)),
+        ("measure", 1, 1, 1, (), ()))
     assert program.n_uniform_ops == 7
-    p, depolarizing = program.channels
-    assert p.tolist() == [0.1, 0.2, 0.3, 0.01, 0.4, 0.1, 0.2]
-    assert depolarizing.tolist() == [False, False, False, True, False, False, False]
+    assert walk.p.tolist() == [0.1, 0.2, 0.3, 0.01, 0.4, 0.1, 0.2]
+    assert walk.depolarizing.tolist() == [False, False, False, True, False, False, False]
+    assert walk.no_jump == ((0, 3e-7, 0.0), (0, 4e-7, 0.0))
 
 
 def test_width_matches_the_every_op_walk_on_the_zz_chain():
@@ -830,12 +867,23 @@ def test_widest_factor_is_two_on_the_paper_grid():
     # README grid, n 3-10), reduced setup, routed on heavy-hex-27 with UR14
     # under full montreal noise.  Each data wire meets the ancilla in one
     # run of CNOTs, so no factor ever holds more than the pair; k = 0 has no
-    # CNOT at all.
-    widths = {}
+    # CNOT at all.  Every one-wire step on a two-wire factor addresses the
+    # low bit (stride 1): the merge puts the wire that leaves first there.
+    widths, low = {}, []
     for n in range(3, 27):
         for k in range(n + 1):
             spec, routed, circ, device, phys = routed_ur14(n, k)
-            widths[n, k] = compile_program(circ, device, MONTREAL.noise(), phys).width
+            program = compile_program(circ, device, MONTREAL.noise(), phys)
+            widths[n, k] = program.width
+            width = {}      # slot -> wires of its factor
+            for step in program.walk.steps:
+                if step[0] in ("new", "merge", "measure"):
+                    width[step[1]] = len(step[-2])
+                elif step[0] in ("u1", "idle") and width[step[1]] == 2:
+                    low.append(step[2] == 1)
+                elif step[0] == "dep" and len(step[4]) == 1 and width[step[1]] == 2:
+                    low.append(step[4] == (1,))
+    assert low and all(low)
     assert {key for key, w in widths.items() if w != 2} == {(n, 0) for n in range(3, 27)}
     assert all(widths[n, 0] == 1 for n in range(3, 27))
 
